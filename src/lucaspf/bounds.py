@@ -317,14 +317,6 @@ def mn_lower(variant: MnBoundVariant, ctx: BoundContext) -> Interval:
     return a * ctx.log_alpha_lower + b
 
 
-def mn_lower_lemma(ctx: BoundContext) -> Interval:
-    """The lemma's lower bound for log M_n, odd (g_w) or even (h_w) form."""
-    variant = (
-        MnBoundVariant.LEMMA_GW if ctx.parity is Parity.ODD else MnBoundVariant.LEMMA_HW
-    )
-    return mn_lower(variant, ctx)
-
-
 def mn_upper_sieve_affine(
     ctx: BoundContext, refined: bool = False
 ) -> tuple[Interval, Interval]:

@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .bounds import unit_product_constant
 from .cyclotomic import cyclotomic_value
 from .errors import LucasPFError, Undecidable
 from .factorials import pf_decompose, pf_fast_reject, pf_member
-from .interval import Interval, PREC_LADDER
+from .interval import Interval
 from .lucas import SeqKind, validate_params
 from .pipeline import (
     emit_report,
@@ -28,13 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lucaspf",
         description="Bound cascades and factorial-product searches for Lucas sequences",
     )
-    top.add_argument(
-        "--precision-bits",
-        type=int,
-        choices=PREC_LADDER,
-        default=None,
-        help="starting interval precision (default from LUCASPF_PRECISION_BITS)",
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="run a bound cascade and report thresholds")
@@ -43,7 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--r", type=int, default=1)
     b.add_argument("--s", type=int, default=1)
     b.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument(
+        "--workers", type=int, default=1, help="scan the rows of a stage in parallel"
+    )
 
     s = sub.add_parser("search", help="search a concrete sequence for factorial products")
     s.add_argument("--r", type=int, required=True)
@@ -214,8 +208,6 @@ def _cmd_verify(args) -> int:
 def cli_dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.precision_bits:
-        os.environ["LUCASPF_PRECISION_BITS"] = str(args.precision_bits)
     handler = {
         "bounds": _cmd_bounds,
         "search": _cmd_search,

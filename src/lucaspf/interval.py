@@ -9,14 +9,13 @@ which rounds outward at a configurable binary precision.
 from __future__ import annotations
 
 import contextlib
-import os
 from fractions import Fraction
 
 from mpmath import iv, mp, mpf
 
 from .errors import DomainError, Undecidable
 
-DEFAULT_PREC = int(os.environ.get("LUCASPF_PRECISION_BITS", "64"))
+DEFAULT_PREC = 64
 PREC_LADDER = (64, 128, 256, 512)
 MAX_PREC = PREC_LADDER[-1]
 

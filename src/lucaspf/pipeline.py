@@ -8,10 +8,11 @@ bound for every permitted log|alpha|; since both sides are affine in
 log|alpha|, positivity of the margin at the minimal permitted log|alpha|
 together with a nonnegative slope certifies the whole ray.
 
-Coverage of a stage's range is exhaustive: the range is cut into geometric
-cells and each cell is evaluated with n carried as an interval, so one
-enclosure certifies every integer inside; only cells straddling the crossover
-are refined down to individual indices.
+Coverage of a stage's range is exhaustive: a range is evaluated with n carried
+as an interval, so one enclosure certifies every integer inside.  The scan
+starts from the whole range and bisects only ranges it cannot decide, upper
+half first, down to individual indices; below the first survivor nothing is
+evaluated, since it cannot raise the threshold.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from .primes import primorial
 # sentinel "no surviving index": the cascade's standing assumption is n > 150
 NO_SURVIVOR = 150
 
-_CELL_RATIO = 1.005
 _LEAF_WIDTH = 64
-
-_VIOLATED = "violated"
-_SURVIVOR = "survivor"
-_MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -184,14 +180,20 @@ def stage_violated(n: int, cfg: StageConfig, start_prec: int = DEFAULT_PREC) -> 
     raise Undecidable(f"{cfg.name}: margin sign at n={n} undecided at max precision")
 
 
-def _range_status(cfg: StageConfig, a: int, b: int) -> str:
-    for prec in (64, 128):
+def _range_violated(cfg: StageConfig, a: int, b: int) -> bool:
+    """Certify that every index in [a, b] is violated, with n carried as an
+    interval.  False means undecided: a wide range loses the correlation
+    between the two sides of the margin, so its enclosure can straddle zero,
+    or even fall below it, while every index inside is violated."""
+    # A range still undecided at 128 bits is split rather than escalated:
+    # halving it narrows the enclosure more cheaply than 256 or 512 bits would.
+    for prec in PREC_LADDER[:2]:
         slope, margin = _margin_parts(cfg, a, b, prec)
         if margin.lo > 0 and slope.lo >= 0:
-            return _VIOLATED
+            return True
         if margin.hi <= 0 or slope.hi < 0:
-            return _SURVIVOR
-    return _MIXED
+            return False
+    return False
 
 
 # -- exhaustive threshold scan -------------------------------------------------
@@ -205,87 +207,42 @@ def _admissible(cfg: StageConfig, a: int, b: int) -> range:
     return range(start, b + 1, 2)
 
 
-def _last_admissible(cfg: StageConfig, a: int, b: int) -> Optional[int]:
-    r = _admissible(cfg, a, b)
-    return r[-1] if len(r) else None
+def _scan(cfg: StageConfig, a: int, b: int) -> int:
+    """Largest surviving admissible index in [a, b] (NO_SURVIVOR if none).
 
-
-def _point_job(args) -> tuple[int, bool]:
-    n, cfg = args
-    return n, stage_violated(n, cfg)
-
-
-def _cell_job(args) -> str:
-    cfg, a, b = args
-    return _range_status(cfg, a, b)
-
-
-def _scan_points(cfg: StageConfig, a: int, b: int, pool) -> int:
-    jobs = [(n, cfg) for n in _admissible(cfg, a, b)]
-    results = pool.map(_point_job, jobs) if pool else map(_point_job, jobs)
-    best = NO_SURVIVOR
-    for n, violated in results:
-        if not violated:
-            best = max(best, n)
-    return best
-
-
-def _resolve_cell(cfg: StageConfig, a: int, b: int, pool) -> int:
-    """Largest surviving admissible index in [a, b] (NO_SURVIVOR if none)."""
+    Top-down bisection: a range certified violated is dropped whole, any other
+    range is halved, and the lower half is visited only when the upper half
+    holds no survivor.  Survivors are only ever taken from point checks.
+    """
+    points = _admissible(cfg, a, b)
+    if not points:
+        return NO_SURVIVOR
     if b - a <= _LEAF_WIDTH:
-        return _scan_points(cfg, a, b, pool)
+        for n in reversed(points):
+            if not stage_violated(n, cfg):
+                return n
+        return NO_SURVIVOR
+    if _range_violated(cfg, a, b):
+        return NO_SURVIVOR
     mid = (a + b) // 2
-    best = NO_SURVIVOR
-    for lo, hi in ((a, mid), (mid + 1, b)):
-        status = _range_status(cfg, lo, hi)
-        if status == _VIOLATED:
-            continue
-        if status == _SURVIVOR:
-            last = _last_admissible(cfg, lo, hi)
-            if last is not None:
-                best = max(best, last)
-            continue
-        best = max(best, _resolve_cell(cfg, lo, hi, pool))
-    return best
+    upper = _scan(cfg, mid + 1, b)
+    return upper if upper != NO_SURVIVOR else _scan(cfg, a, mid)
 
 
 def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
     """Largest index in [n_floor, n_cap] the stage fails to violate.
 
-    The whole range is covered: every admissible index lies in a cell that was
-    either certified violated, certified surviving, or checked individually.
+    The whole range is covered: every admissible index above the answer lies
+    in a range certified violated or was checked individually.  One row is
+    scanned sequentially; ``workers`` is accepted for call compatibility, and
+    the cascade drivers run the rows of a stage in parallel instead.
     """
-    start = max(151, cfg.n_floor)
-    if start > cfg.n_cap:
-        return NO_SURVIVOR
-    cells = []
-    a = start
-    while a <= cfg.n_cap:
-        b = min(cfg.n_cap, max(a + 1, int(a * _CELL_RATIO)))
-        cells.append((a, b))
-        a = b + 1
-    pool = None
-    try:
-        if workers > 1:
-            pool = get_context("fork").Pool(workers)
-            statuses = pool.map(_cell_job, [(cfg, a, b) for a, b in cells])
-        else:
-            statuses = [_range_status(cfg, a, b) for a, b in cells]
-        best = NO_SURVIVOR
-        for (a, b), status in zip(cells, statuses):
-            if status == _VIOLATED:
-                continue
-            if status == _SURVIVOR:
-                last = _last_admissible(cfg, a, b)
-                if last is not None:
-                    best = max(best, last)
-                continue
-            best = max(best, _resolve_cell(cfg, a, b, pool))
-        return best
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    return _scan(cfg, max(151, cfg.n_floor), cfg.n_cap)
+
+
+def _threshold_job(cfg: StageConfig) -> int:
+    # pickled by name, so a pool still works while find_threshold is wrapped
+    return find_threshold(cfg)
 
 
 def _report(cfg: StageConfig, computed: int) -> BoundStageReport:
@@ -299,6 +256,20 @@ def _report(cfg: StageConfig, computed: int) -> BoundStageReport:
         paper=cfg.paper_threshold,
         decisive=computed <= cfg.paper_threshold,
     )
+
+
+def _run_rows(
+    rows: list[StageConfig], workers: int, reports: list[BoundStageReport]
+) -> int:
+    """Scan independent rows, append their reports in row order and return the
+    largest threshold.  With workers > 1 the rows share a pool of processes."""
+    if workers > 1 and len(rows) > 1:
+        with get_context("fork").Pool(min(workers, len(rows))) as pool:
+            found = pool.map(_threshold_job, rows, chunksize=1)
+    else:
+        found = [find_threshold(cfg, workers) for cfg in rows]
+    reports.extend(_report(cfg, t) for cfg, t in zip(rows, found))
+    return max(found, default=NO_SURVIVOR)
 
 
 # -- cascade drivers -----------------------------------------------------------
@@ -369,8 +340,7 @@ def run_general_cascade(
         n_cap=_SCAN_CEILING,
         paper_threshold=18_000_000,
     )
-    t1 = find_threshold(s1, workers)
-    reports.append(_report(s1, t1))
+    t1 = _run_rows([s1], workers, reports)
 
     # below t1 at most 8 distinct primes can divide n
     if primorial(9) <= t1:
@@ -388,8 +358,7 @@ def run_general_cascade(
         n_cap=t1,
         paper_threshold=3_900_000,
     )
-    t2 = find_threshold(s2, workers)
-    reports.append(_report(s2, t2))
+    t2 = _run_rows([s2], workers, reports)
 
     # below t2: omega <= 7 always, and odd n cannot reach omega = 7
     if primorial(8) <= t2 or primorial(7, skip_two=True) <= t2:
@@ -420,23 +389,11 @@ def run_general_cascade(
         n_cap=t2,
         paper_threshold=1_852_000,
     )
-    t3 = NO_SURVIVOR
-    for cfg in (s3a, s3b):
-        t = find_threshold(cfg, workers)
-        reports.append(_report(cfg, t))
-        t3 = max(t3, t)
-
-    t4 = NO_SURVIVOR
-    for cfg in _lemma_rows(t3, 500_000, "stage4"):
-        t = find_threshold(cfg, workers)
-        reports.append(_report(cfg, t))
-        t4 = max(t4, t)
-
-    t5 = NO_SURVIVOR
-    for cfg in _lemma_rows(t4, {"even": 270_000, "odd": 150_000}, "stage5"):
-        t = find_threshold(cfg, workers)
-        reports.append(_report(cfg, t))
-        t5 = max(t5, t)
+    t3 = _run_rows([s3a, s3b], workers, reports)
+    t4 = _run_rows(_lemma_rows(t3, 500_000, "stage4"), workers, reports)
+    t5 = _run_rows(
+        _lemma_rows(t4, {"even": 270_000, "odd": 150_000}, "stage5"), workers, reports
+    )
 
     result = CascadeResult(
         case="general",
@@ -488,11 +445,7 @@ def run_real_cascade(
     are enumerated with their true arithmetic data."""
     reports: list[BoundStageReport] = []
     rows = _real_rows(cap)
-    row_max = NO_SURVIVOR
-    for cfg in rows:
-        t = find_threshold(cfg, workers)
-        reports.append(_report(cfg, t))
-        row_max = max(row_max, t)
+    row_max = _run_rows(rows, workers, reports)
 
     final = NO_SURVIVOR
     for n in range(151, row_max + 1):

@@ -4,6 +4,7 @@ bounds against honest sieving."""
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -14,6 +15,7 @@ from .lucas import SeqKind, validate_params, u_at, v_at
 from .primes import segmented_primes
 
 _BLOCK = 64
+_LOG10_2 = math.log10(2)
 DEFAULT_MAX_N = 5000
 
 
@@ -47,13 +49,14 @@ class SearchConfig:
 
 
 def _digit_count(n: int) -> int:
+    """Decimal digits of |n|, without str(), whose length cap is process-wide."""
     n = abs(n)
-    try:
-        return len(str(n))
-    except ValueError:
-        # very large int; lift the conversion guard for this one value
-        sys.set_int_max_str_digits(n.bit_length() // 3 + 10)
-        return len(str(n))
+    digits = round(n.bit_length() * _LOG10_2)  # within one of the answer
+    if n >= 10**digits:
+        return digits + 1
+    if digits > 1 and n < 10 ** (digits - 1):
+        return digits - 1
+    return max(digits, 1)
 
 
 def _search_block(args):

@@ -1,8 +1,13 @@
+import bisect
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lucaspf import pipeline
 from lucaspf.bounds import MnBoundVariant, mn_lower, mn_upper_sieve
 from lucaspf.errors import DomainError
 from lucaspf.lucas import SeqKind, validate_params
@@ -10,6 +15,8 @@ from lucaspf.pipeline import (
     NO_SURVIVOR,
     StageConfig,
     _context,
+    _real_rows,
+    _row_for,
     emit_report,
     find_threshold,
     run_unit_case,
@@ -49,6 +56,116 @@ def test_stage1_sample_points():
     assert not stage_violated(1_000_000, STAGE1)
     assert stage_violated(18_000_000, STAGE1)
     assert stage_violated(200_000_000, STAGE1)
+
+
+# the regression oracle: every row's threshold as printed by `lucaspf bounds`
+GENERAL_COMPUTED = [
+    ("stage1-baker", 15_028_725),
+    ("stage2-voutier128", 3_700_002),
+    ("stage3-voutier64", 1_851_039),
+    ("stage3-even-w7", 150),
+    ("stage4-even-w1", 10_852),
+    ("stage4-even-w2", 18_362),
+    ("stage4-even-w3", 38_234),
+    ("stage4-even-w4", 81_334),
+    ("stage4-even-w5", 153_532),
+    ("stage4-even-w6", 267_212),
+    ("stage4-even-w7", 150),
+    ("stage4-odd-w1", 9_143),
+    ("stage4-odd-w2", 12_163),
+    ("stage4-odd-w3", 23_303),
+    ("stage4-odd-w4", 46_041),
+    ("stage4-odd-w5", 85_261),
+    ("stage4-odd-w6", 150),
+    ("stage5-even-w1", 10_852),
+    ("stage5-even-w2", 18_362),
+    ("stage5-even-w3", 38_234),
+    ("stage5-even-w4", 81_334),
+    ("stage5-even-w5", 153_532),
+    ("stage5-even-w6", 267_212),
+    ("stage5-odd-w1", 9_143),
+    ("stage5-odd-w2", 12_163),
+    ("stage5-odd-w3", 23_303),
+    ("stage5-odd-w4", 46_041),
+    ("stage5-odd-w5", 85_261),
+    ("stage5-odd-w6", 150),
+]
+
+REAL_COMPUTED = [
+    ("real-even-w1", 150),
+    ("real-even-w2", 150),
+    ("real-even-w3", 166),
+    ("real-even-w4", 248),
+    ("real-even-w5", 150),
+    ("real-even-w6", 150),
+    ("real-odd-w1", 150),
+    ("real-odd-w2", 150),
+    ("real-odd-w3", 150),
+    ("real-odd-w4", 150),
+    ("real-odd-w5", 150),
+    ("real-odd-w6", 150),
+    ("real-survivors", 210),
+]
+
+
+def test_computed_thresholds_are_pinned(general_u, real_u, unit_u):
+    assert [(s.name, s.computed) for s in general_u.stages] == GENERAL_COMPUTED
+    assert general_u.final_bound == 267_212
+    assert [(s.name, s.computed) for s in real_u.stages] == REAL_COMPUTED
+    assert real_u.final_bound == 210
+    assert [(s.name, s.computed) for s in unit_u.stages] == [("unit-151-210", 150)]
+
+
+@st.composite
+def _scan_cases(draw):
+    parity = draw(st.sampled_from(["both", "even", "odd"]))
+    n_floor = draw(st.integers(100, 3000))
+    n_cap = n_floor + draw(st.integers(-20, 4000))
+    drawn = draw(st.sets(st.integers(140, 7100), max_size=20))
+    drawn |= draw(st.sets(st.sampled_from([n_floor, n_floor + 1, n_cap - 1, n_cap])))
+    survivors = sorted(
+        n for n in drawn if parity == "both" or n % 2 == (parity == "odd")
+    )
+    # ranges wider than this stay undecided, as loose enclosures do
+    decided_width = draw(st.sampled_from([0, 64, 500, 10**9]))
+    return parity, n_floor, n_cap, survivors, decided_width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_cases())
+def test_scan_finds_the_largest_survivor(case):
+    parity, n_floor, n_cap, survivors, decided_width = case
+    cfg = dataclasses.replace(STAGE1, parity=parity, n_floor=n_floor, n_cap=n_cap)
+    lo = max(151, n_floor)
+
+    def any_survivor(a, b):
+        i = bisect.bisect_left(survivors, a)
+        return i < len(survivors) and survivors[i] <= b
+
+    def range_violated(c, a, b):
+        assert c is cfg and lo <= a <= b <= n_cap
+        return b - a <= decided_width and not any_survivor(a, b)
+
+    def point_violated(n, c):
+        assert c is cfg and lo <= n <= n_cap
+        assert parity == "both" or n % 2 == (parity == "odd")
+        return not any_survivor(n, n)
+
+    with mock.patch.object(pipeline, "_range_violated", range_violated), \
+            mock.patch.object(pipeline, "stage_violated", point_violated):
+        got = find_threshold(cfg)
+    expected = max((n for n in survivors if lo <= n <= n_cap), default=NO_SURVIVOR)
+    assert got == expected
+
+
+def test_scan_matches_point_checks_on_a_real_row():
+    cfg = _row_for(_real_rows(1000), "even", 4)
+    brute = max(
+        (n for n in range(cfg.n_floor, cfg.n_cap + 1, 2) if not stage_violated(n, cfg)),
+        default=NO_SURVIVOR,
+    )
+    assert brute == 248
+    assert find_threshold(cfg) == brute
 
 
 def test_general_stage_thresholds(general_u):

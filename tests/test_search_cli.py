@@ -11,6 +11,7 @@ from lucaspf.lucas import SeqKind, u_naive, v_naive, validate_params
 from lucaspf.primes import is_prime
 from lucaspf.search import (
     SearchConfig,
+    _digit_count,
     search_pf_terms,
     sieve_primes_in_classes,
     verify_fibonacci_identity,
@@ -112,6 +113,18 @@ def test_search_config_validation():
         SearchConfig(2, 4, SeqKind.U, 1, 10)
 
 
+def test_digit_count_leaves_the_str_limit_alone():
+    limit = sys.get_int_max_str_digits()
+    assert _digit_count(10**5000 - 1) == 5000
+    assert _digit_count(10**5000) == 5001
+    assert _digit_count(-(10**5000)) == 5001
+    assert sys.get_int_max_str_digits() == limit
+    rng = random.Random(5)
+    values = [0, 1, 9, 10, 99, 100] + [rng.getrandbits(rng.randint(1, 4000)) for _ in range(300)]
+    for n in values + [10**k + d for k in range(1, 300) for d in (-1, 0)]:
+        assert _digit_count(n) == len(str(n)), n
+
+
 def test_fibonacci_identity():
     assert verify_fibonacci_identity()
     assert not verify_fibonacci_identity((1, 2, 3, 4, 5, 6, 8, 10, 11))
@@ -164,6 +177,8 @@ def test_cli_exit_codes():
     assert run_cli("pf", "0").returncode == 2
     assert run_cli("cyclotomic", "--r", "1", "--s", "-1", "--n", "5").returncode == 2
     assert run_cli("bogus").returncode == 2
+    # the starting precision is not a flag: the ladder escalates on its own
+    assert run_cli("--precision-bits", "128", "pf", "6").returncode == 2
 
 
 def test_cli_pf_and_cyclotomic():
