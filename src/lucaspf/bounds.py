@@ -299,14 +299,14 @@ def mn_lower_affine(
         quarter = Interval.from_fraction(2**w, 4 * w, p)
         return (
             phi - 1 - g_omega(ctx.n_enclosure(), w, p),
-            -(1 + quarter) * ln - 2 ** (w - 2) * log2(p),
+            -(1 + quarter) * ln - Fraction(2) ** (w - 2) * log2(p),
         )
     if variant is MnBoundVariant.LEMMA_HW:
         if ctx.parity is not Parity.EVEN:
             raise DomainError("lemma_hw applies to even n")
         return (
             phi - 1 - h_omega(ctx.n_enclosure(), w, p),
-            -ln - 2 ** (w - 2) * log2(p),
+            -ln - Fraction(2) ** (w - 2) * log2(p),
         )
     raise DomainError(f"unknown variant {variant}")
 

@@ -14,6 +14,7 @@ from .factorials import pf_decompose, pf_fast_reject, pf_member
 from .interval import Interval
 from .lucas import SeqKind, validate_params
 from .pipeline import (
+    CERTIFIED_BOUNDS,
     emit_report,
     run_general_cascade,
     run_real_cascade,
@@ -92,9 +93,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _coverage(cfg: SearchConfig) -> str:
-    bound = 150 if cfg.kind is SeqKind.U else 75
-    if abs(cfg.s) == 1 and cfg.n_min == 1 and cfg.n_max >= bound:
-        return f"exhaustive (unit-norm case, theorem bound {bound})"
+    params = validate_params(cfg.r, cfg.s)
+    case = "unit" if params.unit_norm else "real" if params.roots_real else "general"
+    bound = CERTIFIED_BOUNDS[case] // (1 if cfg.kind is SeqKind.U else 2)
+    if cfg.n_min == 1 and cfg.n_max >= bound:
+        return f"exhaustive ({case} case, theorem bound {bound})"
     return f"partial up to nMax={cfg.n_max}"
 
 

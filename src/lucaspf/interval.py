@@ -11,13 +11,12 @@ from __future__ import annotations
 import contextlib
 from fractions import Fraction
 
-from mpmath import iv, mp, mpf
+from mpmath import iv, mp
 
 from .errors import DomainError, Undecidable
 
 DEFAULT_PREC = 64
 PREC_LADDER = (64, 128, 256, 512)
-MAX_PREC = PREC_LADDER[-1]
 
 
 @contextlib.contextmanager
@@ -72,12 +71,6 @@ class Interval:
         return cls(lo, hi, prec)
 
     @classmethod
-    def bracket(cls, lo: str, hi: str, prec: int = DEFAULT_PREC) -> "Interval":
-        with _prec(prec):
-            lo_, hi_ = _endpoints(iv.mpf([lo, hi]))
-        return cls(lo_, hi_, prec)
-
-    @classmethod
     def coerce(cls, x, prec: int = DEFAULT_PREC) -> "Interval":
         if isinstance(x, Interval):
             return x
@@ -85,7 +78,8 @@ class Interval:
             return cls.from_int(x, prec)
         if isinstance(x, Fraction):
             return cls.from_fraction(x.numerator, x.denominator, prec)
-        return cls(mpf(x), mpf(x), prec)
+        # a float is not an exact point: 0.1 is not one tenth
+        raise DomainError(f"cannot enclose {type(x).__name__} {x!r}; use int or Fraction")
 
     # -- iv plumbing -------------------------------------------------------
 
@@ -162,9 +156,6 @@ class Interval:
     def width(self):
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        return self.lo <= mpf(x) <= self.hi
-
     def certainly_gt(self, other) -> bool:
         other = Interval.coerce(other, self.prec)
         return self.lo > other.hi
@@ -172,13 +163,6 @@ class Interval:
     def certainly_lt(self, other) -> bool:
         other = Interval.coerce(other, self.prec)
         return self.hi < other.lo
-
-    def certainly_ge(self, other) -> bool:
-        other = Interval.coerce(other, self.prec)
-        return self.lo >= other.hi
-
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
 
     def __repr__(self):
         return f"Interval({self.lo!s}, {self.hi!s}, prec={self.prec})"
@@ -219,7 +203,8 @@ def decide_gt(make_lhs, make_rhs, start_prec: int = DEFAULT_PREC) -> bool:
 
     ``make_lhs``/``make_rhs`` are callables taking a precision and returning
     Intervals, so the whole expression is rebuilt tighter on escalation.
-    Raises Undecidable if the comparison stays ambiguous at MAX_PREC.
+    Raises Undecidable if the comparison stays ambiguous at the top of
+    PREC_LADDER.
     """
     for p in PREC_LADDER:
         if p < start_prec:

@@ -1,25 +1,30 @@
 """Staged reduction of the index range for factorial-product Lucas terms.
 
-Each stage is a declarative StageConfig: an M_n lower-bound variant plus the
-totient / growth / divisor estimates it is allowed to use, a feasibility floor
-and a cap inherited from the previous stage.  A stage "violates" an index n
-when the certified lower bound for log M_n exceeds the certified sieve upper
-bound for every permitted log|alpha|; since both sides are affine in
-log|alpha|, positivity of the margin at the minimal permitted log|alpha|
-together with a nonnegative slope certifies the whole ray.
+A stage is a list of StageConfig rows: an M_n lower-bound variant, the parity
+and number of distinct primes (omega) a row assumes, a feasibility floor and a
+cap inherited from the previous stage.  The variant fixes the estimates a row
+uses (see _context).  A row "violates" an index n when the certified lower
+bound for log M_n exceeds the certified sieve upper bound for every permitted
+log|alpha|; since both sides are affine in log|alpha|, positivity of the margin
+at the minimal permitted log|alpha| together with a nonnegative slope
+certifies the whole ray.
 
 Coverage of a stage's range is exhaustive: a range is evaluated with n carried
 as an interval, so one enclosure certifies every integer inside.  The scan
 starts from the whole range and bisects only ranges it cannot decide, upper
 half first, down to individual indices; below the first survivor nothing is
 evaluated, since it cannot raise the threshold.
+
+The general cascade is a table of five stages, each built from the threshold
+of the stage before.  The real and unit cases end with a sweep that checks
+each remaining index against the row of its exact parity and omega.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import (
     BoundContext,
@@ -42,6 +47,11 @@ from .primes import primorial
 # sentinel "no surviving index": the cascade's standing assumption is n > 150
 NO_SURVIVOR = 150
 
+# The certified bound on n for kind U, by case; kind V halves it.  The
+# cascades reproduce these values, and `lucaspf search` labels its coverage
+# by them.
+CERTIFIED_BOUNDS = {"general": 267_212, "real": 210, "unit": 150}
+
 _LEAF_WIDTH = 64
 
 
@@ -51,13 +61,16 @@ class StageConfig:
     variant: MnBoundVariant
     parity: str  # "even" | "odd" | "both"
     omega: Optional[int]  # None: use the explicit omega(n) upper bound
-    phi_bound: str  # "rs" | "product" | "exact"
-    alpha_bound: str  # "half" | "growth"
-    divisor: str  # "n" | "radical" | "exact"
-    refined_sieve: bool
     n_floor: int
     n_cap: int
     paper_threshold: int
+
+    @property
+    def phi_bound(self) -> str:
+        """The totient estimate the row uses, as named in the report."""
+        if self.variant is MnBoundVariant.UNIT_EQ55:
+            return "exact"
+        return "rs" if self.omega is None else "product"
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,14 @@ class CascadeResult:
 
 
 def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
+    """The estimates of cfg over [n_lo, n_hi], chosen by its variant.
+
+    REAL_EQ5: the omega-prime totient product, the sharp growth bound and the
+    radical divisor bound (and, in _margin_parts, the refined sieve).
+    UNIT_EQ55: exact phi(n) and P(n) with the sharp growth bound.  Every
+    complex and lemma variant: the Rosser-Schoenfeld totient bound when omega
+    is None, else the product; the half-log growth bound; divisor n.
+    """
     parity = Parity.EVEN if cfg.parity == "both" else Parity(cfg.parity)
     n_arg: object = n_lo
     if n_hi > n_lo:
@@ -97,36 +118,25 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
         )
     omega = cfg.omega if cfg.omega is not None else omega_upper(n_arg, prec)
 
-    if cfg.phi_bound == "rs":
+    divisor = None  # log n
+    if cfg.variant is MnBoundVariant.UNIT_EQ55:
+        if n_hi > n_lo:
+            raise DomainError("exact phi(n) and P(n) are pointwise only")
+        profile = arithmetic_profile(n_lo)
+        phi = Interval.from_int(profile.phi, prec)
+        divisor = log_int(max(3, profile.largest_prime_factor), prec)
+    elif cfg.omega is None:
         phi = phi_lower_rs(n_arg, prec)
-    elif cfg.phi_bound == "product":
+    else:
         phi = phi_lower_omega(n_arg, omega, parity, prec)
-    elif cfg.phi_bound == "exact":
-        if n_hi > n_lo:
-            raise DomainError("exact phi is pointwise only")
-        phi = Interval.from_int(arithmetic_profile(n_lo).phi, prec)
-    else:
-        raise DomainError(f"unknown phi bound {cfg.phi_bound}")
 
-    if cfg.alpha_bound == "half":
-        alpha = growth_log_alpha_lower(n_arg, parity, prec, sharp=False)
-    elif cfg.alpha_bound == "growth":
-        if cfg.parity == "both":
-            raise DomainError("the sharp growth bound is parity specific")
-        alpha = growth_log_alpha_lower(n_arg, parity, prec, sharp=True)
-    else:
-        raise DomainError(f"unknown alpha bound {cfg.alpha_bound}")
+    sharp = cfg.variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55)
+    if sharp and cfg.parity == "both":
+        raise DomainError("the sharp growth bound is parity specific")
+    alpha = growth_log_alpha_lower(n_arg, parity, prec, sharp=sharp)
 
-    divisor = None
-    if cfg.divisor == "radical":
+    if cfg.variant is MnBoundVariant.REAL_EQ5:
         divisor = primitive_divisor_log_bound(cfg.n_floor, omega, parity, prec)(n_arg)
-    elif cfg.divisor == "exact":
-        if n_hi > n_lo:
-            raise DomainError("exact divisor is pointwise only")
-        big = max(3, arithmetic_profile(n_lo).largest_prime_factor)
-        divisor = log_int(big, prec)
-    elif cfg.divisor != "n":
-        raise DomainError(f"unknown divisor {cfg.divisor}")
 
     return BoundContext.build(
         n_lo,
@@ -145,7 +155,7 @@ def _margin_parts(cfg: StageConfig, n_lo: int, n_hi: int, prec: int):
     evaluated at the minimal permitted log|alpha|."""
     ctx = _context(cfg, n_lo, n_hi, prec)
     a, b = mn_lower_affine(cfg.variant, ctx)
-    c, d = mn_upper_sieve_affine(ctx, cfg.refined_sieve)
+    c, d = mn_upper_sieve_affine(ctx, refined=cfg.variant is MnBoundVariant.REAL_EQ5)
     slope = a - c
     margin = slope * ctx.log_alpha_lower + (b - d)
     return slope, margin
@@ -207,6 +217,19 @@ def _admissible(cfg: StageConfig, a: int, b: int) -> range:
     return range(start, b + 1, 2)
 
 
+def _parity(n: int) -> str:
+    return "odd" if n % 2 else "even"
+
+
+def _sweep(points: range, row: Callable[[int], StageConfig]) -> int:
+    """Largest n in points that row(n) fails to violate (NO_SURVIVOR if none),
+    checked one index at a time from the top down."""
+    for n in reversed(points):
+        if not stage_violated(n, row(n)):
+            return n
+    return NO_SURVIVOR
+
+
 def _scan(cfg: StageConfig, a: int, b: int) -> int:
     """Largest surviving admissible index in [a, b] (NO_SURVIVOR if none).
 
@@ -218,10 +241,7 @@ def _scan(cfg: StageConfig, a: int, b: int) -> int:
     if not points:
         return NO_SURVIVOR
     if b - a <= _LEAF_WIDTH:
-        for n in reversed(points):
-            if not stage_violated(n, cfg):
-                return n
-        return NO_SURVIVOR
+        return _sweep(points, lambda n: cfg)
     if _range_violated(cfg, a, b):
         return NO_SURVIVOR
     mid = (a + b) // 2
@@ -258,11 +278,42 @@ def _report(cfg: StageConfig, computed: int) -> BoundStageReport:
     )
 
 
+def _sweep_report(
+    name: str, variant: MnBoundVariant, computed: int, paper: int
+) -> BoundStageReport:
+    return BoundStageReport(
+        name=name,
+        parity="both",
+        omega=None,
+        phi_bound="exact",
+        variant=variant.value,
+        computed=computed,
+        paper=paper,
+        decisive=computed <= paper,
+    )
+
+
+def _check_coverage(rows: list[StageConfig]) -> None:
+    """Raise unless no index up to the rows' cap has more distinct primes than
+    the rows covering its parity assume (omega None assumes no limit)."""
+    cap = max(cfg.n_cap for cfg in rows)
+    for parity in ("even", "odd"):
+        omegas = [cfg.omega for cfg in rows if cfg.parity in (parity, "both")]
+        if None in omegas:
+            continue
+        w = max(omegas, default=0) + 1
+        if primorial(w, skip_two=parity == "odd") <= cap:
+            raise DomainError(
+                f"{parity} n <= {cap} can have {w} distinct primes; the rows assume fewer"
+            )
+
+
 def _run_rows(
     rows: list[StageConfig], workers: int, reports: list[BoundStageReport]
 ) -> int:
     """Scan independent rows, append their reports in row order and return the
     largest threshold.  With workers > 1 the rows share a pool of processes."""
+    _check_coverage(rows)
     if workers > 1 and len(rows) > 1:
         with get_context("fork").Pool(min(workers, len(rows))) as pool:
             found = pool.map(_threshold_job, rows, chunksize=1)
@@ -270,40 +321,6 @@ def _run_rows(
         found = [find_threshold(cfg, workers) for cfg in rows]
     reports.extend(_report(cfg, t) for cfg, t in zip(rows, found))
     return max(found, default=NO_SURVIVOR)
-
-
-# -- cascade drivers -----------------------------------------------------------
-
-_SCAN_CEILING = 10**9  # stage-1 coverage cap, far above any downstream need
-
-
-def _lemma_rows(cap: int, paper, name_prefix: str) -> list[StageConfig]:
-    """One row per (parity, omega) feasible below cap; paper may be per-parity."""
-    rows = []
-    for parity, variant, max_w, skip_two in (
-        ("even", MnBoundVariant.LEMMA_HW, 7, False),
-        ("odd", MnBoundVariant.LEMMA_GW, 6, True),
-    ):
-        for w in range(1, max_w + 1):
-            floor = primorial(w, skip_two=skip_two)
-            if floor > cap:
-                continue  # no index below cap has w distinct admissible primes
-            rows.append(
-                StageConfig(
-                    name=f"{name_prefix}-{parity}-w{w}",
-                    variant=variant,
-                    parity=parity,
-                    omega=w,
-                    phi_bound="product",
-                    alpha_bound="half",
-                    divisor="n",
-                    refined_sieve=False,
-                    n_floor=max(150, floor),
-                    n_cap=cap,
-                    paper_threshold=paper[parity] if isinstance(paper, dict) else paper,
-                )
-            )
-    return rows
 
 
 def _halve(result: CascadeResult) -> CascadeResult:
@@ -321,114 +338,54 @@ def _halve(result: CascadeResult) -> CascadeResult:
     )
 
 
-def run_general_cascade(
-    kind: SeqKind = SeqKind.U, workers: int = 1
+def _finish(
+    case: str, kind: SeqKind, reports: list[BoundStageReport], final: int, paper_final: int
 ) -> CascadeResult:
-    """The five-stage reduction for arbitrary nondegenerate parameters."""
-    reports: list[BoundStageReport] = []
-
-    s1 = StageConfig(
-        name="stage1-baker",
-        variant=MnBoundVariant.COMPLEX_TRIVIAL_F,
-        parity="both",
-        omega=None,
-        phi_bound="rs",
-        alpha_bound="half",
-        divisor="n",
-        refined_sieve=False,
-        n_floor=150,
-        n_cap=_SCAN_CEILING,
-        paper_threshold=18_000_000,
-    )
-    t1 = _run_rows([s1], workers, reports)
-
-    # below t1 at most 8 distinct primes can divide n
-    if primorial(9) <= t1:
-        raise DomainError("stage 2 omega hypothesis broken by stage 1 output")
-    s2 = StageConfig(
-        name="stage2-voutier128",
-        variant=MnBoundVariant.COMPLEX_VOUTIER128,
-        parity="both",
-        omega=8,
-        phi_bound="product",
-        alpha_bound="half",
-        divisor="n",
-        refined_sieve=False,
-        n_floor=150,
-        n_cap=t1,
-        paper_threshold=3_900_000,
-    )
-    t2 = _run_rows([s2], workers, reports)
-
-    # below t2: omega <= 7 always, and odd n cannot reach omega = 7
-    if primorial(8) <= t2 or primorial(7, skip_two=True) <= t2:
-        raise DomainError("stage 3 omega dichotomy broken by stage 2 output")
-    s3a = StageConfig(
-        name="stage3-voutier64",
-        variant=MnBoundVariant.COMPLEX_VOUTIER64,
-        parity="both",
-        omega=6,
-        phi_bound="product",
-        alpha_bound="half",
-        divisor="n",
-        refined_sieve=False,
-        n_floor=150,
-        n_cap=t2,
-        paper_threshold=1_852_000,
-    )
-    s3b = StageConfig(
-        name="stage3-even-w7",
-        variant=MnBoundVariant.LEMMA_HW,
-        parity="even",
-        omega=7,
-        phi_bound="product",
-        alpha_bound="half",
-        divisor="n",
-        refined_sieve=False,
-        n_floor=primorial(7),
-        n_cap=t2,
-        paper_threshold=1_852_000,
-    )
-    t3 = _run_rows([s3a, s3b], workers, reports)
-    t4 = _run_rows(_lemma_rows(t3, 500_000, "stage4"), workers, reports)
-    t5 = _run_rows(
-        _lemma_rows(t4, {"even": 270_000, "odd": 150_000}, "stage5"), workers, reports
-    )
-
-    result = CascadeResult(
-        case="general",
-        kind=SeqKind.U,
-        stages=tuple(reports),
-        final_bound=t5,
-        paper_final=300_000,
-    )
+    result = CascadeResult(case, SeqKind.U, tuple(reports), final, paper_final)
     return _halve(result) if kind is SeqKind.V else result
 
 
-def _real_rows(cap: int) -> list[StageConfig]:
-    paper = {1: 167, 2: 167, 3: 167, 4: 252, 5: 1000, 6: 1000, 7: 1000}
+# -- stage tables --------------------------------------------------------------
+
+
+def _omega_rows(
+    prefix: str,
+    cap: int,
+    variant: Callable[[str], MnBoundVariant],
+    paper: Callable[[str, int], int],
+) -> list[StageConfig]:
+    """One row per (parity, omega) that some index below cap can have; even n
+    is taken up to omega 7 and odd n up to 6, which _check_coverage confirms."""
     rows = []
-    for parity, max_w, skip_two in (("even", 7, False), ("odd", 6, True)):
+    for parity, max_w in (("even", 7), ("odd", 6)):
         for w in range(1, max_w + 1):
-            floor = primorial(w, skip_two=skip_two)
-            if floor > cap:
-                continue
-            rows.append(
-                StageConfig(
-                    name=f"real-{parity}-w{w}",
-                    variant=MnBoundVariant.REAL_EQ5,
-                    parity=parity,
-                    omega=w,
-                    phi_bound="product",
-                    alpha_bound="growth",
-                    divisor="radical",
-                    refined_sieve=True,
-                    n_floor=max(150, floor),
-                    n_cap=cap,
-                    paper_threshold=paper[w],
+            floor = primorial(w, skip_two=parity == "odd")
+            if floor <= cap:
+                rows.append(
+                    StageConfig(f"{prefix}-{parity}-w{w}", variant(parity), parity, w,
+                                max(150, floor), cap, paper(parity, w))
                 )
-            )
     return rows
+
+
+_LEMMA_VARIANT = {"even": MnBoundVariant.LEMMA_HW, "odd": MnBoundVariant.LEMMA_GW}
+_REAL_PAPER = {1: 167, 2: 167, 3: 167, 4: 252, 5: 1000, 6: 1000, 7: 1000}
+
+
+def _lemma_rows(cap: int, paper, prefix: str) -> list[StageConfig]:
+    """Lemma rows below cap; paper is one threshold or one per parity."""
+    return _omega_rows(
+        prefix,
+        cap,
+        _LEMMA_VARIANT.__getitem__,
+        lambda parity, w: paper[parity] if isinstance(paper, dict) else paper,
+    )
+
+
+def _real_rows(cap: int) -> list[StageConfig]:
+    return _omega_rows(
+        "real", cap, lambda parity: MnBoundVariant.REAL_EQ5, lambda parity, w: _REAL_PAPER[w]
+    )
 
 
 def _row_for(rows: list[StageConfig], parity: str, omega: int) -> StageConfig:
@@ -438,41 +395,61 @@ def _row_for(rows: list[StageConfig], parity: str, omega: int) -> StageConfig:
     raise DomainError(f"no row for parity={parity}, omega={omega}")
 
 
+_SCAN_CEILING = 10**9  # stage-1 coverage cap, far above any downstream need
+
+# The five stages of the general cascade, each mapping the threshold of the
+# stage before (its cap) to its rows.  StageConfig fields, in order: name,
+# variant, parity, omega, n_floor, n_cap, paper_threshold.
+_GENERAL_STAGES: tuple[Callable[[int], list[StageConfig]], ...] = (
+    lambda cap: [
+        StageConfig("stage1-baker", MnBoundVariant.COMPLEX_TRIVIAL_F, "both", None,
+                    150, cap, 18_000_000),
+    ],
+    # below stage 1's threshold at most 8 distinct primes divide n
+    lambda cap: [
+        StageConfig("stage2-voutier128", MnBoundVariant.COMPLEX_VOUTIER128, "both", 8,
+                    150, cap, 3_900_000),
+    ],
+    # below stage 2's threshold omega <= 7, and odd n cannot reach omega = 7
+    lambda cap: [
+        StageConfig("stage3-voutier64", MnBoundVariant.COMPLEX_VOUTIER64, "both", 6,
+                    150, cap, 1_852_000),
+        StageConfig("stage3-even-w7", MnBoundVariant.LEMMA_HW, "even", 7,
+                    primorial(7), cap, 1_852_000),
+    ],
+    lambda cap: _lemma_rows(cap, 500_000, "stage4"),
+    lambda cap: _lemma_rows(cap, {"even": 270_000, "odd": 150_000}, "stage5"),
+)
+
+
+# -- cascade drivers -----------------------------------------------------------
+
+
+def run_general_cascade(
+    kind: SeqKind = SeqKind.U, workers: int = 1
+) -> CascadeResult:
+    """The five-stage reduction for arbitrary nondegenerate parameters."""
+    reports: list[BoundStageReport] = []
+    cap = _SCAN_CEILING
+    for stage in _GENERAL_STAGES:
+        cap = _run_rows(stage(cap), workers, reports)
+    return _finish("general", kind, reports, cap, 300_000)
+
+
 def run_real_cascade(
     kind: SeqKind = SeqKind.U, workers: int = 1, cap: int = 300_000
 ) -> CascadeResult:
     """Per-(parity, omega) rows for real quadratic alpha, then the survivors
-    are enumerated with their true arithmetic data."""
+    are checked with their true parity and omega."""
     reports: list[BoundStageReport] = []
     rows = _real_rows(cap)
     row_max = _run_rows(rows, workers, reports)
-
-    final = NO_SURVIVOR
-    for n in range(151, row_max + 1):
-        prof = arithmetic_profile(n)
-        cfg = _row_for(rows, "even" if n % 2 == 0 else "odd", prof.omega)
-        if not stage_violated(n, cfg):
-            final = max(final, n)
-    reports.append(
-        BoundStageReport(
-            name="real-survivors",
-            parity="both",
-            omega=None,
-            phi_bound="exact",
-            variant=MnBoundVariant.REAL_EQ5.value,
-            computed=final,
-            paper=210,
-            decisive=final <= 210,
-        )
+    final = _sweep(
+        range(151, row_max + 1),
+        lambda n: _row_for(rows, _parity(n), arithmetic_profile(n).omega),
     )
-    result = CascadeResult(
-        case="real",
-        kind=SeqKind.U,
-        stages=tuple(reports),
-        final_bound=final,
-        paper_final=210,
-    )
-    return _halve(result) if kind is SeqKind.V else result
+    reports.append(_sweep_report("real-survivors", MnBoundVariant.REAL_EQ5, final, 210))
+    return _finish("real", kind, reports, final, 210)
 
 
 def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
@@ -484,43 +461,13 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
     """
     if not p.unit_norm:
         raise DomainError("run_unit_case needs |s| = 1")
-    worst = 150
-    for n in range(151, 211):
-        cfg = StageConfig(
-            name=f"unit-n{n}",
-            variant=MnBoundVariant.UNIT_EQ55,
-            parity="even" if n % 2 == 0 else "odd",
-            omega=arithmetic_profile(n).omega,
-            phi_bound="exact",
-            alpha_bound="growth",
-            divisor="exact",
-            refined_sieve=False,
-            n_floor=150,
-            n_cap=n,
-            paper_threshold=150,
-        )
-        if not stage_violated(n, cfg):
-            worst = max(worst, n)
-    reports = (
-        BoundStageReport(
-            name="unit-151-210",
-            parity="both",
-            omega=None,
-            phi_bound="exact",
-            variant=MnBoundVariant.UNIT_EQ55.value,
-            computed=worst,
-            paper=150,
-            decisive=worst <= 150,
-        ),
+    worst = _sweep(
+        range(151, 211),
+        lambda n: StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, _parity(n),
+                              arithmetic_profile(n).omega, 150, n, 150),
     )
-    result = CascadeResult(
-        case="unit",
-        kind=SeqKind.U,
-        stages=reports,
-        final_bound=worst,
-        paper_final=150,
-    )
-    return _halve(result) if kind is SeqKind.V else result
+    reports = [_sweep_report("unit-151-210", MnBoundVariant.UNIT_EQ55, worst, 150)]
+    return _finish("unit", kind, reports, worst, 150)
 
 
 def emit_report(result: CascadeResult) -> dict:

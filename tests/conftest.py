@@ -1,7 +1,7 @@
 import pytest
 
 from lucaspf.lucas import SeqKind, validate_params
-from lucaspf.pipeline import run_general_cascade, run_real_cascade, run_unit_case
+from lucaspf.pipeline import _halve, run_general_cascade, run_real_cascade, run_unit_case
 
 # one PASS/FAIL line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -31,13 +31,15 @@ def fib_params():
 
 @pytest.fixture(scope="session")
 def general_u():
-    # the full five-stage scan; shared because it takes ~half a minute
+    # the full five-stage scan (about 2.6 s), shared by every test that reads it
     return run_general_cascade(SeqKind.U)
 
 
 @pytest.fixture(scope="session")
-def general_v():
-    return run_general_cascade(SeqKind.V)
+def general_v(general_u):
+    # kind V only halves the U cascade; the real and unit cases of criterion 4
+    # run the kind=V ending end to end
+    return _halve(general_u)
 
 
 @pytest.fixture(scope="session")

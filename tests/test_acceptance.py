@@ -65,10 +65,6 @@ def _stage_cfg(name, variant, parity, omega, n_floor, paper):
         variant=variant,
         parity=parity,
         omega=omega,
-        phi_bound="rs" if variant is MnBoundVariant.COMPLEX_TRIVIAL_F else "product",
-        alpha_bound="half",
-        divisor="n",
-        refined_sieve=False,
         n_floor=n_floor,
         n_cap=10**9,
         paper_threshold=paper,
@@ -132,10 +128,6 @@ def test_criterion_03_unit_case(unit_u, verdict):
             variant=MnBoundVariant.UNIT_EQ55,
             parity="even" if n % 2 == 0 else "odd",
             omega=arithmetic_profile(n).omega,
-            phi_bound="exact",
-            alpha_bound="growth",
-            divisor="exact",
-            refined_sieve=False,
             n_floor=150,
             n_cap=n,
             paper_threshold=150,

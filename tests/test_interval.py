@@ -55,6 +55,12 @@ def test_log_int_handles_huge_integers():
     assert float(enc.width()) < 1e-10
 
 
+def test_coerce_refuses_floats():
+    # 0.1 is not one tenth, so a float is no exact point to enclose
+    with pytest.raises(DomainError):
+        Interval.from_int(1) * 0.1
+
+
 def test_one_third_is_properly_rounded():
     third = Interval.from_fraction(1, 3)
     assert to_fraction(third.lo) < Fraction(1, 3) < to_fraction(third.hi)

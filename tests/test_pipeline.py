@@ -14,6 +14,7 @@ from lucaspf.lucas import SeqKind, validate_params
 from lucaspf.pipeline import (
     NO_SURVIVOR,
     StageConfig,
+    _check_coverage,
     _context,
     _real_rows,
     _row_for,
@@ -30,10 +31,6 @@ STAGE1 = StageConfig(
     variant=MnBoundVariant.COMPLEX_TRIVIAL_F,
     parity="both",
     omega=None,
-    phi_bound="rs",
-    alpha_bound="half",
-    divisor="n",
-    refined_sieve=False,
     n_floor=150,
     n_cap=10**9,
     paper_threshold=18_000_000,
@@ -114,6 +111,12 @@ def test_computed_thresholds_are_pinned(general_u, real_u, unit_u):
     assert [(s.name, s.computed) for s in real_u.stages] == REAL_COMPUTED
     assert real_u.final_bound == 210
     assert [(s.name, s.computed) for s in unit_u.stages] == [("unit-151-210", 150)]
+    # the constant `lucaspf search` labels its coverage by
+    assert pipeline.CERTIFIED_BOUNDS == {
+        "general": general_u.final_bound,
+        "real": real_u.final_bound,
+        "unit": unit_u.final_bound,
+    }
 
 
 @st.composite
@@ -215,10 +218,6 @@ def test_soundness_sampling_above_thresholds(general_u):
         variant=MnBoundVariant.LEMMA_HW,
         parity="even",
         omega=3,
-        phi_bound="product",
-        alpha_bound="half",
-        divisor="n",
-        refined_sieve=False,
         n_floor=150,
         n_cap=by_name["stage3-voutier64"].computed,
         paper_threshold=500_000,
@@ -238,10 +237,6 @@ def test_violation_is_monotone_in_log_alpha():
         variant=MnBoundVariant.COMPLEX_VOUTIER128,
         parity="both",
         omega=8,
-        phi_bound="product",
-        alpha_bound="half",
-        divisor="n",
-        refined_sieve=False,
         n_floor=150,
         n_cap=10**7,
         paper_threshold=3_900_000,
@@ -251,6 +246,30 @@ def test_violation_is_monotone_in_log_alpha():
     for k in range(1, 11):
         ctx = dataclasses.replace(base, log_alpha_lower=base.log_alpha_lower * k)
         assert mn_lower(cfg.variant, ctx).certainly_gt(mn_upper_sieve(ctx)), k
+
+
+def test_context_refuses_estimates_outside_their_hypotheses():
+    unit = StageConfig("unit-n200", MnBoundVariant.UNIT_EQ55, "even", 2, 150, 210, 150)
+    _context(unit, 200, 200, 64)
+    # exact phi(n) and P(n) hold at one index, not over a range
+    with pytest.raises(DomainError):
+        _context(unit, 200, 210, 64)
+    # the sharp growth bound needs one parity
+    both = dataclasses.replace(_row_for(_real_rows(1000), "even", 4), parity="both")
+    with pytest.raises(DomainError):
+        _context(both, 300, 300, 64)
+
+
+def test_coverage_check_refuses_caps_with_too_many_primes():
+    stage2, stage3 = pipeline._GENERAL_STAGES[1:3]
+    # some n <= primorial(9) has 9 distinct primes; stage 2 assumes at most 8
+    _check_coverage(stage2(primorial(9) - 1))
+    with pytest.raises(DomainError):
+        _check_coverage(stage2(primorial(9)))
+    # stage 3 assumes at most 6 distinct primes for odd n
+    _check_coverage(stage3(primorial(7, skip_two=True) - 1))
+    with pytest.raises(DomainError):
+        _check_coverage(stage3(primorial(7, skip_two=True)))
 
 
 def test_find_threshold_on_empty_domain():

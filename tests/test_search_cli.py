@@ -172,6 +172,16 @@ def test_cli_search_partial_label():
     assert b"partial up to nMax=40" in out.stdout
 
 
+def test_cli_search_coverage_uses_the_bound_of_the_case():
+    # (3, -2) has real roots, so its search is exhaustive from the real bound 210
+    out = run_cli("search", "--r", "3", "--s", "-2", "--max-n", "210")
+    assert out.returncode == 0
+    assert b"exhaustive" in out.stdout
+    out = run_cli("search", "--r", "3", "--s", "-2", "--max-n", "209")
+    assert out.returncode == 0
+    assert b"partial up to nMax=209" in out.stdout
+
+
 def test_cli_exit_codes():
     assert run_cli("search", "--r", "2", "--s", "4", "--max-n", "10").returncode == 2
     assert run_cli("pf", "0").returncode == 2
