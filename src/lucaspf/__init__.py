@@ -6,7 +6,6 @@ from .errors import (
     LucasPFError,
     NonIntegerResult,
     NotCoprime,
-    NotPrime,
     Undecidable,
     ZeroDiscriminant,
     ZeroInput,
@@ -44,7 +43,6 @@ __all__ = [
     "LucasParams",
     "NonIntegerResult",
     "NotCoprime",
-    "NotPrime",
     "PFWitness",
     "SeqKind",
     "SeqTerm",

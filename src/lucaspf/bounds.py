@@ -37,13 +37,6 @@ class MnBoundVariant(str, Enum):
     LEMMA_HW = "lemma_hw"
 
 
-def _as_interval(n, prec: int) -> Interval:
-    """Accept either an integer index or an enclosure of a range of indices."""
-    if isinstance(n, Interval):
-        return n
-    return Interval.from_int(n, prec)
-
-
 @dataclass(frozen=True)
 class BoundContext:
     n: int
@@ -76,15 +69,10 @@ class BoundContext:
         phi_lower: Interval,
         primitive_divisor_log: Optional[Interval] = None,
         prec: int = DEFAULT_PREC,
-        n_hi: Optional[int] = None,
+        n_range: Optional[Interval] = None,
     ) -> "BoundContext":
         if n < 150:
             raise DomainError("the cascade's standing assumption is n >= 150")
-        n_range = None
-        if n_hi is not None and n_hi > n:
-            n_range = Interval(
-                Interval.from_int(n, prec).lo, Interval.from_int(n_hi, prec).hi, prec
-            )
         logn = n_range.log() if n_range is not None else log_int(n, prec)
         if primitive_divisor_log is None:
             primitive_divisor_log = logn
@@ -107,7 +95,7 @@ class BoundContext:
 
 def phi_lower_rs(n, prec: int = DEFAULT_PREC) -> Interval:
     """n / (e^gamma loglog n + 2.50637 / loglog n), a lower bound of phi(n)."""
-    ni = _as_interval(n, prec)
+    ni = Interval.coerce(n, prec)
     if ni.lo < 3:
         raise DomainError("n must be >= 3")
     ll = ni.log().log()
@@ -133,7 +121,7 @@ def phi_lower_omega(n, omega: int, parity: Parity, prec: int = DEFAULT_PREC) -> 
 
 def omega_upper(n, prec: int = DEFAULT_PREC) -> int:
     """Certified upper bound for omega(n) via 1.3841 log n / loglog n."""
-    ni = _as_interval(n, prec)
+    ni = Interval.coerce(n, prec)
     if ni.lo < 26:
         raise DomainError("the explicit omega bound needs n >= 26")
     logn = ni.log()
@@ -215,7 +203,7 @@ def g_omega(n, omega: int, prec: int = DEFAULT_PREC) -> Interval:
     """Table of g_w coefficients for odd n (w <= 6)."""
     if omega > 6 or omega < 1:
         raise DomainError("odd n has omega <= 6 in the cascade's regime")
-    ni = _as_interval(n, prec)
+    ni = Interval.coerce(n, prec)
     ln = ni.log()
     if omega == 6:
         return 73 * _poly(ln, "11", "87.5", "194.1", prec) + Interval.from_str(
@@ -236,7 +224,7 @@ def h_omega(n, omega: int, prec: int = DEFAULT_PREC) -> Interval:
     """Table of h_w coefficients for even n (w <= 7), arguments in log(n/2)."""
     if omega > 7 or omega < 1:
         raise DomainError("even n has omega <= 7 in the cascade's regime")
-    ni = _as_interval(n, prec)
+    ni = Interval.coerce(n, prec)
     lh = ni.log() - log2(prec)
     if omega == 7:
         return 73 * _poly(lh, "16", "139", "327", prec) + Interval.from_str(
@@ -352,7 +340,7 @@ def growth_log_alpha_lower(
     ``sharp`` the direct Stirling form (and the parity-aware 0.75/1.75
     constants as a floor) is used.
     """
-    ni = _as_interval(n, prec)
+    ni = Interval.coerce(n, prec)
     logn = ni.log()
     if not sharp:
         return logn / 2
@@ -390,9 +378,10 @@ def unit_product_constant(prec: int = 256) -> Interval:
 
 
 def primitive_divisor_log_bound(
-    n_floor: int, omega: int, parity: Parity, prec: int = DEFAULT_PREC
-):
-    """Callable giving log max(3, n / primorial(omega - 1)) at a concrete n.
+    n, omega: int, parity: Parity, prec: int = DEFAULT_PREC
+) -> Interval:
+    """Enclosure of log max(3, n / primorial(omega - 1)) at an index n, or
+    over every index in an enclosure n.
 
     For n with omega distinct prime factors, P(n) is at most n divided by the
     product of the omega - 1 smallest admissible primes, and the primitive
@@ -400,16 +389,11 @@ def primitive_divisor_log_bound(
     """
     denom = primorial(omega - 1, skip_two=parity is Parity.ODD)
 
-    def point(n: int) -> Interval:
-        if n >= 3 * denom:
-            return log_int(n, prec) - log_int(denom, prec)
+    def point(m: int) -> Interval:
+        if m >= 3 * denom:
+            return log_int(m, prec) - log_int(denom, prec)
         return log_int(3, prec)
 
-    def at(n) -> Interval:
-        if isinstance(n, Interval):
-            lo = point(math.floor(n.lo)).lo
-            hi = point(math.ceil(n.hi)).hi
-            return Interval(lo, hi, prec)
-        return point(n)
-
-    return at
+    if isinstance(n, Interval):
+        return Interval(point(math.floor(n.lo)).lo, point(math.ceil(n.hi)).hi, prec)
+    return point(n)

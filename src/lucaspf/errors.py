@@ -25,10 +25,6 @@ class ZeroInput(LucasPFError):
     pass
 
 
-class NotPrime(LucasPFError):
-    pass
-
-
 class NonIntegerResult(LucasPFError):
     """Cyclotomic quotient failed to be an integer; indicates a bug."""
 

@@ -7,12 +7,13 @@ with 1 < m_1 <= ... <= m_k (k = 0, the empty product, certifies |N| = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DomainError, NotPrime, ZeroInput
-from .primes import is_prime, primes_upto
+from .errors import DomainError, ZeroInput
 
 MEMO_CUTOFF = 1 << 64
+# the memo is emptied when full, so a long-running process stays bounded
+MEMO_MAX_ENTRIES = 1 << 17
 
 _member_memo: dict[int, bool] = {}
 
@@ -35,42 +36,6 @@ class PFWitness:
         for a in self.args:
             out *= math.factorial(a)
         return out
-
-
-@dataclass(frozen=True)
-class FactorialTable:
-    max_arg: int
-    factorials: tuple[int, ...] = field(repr=False)
-    per_prime_valuations: dict[int, tuple[int, ...]] = field(repr=False)
-
-    @classmethod
-    def build(cls, max_arg: int) -> "FactorialTable":
-        if max_arg < 2:
-            raise DomainError("max_arg must be >= 2")
-        facts = [1, 1]
-        for m in range(2, max_arg + 1):
-            facts.append(facts[-1] * m)
-        vals = {}
-        for p in primes_upto(max_arg):
-            vals[p] = tuple(legendre_valuation(p, m) for m in range(max_arg + 1))
-        return cls(max_arg=max_arg, factorials=tuple(facts), per_prime_valuations=vals)
-
-    def factorial(self, m: int) -> int:
-        return self.factorials[m]
-
-
-def legendre_valuation(p: int, k: int) -> int:
-    """nu_p(k!) = (k - sigma_p(k)) / (p - 1), sigma_p the base-p digit sum."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    digit_sum = 0
-    t = k
-    while t:
-        digit_sum += t % p
-        t //= p
-    return (k - digit_sum) // (p - 1)
 
 
 def _factorials_upto(n: int) -> list[tuple[int, int]]:
@@ -99,6 +64,8 @@ def _is_member(n: int) -> bool:
             result = True
             break
     if n < MEMO_CUTOFF:
+        if len(_member_memo) >= MEMO_MAX_ENTRIES:
+            _member_memo.clear()
         _member_memo[n] = result
     return result
 

@@ -2,73 +2,76 @@
 
 Every analytic quantity in the package (logs, totient bounds, stage
 inequalities) is carried as an enclosure [lo, hi] so that comparisons can be
-machine-certified.  The arithmetic is delegated to mpmath's ``iv`` context,
-which rounds outward at a configurable binary precision.
+machine-certified.  Each operation is one call into mpmath's raw interval
+library (``mpmath.libmp``) at an explicit binary precision, rounding the lower
+endpoint down and the upper endpoint up.  No mpmath context precision is read
+or written, so results do not depend on the caller's mpmath settings.
 """
 
 from __future__ import annotations
 
-import contextlib
 from fractions import Fraction
 
-from mpmath import iv, mp
+from mpmath import libmp, mp, mpf
 
-from .errors import DomainError, Undecidable
+from .errors import DomainError
 
 DEFAULT_PREC = 64
 PREC_LADDER = (64, 128, 256, 512)
 
-
-@contextlib.contextmanager
-def _prec(bits: int):
-    old_iv, old_mp = iv.prec, mp.prec
-    iv.prec = bits
-    mp.prec = bits + 16
-    try:
-        yield
-    finally:
-        iv.prec, mp.prec = old_iv, old_mp
+# wraps a raw mpf tuple as is: no rounding, no context precision involved
+_mpf = mp.make_mpf
 
 
-def _endpoints(x):
-    # raw mpf endpoints, no re-rounding
-    a, b = x._mpi_
-    return mp.make_mpf(a), mp.make_mpf(b)
+def _int_mpi(n: int, prec: int):
+    return (
+        libmp.from_int(n, prec, libmp.round_floor),
+        libmp.from_int(n, prec, libmp.round_ceiling),
+    )
+
+
+def _constant_mpi(f, prec: int):
+    return f(prec, libmp.round_floor), f(prec, libmp.round_ceiling)
 
 
 class Interval:
-    """Closed real enclosure [lo, hi] with outward-rounded arithmetic."""
+    """Closed real enclosure [lo, hi] of mpf endpoints, outward-rounded
+    arithmetic at ``prec`` bits."""
 
     __slots__ = ("lo", "hi", "prec")
 
     def __init__(self, lo, hi, prec: int = DEFAULT_PREC):
-        if not lo <= hi:
-            raise DomainError(f"invalid interval endpoints [{lo}, {hi}]")
+        # endpoints are mpf: ints and floats go through coerce or from_*
+        if not (isinstance(lo, mpf) and isinstance(hi, mpf) and lo <= hi):
+            raise DomainError(f"invalid interval endpoints [{lo!r}, {hi!r}]")
         self.lo = lo
         self.hi = hi
         self.prec = prec
+
+    @classmethod
+    def _from_mpi(cls, v, prec: int) -> "Interval":
+        lo, hi = v
+        return cls(_mpf(lo), _mpf(hi), prec)
+
+    @property
+    def _mpi(self):
+        return self.lo._mpf_, self.hi._mpf_
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_int(cls, n: int, prec: int = DEFAULT_PREC) -> "Interval":
-        with _prec(prec):
-            lo, hi = _endpoints(iv.mpf(n))
-        return cls(lo, hi, prec)
+        return cls._from_mpi(_int_mpi(n, prec), prec)
 
     @classmethod
     def from_fraction(cls, num: int, den: int, prec: int = DEFAULT_PREC) -> "Interval":
         if den == 0:
             raise DomainError("zero denominator")
-        with _prec(prec):
-            lo, hi = _endpoints(iv.mpf(num) / iv.mpf(den))
-        return cls(lo, hi, prec)
+        return cls._from_mpi(libmp.mpi_div(_int_mpi(num, prec), _int_mpi(den, prec), prec), prec)
 
     @classmethod
     def from_str(cls, s: str, prec: int = DEFAULT_PREC) -> "Interval":
-        with _prec(prec):
-            lo, hi = _endpoints(iv.mpf(s))
-        return cls(lo, hi, prec)
+        return cls._from_mpi(libmp.mpi_from_str(s, prec), prec)
 
     @classmethod
     def coerce(cls, x, prec: int = DEFAULT_PREC) -> "Interval":
@@ -81,80 +84,62 @@ class Interval:
         # a float is not an exact point: 0.1 is not one tenth
         raise DomainError(f"cannot enclose {type(x).__name__} {x!r}; use int or Fraction")
 
-    # -- iv plumbing -------------------------------------------------------
-
-    def _iv(self):
-        return iv.mpf([self.lo, self.hi])
-
-    @classmethod
-    def _wrap(cls, x, prec: int) -> "Interval":
-        lo, hi = _endpoints(x)
-        return cls(lo, hi, prec)
-
-    def _binop(self, other, op):
-        other = Interval.coerce(other, self.prec)
-        p = max(self.prec, other.prec)
-        with _prec(p):
-            r = op(self._iv(), other._iv())
-        return Interval._wrap(r, p)
-
     # -- arithmetic --------------------------------------------------------
 
+    def _binop(self, other, f):
+        other = Interval.coerce(other, self.prec)
+        prec = max(self.prec, other.prec)
+        return Interval._from_mpi(f(self._mpi, other._mpi, prec), prec)
+
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, libmp.mpi_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, libmp.mpi_sub)
 
     def __rsub__(self, other):
         return Interval.coerce(other, self.prec) - self
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, libmp.mpi_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
+        return self._binop(other, libmp.mpi_div)
 
     def __rtruediv__(self, other):
         return Interval.coerce(other, self.prec) / self
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo, self.prec)
+        # exact: mpi_neg rounds nothing when no precision is given
+        return Interval._from_mpi(libmp.mpi_neg(self._mpi), self.prec)
 
     def __pow__(self, k: int):
-        with _prec(self.prec):
-            r = self._iv() ** int(k)
-        return Interval._wrap(r, self.prec)
+        return Interval._from_mpi(libmp.mpi_pow_int(self._mpi, int(k), self.prec), self.prec)
 
     # -- elementary functions ------------------------------------------------
 
     def log(self) -> "Interval":
         if self.lo <= 0:
             raise DomainError("log of non-positive interval")
-        with _prec(self.prec):
-            r = iv.log(self._iv())
-        return Interval._wrap(r, self.prec)
+        return Interval._from_mpi(libmp.mpi_log(self._mpi, self.prec), self.prec)
 
     def exp(self) -> "Interval":
-        with _prec(self.prec):
-            r = iv.exp(self._iv())
-        return Interval._wrap(r, self.prec)
+        return Interval._from_mpi(libmp.mpi_exp(self._mpi, self.prec), self.prec)
 
     def sqrt(self) -> "Interval":
         if self.lo < 0:
             raise DomainError("sqrt of negative interval")
-        with _prec(self.prec):
-            r = iv.sqrt(self._iv())
-        return Interval._wrap(r, self.prec)
+        return Interval._from_mpi(libmp.mpi_sqrt(self._mpi, self.prec), self.prec)
 
     # -- queries ----------------------------------------------------------
 
     def width(self):
-        return self.hi - self.lo
+        """hi - lo, rounded up at the interval's precision."""
+        return _mpf(libmp.mpf_sub(self.hi._mpf_, self.lo._mpf_, self.prec, libmp.round_ceiling))
 
     def certainly_gt(self, other) -> bool:
         other = Interval.coerce(other, self.prec)
@@ -177,42 +162,25 @@ def log_int(n: int, prec: int = DEFAULT_PREC) -> Interval:
         raise DomainError("log_int requires a positive integer")
     shift = max(0, n.bit_length() - prec)
     m = n >> shift
-    with _prec(prec):
-        body = iv.log(iv.mpf([m, m + 1 if shift else m]))
-        r = body + shift * iv.log(iv.mpf(2))
-    return Interval._wrap(r, prec)
+    # n lies in [m, m + 1) * 2^shift
+    body = (
+        libmp.from_int(m, prec, libmp.round_floor),
+        libmp.from_int(m + 1 if shift else m, prec, libmp.round_ceiling),
+    )
+    r = libmp.mpi_log(body, prec)
+    if shift:
+        two = libmp.mpi_log(_int_mpi(2, prec), prec)
+        r = libmp.mpi_add(r, libmp.mpi_mul(_int_mpi(shift, prec), two, prec), prec)
+    return Interval._from_mpi(r, prec)
 
 
 def log2(prec: int = DEFAULT_PREC) -> Interval:
-    with _prec(prec):
-        return Interval._wrap(iv.log(iv.mpf(2)), prec)
+    return Interval._from_mpi(libmp.mpi_log(_int_mpi(2, prec), prec), prec)
 
 
 def euler_gamma(prec: int = DEFAULT_PREC) -> Interval:
-    with _prec(prec):
-        return Interval._wrap(+iv.euler, prec)
+    return Interval._from_mpi(_constant_mpi(libmp.mpf_euler, prec), prec)
 
 
 def pi(prec: int = DEFAULT_PREC) -> Interval:
-    with _prec(prec):
-        return Interval._wrap(+iv.pi, prec)
-
-
-def decide_gt(make_lhs, make_rhs, start_prec: int = DEFAULT_PREC) -> bool:
-    """Certify lhs > rhs or lhs <= rhs, escalating precision as needed.
-
-    ``make_lhs``/``make_rhs`` are callables taking a precision and returning
-    Intervals, so the whole expression is rebuilt tighter on escalation.
-    Raises Undecidable if the comparison stays ambiguous at the top of
-    PREC_LADDER.
-    """
-    for p in PREC_LADDER:
-        if p < start_prec:
-            continue
-        lhs = make_lhs(p)
-        rhs = make_rhs(p)
-        if lhs.certainly_gt(rhs):
-            return True
-        if lhs.hi <= rhs.lo:
-            return False
-    raise Undecidable("interval comparison undecided at maximum precision")
+    return Interval._from_mpi(_constant_mpi(libmp.mpf_pi, prec), prec)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
-from .interval import DEFAULT_PREC, Interval, log2, pi
+from .interval import DEFAULT_PREC, Interval, pi
 
 
 class SeqKind(str, Enum):
@@ -81,13 +81,6 @@ def validate_params(r: int, s: int) -> LucasParams:
     )
 
 
-def alpha_log(p: LucasParams, precision_bits: int) -> Interval:
-    """Enclosure of log|alpha| at the requested precision."""
-    if precision_bits <= 0:
-        raise DomainError("precision_bits must be positive")
-    return _alpha_log_raw(p.r, p.s, p.delta, precision_bits)
-
-
 def _uv_pair(p: LucasParams, n: int) -> tuple[int, int]:
     """(U_n, V_n) by fast doubling on the pair, with Q = -s, D = delta."""
     if n < 0:
@@ -113,34 +106,6 @@ def u_at(p: LucasParams, n: int) -> SeqTerm:
 def v_at(p: LucasParams, n: int) -> SeqTerm:
     _, v = _uv_pair(p, n)
     return SeqTerm(index=n, value=v, kind=SeqKind.V)
-
-
-def u_naive(p: LucasParams, n: int) -> int:
-    """Three-term recurrence; independent oracle for tests."""
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, p.r * b + p.s * a
-    return a
-
-
-def v_naive(p: LucasParams, n: int) -> int:
-    a, b = 2, p.r
-    if n == 0:
-        return a
-    for _ in range(n - 1):
-        a, b = b, p.r * b + p.s * a
-    return b
-
-
-def stirling_log_factorial_lower(m: int, prec: int = DEFAULT_PREC) -> Interval:
-    """Enclosure of log 2 + m (log m - 1), a certified lower bound of log m!.
-
-    Comes from m! >= sqrt(2 pi) (m/e)^m > 2 (m/e)^m.
-    """
-    if m < 2:
-        raise DomainError("m must be at least 2")
-    mi = Interval.from_int(m, prec)
-    return log2(prec) + mi * (mi.log() - 1)
 
 
 def stirling_log_factorial_sqrt(m, prec: int = DEFAULT_PREC) -> Interval:

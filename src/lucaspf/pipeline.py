@@ -111,11 +111,12 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
     is None, else the product; the half-log growth bound; divisor n.
     """
     parity = Parity.EVEN if cfg.parity == "both" else Parity(cfg.parity)
-    n_arg: object = n_lo
+    n_range = None
     if n_hi > n_lo:
-        n_arg = Interval(
+        n_range = Interval(
             Interval.from_int(n_lo, prec).lo, Interval.from_int(n_hi, prec).hi, prec
         )
+    n_arg = n_lo if n_range is None else n_range
     omega = cfg.omega if cfg.omega is not None else omega_upper(n_arg, prec)
 
     divisor = None  # log n
@@ -136,7 +137,7 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
     alpha = growth_log_alpha_lower(n_arg, parity, prec, sharp=sharp)
 
     if cfg.variant is MnBoundVariant.REAL_EQ5:
-        divisor = primitive_divisor_log_bound(cfg.n_floor, omega, parity, prec)(n_arg)
+        divisor = primitive_divisor_log_bound(n_arg, omega, parity, prec)
 
     return BoundContext.build(
         n_lo,
@@ -146,7 +147,7 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
         phi,
         primitive_divisor_log=divisor,
         prec=prec,
-        n_hi=n_hi if n_hi > n_lo else None,
+        n_range=n_range,
     )
 
 

@@ -215,8 +215,8 @@ def test_radical_divisor_bound():
     # and the interval form is an upper bound for log max(3, P(n))
     for n in (150, 151, 2310, 99990):
         parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
-        at = primitive_divisor_log_bound(150, OMEGA[n], parity)
-        assert at(n).hi >= log_int(max(3, LARGEST[n])).lo
+        bound = primitive_divisor_log_bound(n, OMEGA[n], parity)
+        assert bound.hi >= log_int(max(3, LARGEST[n])).lo
 
 
 def test_unit_product_constant_certified():

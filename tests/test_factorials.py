@@ -3,12 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lucaspf.errors import DomainError, NotPrime, ZeroInput
+from lucaspf import factorials
+from lucaspf.errors import DomainError, ZeroInput
 from lucaspf.factorials import (
-    FactorialTable,
     PFWitness,
     clear_member_cache,
-    legendre_valuation,
     pf_decompose,
     pf_fast_reject,
     pf_member,
@@ -42,6 +41,19 @@ def test_member_agrees_with_dp_oracle_small_range():
     clear_member_cache()
     for n in range(1, limit + 1):
         assert pf_member(n) == bool(oracle[n]), n
+
+
+def test_member_memo_is_bounded(monkeypatch):
+    # a small cap forces many clears, also in the middle of a recursion
+    cap = 16
+    monkeypatch.setattr(factorials, "MEMO_MAX_ENTRIES", cap)
+    limit = 20_000
+    oracle = dp_member_table(limit)
+    clear_member_cache()
+    for n in range(1, limit + 1):
+        assert pf_member(n) == bool(oracle[n]), n
+        assert len(factorials._member_memo) <= cap
+    clear_member_cache()
 
 
 def test_members_above_one_are_even():
@@ -85,37 +97,6 @@ def test_eleven_factorial():
     n = math.factorial(11)
     assert pf_member(n)
     assert (11,) in [w.args for w in pf_decompose(n)]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from([2, 3, 5, 7, 11, 13, 101]),
-    st.integers(0, 10**6),
-)
-def test_legendre_matches_repeated_division(p, k):
-    # oracle: sum of floor(k / p^i)
-    expect = 0
-    q = p
-    while q <= k:
-        expect += k // q
-        q *= p
-    assert legendre_valuation(p, k) == expect
-
-
-def test_legendre_validation():
-    with pytest.raises(NotPrime):
-        legendre_valuation(4, 10)
-    with pytest.raises(DomainError):
-        legendre_valuation(3, -1)
-
-
-def test_factorial_table_consistency():
-    table = FactorialTable.build(12)
-    for m in range(2, 13):
-        assert table.factorial(m) == math.factorial(m)
-    for p, vals in table.per_prime_valuations.items():
-        for m in range(13):
-            assert vals[m] == legendre_valuation(p, m)
 
 
 def test_fast_reject_never_rejects_members():

@@ -1,13 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
-from lucaspf.errors import DomainError, Undecidable
+from lucaspf.errors import DomainError
 from lucaspf.interval import (
     Interval,
-    decide_gt,
     euler_gamma,
     log2,
     log_int,
@@ -31,7 +31,7 @@ def test_arithmetic_encloses_exact_rationals(a, b, c, d):
     x, y = Fraction(a, b), Fraction(c, d)
     ix = Interval.from_fraction(a, b)
     iy = Interval.from_fraction(c, d)
-    pairs = [(x + y, ix + iy), (x - y, ix - iy), (x * y, ix * iy)]
+    pairs = [(x + y, ix + iy), (x - y, ix - iy), (x * y, ix * iy), (-x, -ix)]
     if c != 0:
         pairs.append((x / y, ix / iy))
     for exact, enclosure in pairs:
@@ -71,6 +71,8 @@ def test_interval_constructor_rejects_reversed_endpoints():
     one = Interval.from_int(1)
     with pytest.raises(DomainError):
         Interval(one.hi + 1, one.lo)
+    with pytest.raises(DomainError):
+        Interval(1, 2)
 
 
 def test_log_of_nonpositive_rejected():
@@ -94,15 +96,72 @@ def test_precision_refines_enclosures():
     assert fine.width() < coarse.width()
 
 
-def test_decide_gt_on_separated_quantities():
-    assert decide_gt(lambda p: log_int(7, p), lambda p: log_int(6, p))
-    assert not decide_gt(lambda p: log_int(6, p), lambda p: log_int(7, p))
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_negation_encloses_the_exact_value(prec):
+    neg = -log_int(3, prec)
+    with mp.workprec(4 * prec):
+        exact = -mp.log(3)
+        assert neg.lo <= exact <= neg.hi
+    assert neg.prec == prec
 
 
-def test_decide_gt_raises_on_exact_ties():
-    # log 2 + log 3 = log 6 exactly; no precision can separate them
-    with pytest.raises(Undecidable):
-        decide_gt(lambda p: log_int(2, p) + log_int(3, p), lambda p: log_int(6, p))
+def test_width_is_rounded_up():
+    for k in range(2, 40):
+        wide = Interval(Interval.from_fraction(-1, k).lo, log_int(k).hi)
+        assert to_fraction(wide.width()) >= to_fraction(wide.hi) - to_fraction(wide.lo), k
+
+
+def _sample_results():
+    third = Interval.from_fraction(1, 3, 128)
+    wide = Interval(Interval.from_fraction(-1, 3).lo, log_int(7).hi)
+    return [
+        log_int(7, 64),
+        log_int(10**40 + 1, 128),
+        Interval.from_fraction(-22, 7, 64),
+        third,
+        -third,
+        -log_int(3, 256),
+        third.width(),
+        wide.width(),
+    ]
+
+
+def _raw(x):
+    if isinstance(x, Interval):
+        return x.lo._mpf_, x.hi._mpf_, x.prec
+    return x._mpf_
+
+
+def test_results_do_not_depend_on_mpmath_precision():
+    outside = [_raw(x) for x in _sample_results()]
+    with mp.workprec(20):
+        inside = [_raw(x) for x in _sample_results()]
+    assert inside == outside
+
+
+def test_operations_write_no_mpmath_precision():
+    writes = []
+
+    def spy(ctx_type):
+        prop = ctx_type.prec
+
+        def record(ctx, bits):
+            writes.append((ctx_type.__name__, bits))
+            prop.fset(ctx, bits)
+
+        return property(prop.fget, record)
+
+    before = (mp.prec, iv.prec)
+    with mock.patch.object(type(mp), "prec", spy(type(mp))), \
+            mock.patch.object(type(iv), "prec", spy(type(iv))):
+        x = Interval.from_fraction(5, 3, 128)
+        y = Interval.from_str("2.50637") + 2
+        results = [x + y, x - y, 1 - x, x * y, x / y, 2 / x, -x, x**3, x.log(),
+                   x.exp(), x.sqrt(), log_int(3**90), log2(), pi(), euler_gamma()]
+        x.width()
+    assert writes == []
+    assert (mp.prec, iv.prec) == before
+    assert all(r.prec in (64, 128) for r in results)
 
 
 def test_certainly_comparisons_need_separation():

@@ -8,15 +8,12 @@ from lucaspf.errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 from lucaspf.interval import log_int
 from lucaspf.lucas import (
     SeqKind,
-    alpha_log,
-    stirling_log_factorial_lower,
     stirling_log_factorial_sqrt,
     u_at,
-    u_naive,
     v_at,
-    v_naive,
     validate_params,
 )
+from oracles import u_naive, v_naive
 
 
 def valid_pairs():
@@ -99,14 +96,6 @@ def test_complex_case_alpha_log():
         assert p.alpha_abs_log.lo <= expected <= p.alpha_abs_log.hi
 
 
-def test_alpha_log_refinement_is_nested():
-    p = validate_params(2, 3)
-    coarse = alpha_log(p, 64)
-    fine = alpha_log(p, 512)
-    assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
-    assert fine.width() < coarse.width()
-
-
 def test_binet_rounding_oracle():
     # independent growth oracle: F_n = round(alpha^n / sqrt 5)
     p = validate_params(1, 1)
@@ -119,9 +108,4 @@ def test_binet_rounding_oracle():
 def test_stirling_bounds_are_lower_bounds():
     for m in list(range(2, 60)) + [150, 500, 2000]:
         exact = log_int(math.factorial(m), 128)
-        assert stirling_log_factorial_lower(m, 128).hi <= exact.lo
         assert stirling_log_factorial_sqrt(m, 128).hi <= exact.lo
-    # the sqrt form is the sharper of the two
-    assert (
-        stirling_log_factorial_sqrt(100).lo > stirling_log_factorial_lower(100).hi
-    )

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from lucaspf import pipeline
 from lucaspf.bounds import MnBoundVariant, mn_lower, mn_upper_sieve
-from lucaspf.errors import DomainError
+from lucaspf.cli import cli_dispatch
+from lucaspf.errors import DomainError, Undecidable
+from lucaspf.interval import PREC_LADDER, Interval
 from lucaspf.lucas import SeqKind, validate_params
 from lucaspf.pipeline import (
     NO_SURVIVOR,
@@ -270,6 +272,23 @@ def test_coverage_check_refuses_caps_with_too_many_primes():
     _check_coverage(stage3(primorial(7, skip_two=True) - 1))
     with pytest.raises(DomainError):
         _check_coverage(stage3(primorial(7, skip_two=True)))
+
+
+def test_undecided_margin_raises_and_exits_3(capsys):
+    # a margin that straddles zero at every precision is certified neither
+    # way: the point check raises and the CLI exits 3 instead of guessing
+    precs = []
+
+    def straddle(cfg, n_lo, n_hi, prec):
+        precs.append(prec)
+        return Interval.from_int(1, prec), Interval.from_str("[-1, 1]", prec)
+
+    with mock.patch.object(pipeline, "_margin_parts", straddle):
+        with pytest.raises(Undecidable):
+            stage_violated(200, STAGE1)
+        assert precs == list(PREC_LADDER)
+        assert cli_dispatch(["bounds", "--case", "unit", "--r", "1", "--s", "1"]) == 3
+    assert "undecidable" in capsys.readouterr().err
 
 
 def test_find_threshold_on_empty_domain():

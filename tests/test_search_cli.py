@@ -7,7 +7,7 @@ import pytest
 
 from lucaspf.errors import DomainError, NotCoprime
 from lucaspf.factorials import pf_fast_reject, pf_member
-from lucaspf.lucas import SeqKind, u_naive, v_naive, validate_params
+from lucaspf.lucas import SeqKind, validate_params
 from lucaspf.primes import is_prime
 from lucaspf.search import (
     SearchConfig,
@@ -16,6 +16,7 @@ from lucaspf.search import (
     sieve_primes_in_classes,
     verify_fibonacci_identity,
 )
+from oracles import u_naive, v_naive
 
 
 def brute_force_hits(r, s, kind, n_max):
