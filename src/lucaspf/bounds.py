@@ -5,6 +5,11 @@ the pipeline on interval endpoints, never on floats.  Totient and
 prime-counting estimates are the classical explicit ones (Rosser-Schoenfeld
 style); the cyclotomic lower bounds come in several variants selected by
 MnBoundVariant.
+
+Every n-dependent estimate takes the index as one enclosure, [n, n] at a point
+or [a, b] over a range of indices, and works at that enclosure's precision; an
+int is enclosed at DEFAULT_PREC.  An estimate over [a, b] holds for every
+integer index inside.
 """
 
 from __future__ import annotations
@@ -39,7 +44,13 @@ class MnBoundVariant(str, Enum):
 
 @dataclass(frozen=True)
 class BoundContext:
-    n: int
+    """The estimates one margin evaluation combines.
+
+    ``n`` encloses the index, [n, n] at a point or [a, b] over a range, and its
+    precision is the working precision of every term built from it.
+    """
+
+    n: Interval
     logn: Interval
     loglogn: Interval
     omega_assumed: int
@@ -49,31 +60,31 @@ class BoundContext:
     # log of the divisor applied to |Phi_n| when bounding M_n from below;
     # log n is the conservative default, log max(3, P(n)) when justified.
     primitive_divisor_log: Interval
-    prec: int = DEFAULT_PREC
-    # when set, every n-dependent term is evaluated over this whole range so a
-    # single context certifies all integer indices it contains
-    n_range: Optional[Interval] = None
 
-    def n_enclosure(self) -> Interval:
-        if self.n_range is not None:
-            return self.n_range
-        return Interval.from_int(self.n, self.prec)
+    # prec and n_range are derived from n; perfbench/tracer.py reads both
+    @property
+    def prec(self) -> int:
+        return self.n.prec
+
+    @property
+    def n_range(self) -> Optional[Interval]:
+        """The enclosure when it spans more than one index, None at a point."""
+        return None if self.n.lo == self.n.hi else self.n
 
     @classmethod
     def build(
         cls,
-        n: int,
+        n,
         omega_assumed: int,
         parity: Parity,
         log_alpha_lower: Interval,
         phi_lower: Interval,
         primitive_divisor_log: Optional[Interval] = None,
-        prec: int = DEFAULT_PREC,
-        n_range: Optional[Interval] = None,
     ) -> "BoundContext":
-        if n < 150:
+        n = Interval.coerce(n)
+        if n.lo < 150:
             raise DomainError("the cascade's standing assumption is n >= 150")
-        logn = n_range.log() if n_range is not None else log_int(n, prec)
+        logn = n.log()
         if primitive_divisor_log is None:
             primitive_divisor_log = logn
         return cls(
@@ -85,47 +96,43 @@ class BoundContext:
             log_alpha_lower=log_alpha_lower,
             phi_lower=phi_lower,
             primitive_divisor_log=primitive_divisor_log,
-            prec=prec,
-            n_range=n_range,
         )
 
 
 # -- explicit prime-theory estimates ----------------------------------------
 
 
-def phi_lower_rs(n, prec: int = DEFAULT_PREC) -> Interval:
+def phi_lower_rs(n) -> Interval:
     """n / (e^gamma loglog n + 2.50637 / loglog n), a lower bound of phi(n)."""
-    ni = Interval.coerce(n, prec)
+    ni = Interval.coerce(n)
     if ni.lo < 3:
         raise DomainError("n must be >= 3")
     ll = ni.log().log()
-    denom = euler_gamma(prec).exp() * ll + Interval.from_str("2.50637", prec) / ll
+    denom = euler_gamma(ni.prec).exp() * ll + Interval.from_str("2.50637", ni.prec) / ll
     return ni / denom
 
 
-def phi_lower_omega(n, omega: int, parity: Parity, prec: int = DEFAULT_PREC) -> Interval:
+def phi_lower_omega(n, omega: int, parity: Parity) -> Interval:
     """n * prod (1 - 1/p_k) over the first omega primes of the allowed set.
 
     The product starts at 2 for even n and at 3 for odd n.
     """
     if omega < 1:
         raise DomainError("omega must be >= 1")
+    ni = Interval.coerce(n)
     frac = Fraction(1)
     for p in nth_primes(omega, skip_two=parity is Parity.ODD):
         frac *= Fraction(p - 1, p)
-    if isinstance(n, Interval):
-        return n * Interval.from_fraction(frac.numerator, frac.denominator, prec)
-    frac *= n
-    return Interval.from_fraction(frac.numerator, frac.denominator, prec)
+    return ni * Interval.from_fraction(frac.numerator, frac.denominator, ni.prec)
 
 
-def omega_upper(n, prec: int = DEFAULT_PREC) -> int:
+def omega_upper(n) -> int:
     """Certified upper bound for omega(n) via 1.3841 log n / loglog n."""
-    ni = Interval.coerce(n, prec)
+    ni = Interval.coerce(n)
     if ni.lo < 26:
         raise DomainError("the explicit omega bound needs n >= 26")
     logn = ni.log()
-    val = Interval.from_str("1.3841", prec) * logn / logn.log()
+    val = Interval.from_str("1.3841", ni.prec) * logn / logn.log()
     return math.floor(val.hi)
 
 
@@ -191,7 +198,8 @@ def voutier_pair_lower(
 # -- lemma coefficient tables -------------------------------------------------
 
 
-def _poly(logx: Interval, a: str, b: str, c: str, prec: int) -> Interval:
+def _poly(logx: Interval, a: str, b: str, c: str) -> Interval:
+    prec = logx.prec
     return (
         Interval.from_str(a, prec) * logx**2
         - Interval.from_str(b, prec) * logx
@@ -199,49 +207,51 @@ def _poly(logx: Interval, a: str, b: str, c: str, prec: int) -> Interval:
     )
 
 
-def g_omega(n, omega: int, prec: int = DEFAULT_PREC) -> Interval:
+def g_omega(n, omega: int) -> Interval:
     """Table of g_w coefficients for odd n (w <= 6)."""
     if omega > 6 or omega < 1:
         raise DomainError("odd n has omega <= 6 in the cascade's regime")
-    ni = Interval.coerce(n, prec)
+    ni = Interval.coerce(n)
+    prec = ni.prec
     ln = ni.log()
     if omega == 6:
-        return 73 * _poly(ln, "11", "87.5", "194.1", prec) + Interval.from_str(
+        return 73 * _poly(ln, "11", "87.5", "194.1") + Interval.from_str(
             "0.0027", prec
         ) * ni + Interval.from_str("3.1", prec)
     if omega == 5:
-        return 73 * _poly(ln, "7", "49.1", "101.6", prec) + ni / 1155 + Interval.from_str(
+        return 73 * _poly(ln, "7", "49.1", "101.6") + ni / 1155 + Interval.from_str(
             "0.2", prec
         )
     if omega == 4:
-        return 73 * _poly(ln, "4", "22.6", "43.1", prec)
+        return 73 * _poly(ln, "4", "22.6", "43.1")
     if omega == 3:
-        return 73 * _poly(ln, "2", "6.8", "11.6", prec)
+        return 73 * _poly(ln, "2", "6.8", "11.6")
     return 73 * ln**2
 
 
-def h_omega(n, omega: int, prec: int = DEFAULT_PREC) -> Interval:
+def h_omega(n, omega: int) -> Interval:
     """Table of h_w coefficients for even n (w <= 7), arguments in log(n/2)."""
     if omega > 7 or omega < 1:
         raise DomainError("even n has omega <= 7 in the cascade's regime")
-    ni = Interval.coerce(n, prec)
+    ni = Interval.coerce(n)
+    prec = ni.prec
     lh = ni.log() - log2(prec)
     if omega == 7:
-        return 73 * _poly(lh, "16", "139", "327", prec) + Interval.from_str(
+        return 73 * _poly(lh, "16", "139", "327") + Interval.from_str(
             "0.0032", prec
         ) * ni + Interval.from_str("3.1", prec)
     if omega == 6:
-        return 73 * _poly(lh, "11", "87.5", "194.1", prec) + Interval.from_str(
+        return 73 * _poly(lh, "11", "87.5", "194.1") + Interval.from_str(
             "0.002", prec
         ) * ni + Interval.from_str("0.97", prec)
     if omega == 5:
-        return 73 * _poly(lh, "7", "49.1", "101.6", prec) + Interval.from_str(
+        return 73 * _poly(lh, "7", "49.1", "101.6") + Interval.from_str(
             "0.0005", prec
         ) * ni + Interval.from_str("0.2", prec)
     if omega == 4:
-        return 73 * _poly(lh, "4", "22.6", "43.1", prec)
+        return 73 * _poly(lh, "4", "22.6", "43.1")
     if omega == 3:
-        return 73 * _poly(lh, "2", "6.8", "11.6", prec)
+        return 73 * _poly(lh, "2", "6.8", "11.6")
     return 73 * lh**2
 
 
@@ -250,11 +260,10 @@ def h_omega(n, omega: int, prec: int = DEFAULT_PREC) -> Interval:
 
 def _f_bound(tag: MnBoundVariant, ctx: BoundContext) -> Interval:
     ln = ctx.logn
-    p = ctx.prec
     if tag is MnBoundVariant.COMPLEX_VOUTIER128:
-        return _poly(ln, "128", "1886", "7913", p)
+        return _poly(ln, "128", "1886", "7913")
     if tag is MnBoundVariant.COMPLEX_VOUTIER64:
-        return _poly(ln, "64", "775", "2718", p)
+        return _poly(ln, "64", "775", "2718")
     raise DomainError(f"no f(n) bound for {tag}")
 
 
@@ -286,30 +295,29 @@ def mn_lower_affine(
             raise DomainError("lemma_gw applies to odd n")
         quarter = Interval.from_fraction(2**w, 4 * w, p)
         return (
-            phi - 1 - g_omega(ctx.n_enclosure(), w, p),
+            phi - 1 - g_omega(ctx.n, w),
             -(1 + quarter) * ln - Fraction(2) ** (w - 2) * log2(p),
         )
     if variant is MnBoundVariant.LEMMA_HW:
         if ctx.parity is not Parity.EVEN:
             raise DomainError("lemma_hw applies to even n")
         return (
-            phi - 1 - h_omega(ctx.n_enclosure(), w, p),
+            phi - 1 - h_omega(ctx.n, w),
             -ln - Fraction(2) ** (w - 2) * log2(p),
         )
     raise DomainError(f"unknown variant {variant}")
 
 
-def mn_lower(variant: MnBoundVariant, ctx: BoundContext) -> Interval:
-    """Certified lower bound for log M_n under the variant's hypotheses."""
-    a, b = mn_lower_affine(variant, ctx)
-    return a * ctx.log_alpha_lower + b
-
-
 def mn_upper_sieve_affine(
     ctx: BoundContext, refined: bool = False
 ) -> tuple[Interval, Interval]:
-    """(C, D) with mn_upper_sieve = C * log|alpha| + D."""
-    ni = ctx.n_enclosure()
+    """(C, D) with C * log|alpha| + D an upper bound for log M_n.
+
+    The sieve bound is (4 (1 + loglog n) / phi(n)) n log|alpha|.  With
+    ``refined`` the single guaranteed factorial argument >= n - 1 is
+    accounted for, replacing n log|alpha| by n log|alpha| - (log(n-1) - 1).
+    """
+    ni = ctx.n
     front = 4 * (1 + ctx.loglogn) / ctx.phi_lower
     c = front * ni
     if refined:
@@ -317,22 +325,10 @@ def mn_upper_sieve_affine(
     return c, Interval.from_int(0, ctx.prec)
 
 
-def mn_upper_sieve(ctx: BoundContext, refined: bool = False) -> Interval:
-    """Sieve upper bound (4 (1 + loglog n) / phi(n)) n log|alpha| for log M_n.
-
-    With ``refined`` the single guaranteed factorial argument >= n - 1 is
-    accounted for, replacing n log|alpha| by n log|alpha| - (log(n-1) - 1).
-    """
-    c, d = mn_upper_sieve_affine(ctx, refined)
-    return c * ctx.log_alpha_lower + d
-
-
 # -- worst-case growth bounds for log|alpha| ----------------------------------
 
 
-def growth_log_alpha_lower(
-    n, parity: Parity, prec: int = DEFAULT_PREC, sharp: bool = False
-) -> Interval:
+def growth_log_alpha_lower(n, parity: Parity, sharp: bool = False) -> Interval:
     """Minimum permitted log|alpha| when U_n is a factorial product.
 
     The largest factorial argument is at least rn - 1 (r = 1 even, r = 2 odd)
@@ -340,15 +336,15 @@ def growth_log_alpha_lower(
     ``sharp`` the direct Stirling form (and the parity-aware 0.75/1.75
     constants as a floor) is used.
     """
-    ni = Interval.coerce(n, prec)
+    ni = Interval.coerce(n)
     logn = ni.log()
     if not sharp:
         return logn / 2
     from .lucas import stirling_log_factorial_sqrt
 
     r = 1 if parity is Parity.EVEN else 2
-    direct = (stirling_log_factorial_sqrt(r * ni - 1, prec) - log2(prec)) / ni
-    coeff = Interval.from_fraction(3 if parity is Parity.EVEN else 7, 4, prec)
+    direct = (stirling_log_factorial_sqrt(r * ni - 1) - log2(ni.prec)) / ni
+    coeff = Interval.from_fraction(3 if parity is Parity.EVEN else 7, 4, ni.prec)
     floor = coeff * logn
     if direct.lo >= floor.lo:
         return direct
@@ -377,23 +373,24 @@ def unit_product_constant(prec: int = 256) -> Interval:
     return prod * tail
 
 
-def primitive_divisor_log_bound(
-    n, omega: int, parity: Parity, prec: int = DEFAULT_PREC
-) -> Interval:
-    """Enclosure of log max(3, n / primorial(omega - 1)) at an index n, or
-    over every index in an enclosure n.
+def primitive_divisor_log_bound(n, omega: int, parity: Parity) -> Interval:
+    """Enclosure of log max(3, m / primorial(omega - 1)) over every integer m
+    in the enclosure n.
 
     For n with omega distinct prime factors, P(n) is at most n divided by the
     product of the omega - 1 smallest admissible primes, and the primitive
     part of U_n is at least |Phi_n| / max(3, P(n)).
     """
+    ni = Interval.coerce(n)
+    prec = ni.prec
     denom = primorial(omega - 1, skip_two=parity is Parity.ODD)
 
-    def point(m: int) -> Interval:
+    def at(m: int) -> Interval:
         if m >= 3 * denom:
             return log_int(m, prec) - log_int(denom, prec)
         return log_int(3, prec)
 
-    if isinstance(n, Interval):
-        return Interval(point(math.floor(n.lo)).lo, point(math.ceil(n.hi)).hi, prec)
-    return point(n)
+    # the bound grows with m, so the end indices bound the range
+    lo, hi = math.floor(ni.lo), math.ceil(ni.hi)
+    lower = at(lo)
+    return lower if lo == hi else Interval(lower.lo, at(hi).hi, prec)

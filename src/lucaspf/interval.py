@@ -64,6 +64,12 @@ class Interval:
         return cls._from_mpi(_int_mpi(n, prec), prec)
 
     @classmethod
+    def from_int_range(cls, a: int, b: int, prec: int = DEFAULT_PREC) -> "Interval":
+        """Enclosure of every integer in [a, b]."""
+        lo = libmp.from_int(a, prec, libmp.round_floor)
+        return cls._from_mpi((lo, libmp.from_int(b, prec, libmp.round_ceiling)), prec)
+
+    @classmethod
     def from_fraction(cls, num: int, den: int, prec: int = DEFAULT_PREC) -> "Interval":
         if den == 0:
             raise DomainError("zero denominator")

@@ -108,9 +108,10 @@ def v_at(p: LucasParams, n: int) -> SeqTerm:
     return SeqTerm(index=n, value=v, kind=SeqKind.V)
 
 
-def stirling_log_factorial_sqrt(m, prec: int = DEFAULT_PREC) -> Interval:
-    """Enclosure of 0.5 log(2 pi m) + m (log m - 1) <= log m! (Robbins)."""
-    mi = m if isinstance(m, Interval) else Interval.from_int(m, prec)
+def stirling_log_factorial_sqrt(m) -> Interval:
+    """Enclosure of 0.5 log(2 pi m) + m (log m - 1) <= log m! (Robbins), at
+    the precision of the enclosure m."""
+    mi = Interval.coerce(m)
     if mi.lo < 1:
         raise DomainError("m must be at least 1")
-    return (2 * pi(prec) * mi).log() / 2 + mi * (mi.log() - 1)
+    return (2 * pi(mi.prec) * mi).log() / 2 + mi * (mi.log() - 1)

@@ -9,8 +9,11 @@ log|alpha|; since both sides are affine in log|alpha|, positivity of the margin
 at the minimal permitted log|alpha| together with a nonnegative slope
 certifies the whole ray.
 
-Coverage of a stage's range is exhaustive: a range is evaluated with n carried
-as an interval, so one enclosure certifies every integer inside.  The scan
+Coverage of a stage's range is exhaustive: a margin is evaluated on one
+enclosure of the index, [n, n] at a point or [a, b] over a range, at that
+enclosure's precision, so one evaluation over [a, b] certifies every integer
+inside.  Points and ranges share one verdict, which climbs the precision
+ladder until the sign of the margin is certain.  The scan
 starts from the whole range and bisects only ranges it cannot decide, upper
 half first, down to individual indices; below the first survivor nothing is
 evaluated, since it cannot raise the threshold.
@@ -40,7 +43,7 @@ from .bounds import (
 )
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
-from .interval import DEFAULT_PREC, PREC_LADDER, Interval, log_int
+from .interval import PREC_LADDER, Interval, log_int
 from .lucas import SeqKind
 from .primes import primorial
 
@@ -111,13 +114,8 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
     is None, else the product; the half-log growth bound; divisor n.
     """
     parity = Parity.EVEN if cfg.parity == "both" else Parity(cfg.parity)
-    n_range = None
-    if n_hi > n_lo:
-        n_range = Interval(
-            Interval.from_int(n_lo, prec).lo, Interval.from_int(n_hi, prec).hi, prec
-        )
-    n_arg = n_lo if n_range is None else n_range
-    omega = cfg.omega if cfg.omega is not None else omega_upper(n_arg, prec)
+    n = Interval.from_int_range(n_lo, n_hi, prec)
+    omega = cfg.omega if cfg.omega is not None else omega_upper(n)
 
     divisor = None  # log n
     if cfg.variant is MnBoundVariant.UNIT_EQ55:
@@ -127,28 +125,19 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
         phi = Interval.from_int(profile.phi, prec)
         divisor = log_int(max(3, profile.largest_prime_factor), prec)
     elif cfg.omega is None:
-        phi = phi_lower_rs(n_arg, prec)
+        phi = phi_lower_rs(n)
     else:
-        phi = phi_lower_omega(n_arg, omega, parity, prec)
+        phi = phi_lower_omega(n, omega, parity)
 
     sharp = cfg.variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55)
     if sharp and cfg.parity == "both":
         raise DomainError("the sharp growth bound is parity specific")
-    alpha = growth_log_alpha_lower(n_arg, parity, prec, sharp=sharp)
+    alpha = growth_log_alpha_lower(n, parity, sharp=sharp)
 
     if cfg.variant is MnBoundVariant.REAL_EQ5:
-        divisor = primitive_divisor_log_bound(n_arg, omega, parity, prec)
+        divisor = primitive_divisor_log_bound(n, omega, parity)
 
-    return BoundContext.build(
-        n_lo,
-        omega,
-        parity,
-        alpha,
-        phi,
-        primitive_divisor_log=divisor,
-        prec=prec,
-        n_range=n_range,
-    )
+    return BoundContext.build(n, omega, parity, alpha, phi, primitive_divisor_log=divisor)
 
 
 def _margin_parts(cfg: StageConfig, n_lo: int, n_hi: int, prec: int):
@@ -162,13 +151,27 @@ def _margin_parts(cfg: StageConfig, n_lo: int, n_hi: int, prec: int):
     return slope, margin
 
 
-def stage_violated(n: int, cfg: StageConfig, start_prec: int = DEFAULT_PREC) -> bool:
-    """Certify that index n cannot carry a factorial-product term under cfg.
+def _verdict(cfg: StageConfig, a: int, b: int, precs: tuple[int, ...]) -> Optional[bool]:
+    """Whether every index in [a, b] is violated, trying each precision in turn.
 
     True only when the margin is positive at the minimal permitted log|alpha|
     AND the margin is nondecreasing in log|alpha|, so the violation holds for
-    every sequence satisfying the stage's hypotheses.
+    every sequence satisfying the stage's hypotheses.  False when the margin is
+    certainly nonpositive there, or certainly decreasing (eliminated only at
+    the minimal growth rate, not on the whole ray).  None when no precision
+    decides either way.
     """
+    for prec in precs:
+        slope, margin = _margin_parts(cfg, a, b, prec)
+        if margin.lo > 0 and slope.lo >= 0:
+            return True
+        if margin.hi <= 0 or slope.hi < 0:
+            return False
+    return None
+
+
+def stage_violated(n: int, cfg: StageConfig) -> bool:
+    """Certify that index n cannot carry a factorial-product term under cfg."""
     if n <= 150:
         raise DomainError("the cascade's standing assumption is n > 150")
     if cfg.parity == "even" and n % 2:
@@ -177,34 +180,20 @@ def stage_violated(n: int, cfg: StageConfig, start_prec: int = DEFAULT_PREC) -> 
         raise DomainError(f"{cfg.name} assumes odd n")
     if n < cfg.n_floor:
         raise DomainError(f"{cfg.name} assumes n >= {cfg.n_floor}")
-    for prec in PREC_LADDER:
-        if prec < start_prec:
-            continue
-        slope, margin = _margin_parts(cfg, n, n, prec)
-        if margin.hi <= 0:
-            return False
-        if slope.hi < 0:
-            # eliminated only at the minimal growth rate, not on the whole ray
-            return False
-        if margin.lo > 0 and slope.lo >= 0:
-            return True
-    raise Undecidable(f"{cfg.name}: margin sign at n={n} undecided at max precision")
+    verdict = _verdict(cfg, n, n, PREC_LADDER)
+    if verdict is None:
+        raise Undecidable(f"{cfg.name}: margin sign at n={n} undecided at max precision")
+    return verdict
 
 
 def _range_violated(cfg: StageConfig, a: int, b: int) -> bool:
-    """Certify that every index in [a, b] is violated, with n carried as an
-    interval.  False means undecided: a wide range loses the correlation
-    between the two sides of the margin, so its enclosure can straddle zero,
-    or even fall below it, while every index inside is violated."""
+    """Certify that every index in [a, b] is violated.  False means undecided:
+    a wide range loses the correlation between the two sides of the margin, so
+    its enclosure can straddle zero, or even fall below it, while every index
+    inside is violated."""
     # A range still undecided at 128 bits is split rather than escalated:
     # halving it narrows the enclosure more cheaply than 256 or 512 bits would.
-    for prec in PREC_LADDER[:2]:
-        slope, margin = _margin_parts(cfg, a, b, prec)
-        if margin.lo > 0 and slope.lo >= 0:
-            return True
-        if margin.hi <= 0 or slope.hi < 0:
-            return False
-    return False
+    return _verdict(cfg, a, b, PREC_LADDER[:2]) is True
 
 
 # -- exhaustive threshold scan -------------------------------------------------

@@ -1,4 +1,5 @@
-"""Small prime utilities: deterministic Miller-Rabin and segmented sieves."""
+"""Small prime utilities: deterministic Miller-Rabin, the first k primes and
+primorials."""
 
 from __future__ import annotations
 
@@ -32,46 +33,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def sieve_upto(limit: int) -> bytearray:
-    """Byte table t with t[k] = 1 iff k is prime, 0 <= k <= limit."""
-    if limit < 1:
-        return bytearray(limit + 1)
-    t = bytearray([1]) * (limit + 1)
-    t[0:2] = b"\x00\x00"
-    p = 2
-    while p * p <= limit:
-        if t[p]:
-            t[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-        p += 1
-    return t
-
-
-def primes_upto(limit: int) -> list[int]:
-    t = sieve_upto(limit)
-    return [i for i in range(2, limit + 1) if t[i]]
-
-
-def segmented_primes(lo: int, hi: int, segment: int = 1 << 20):
-    """Yield primes in [lo, hi] using a segmented sieve."""
-    if hi < 2 or hi < lo:
-        return
-    lo = max(lo, 2)
-    base = primes_upto(int(hi**0.5) + 1)
-    start = lo
-    while start <= hi:
-        end = min(start + segment - 1, hi)
-        seg = bytearray([1]) * (end - start + 1)
-        for p in base:
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first > end:
-                continue
-            seg[first - start :: p] = bytearray(len(range(first, end + 1, p)))
-        for i, flag in enumerate(seg):
-            if flag and start + i >= 2:
-                yield start + i
-        start = end + 1
 
 
 def nth_primes(k: int, skip_two: bool = False) -> list[int]:

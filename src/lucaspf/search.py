@@ -1,6 +1,5 @@
 """Desk-scale exhaustive searches of concrete Lucas sequences for factorial
-products, plus the small empirical helpers used to sanity-check the analytic
-bounds against honest sieving."""
+products, plus an exact check of the Fibonacci factorial identity."""
 
 from __future__ import annotations
 
@@ -11,8 +10,7 @@ from multiprocessing import get_context
 
 from .errors import DomainError
 from .factorials import PFWitness, pf_decompose, pf_fast_reject, pf_member
-from .lucas import SeqKind, validate_params, u_at, v_at
-from .primes import segmented_primes
+from .lucas import LucasParams, SeqKind, validate_params, u_at, v_at
 
 _BLOCK = 64
 _LOG10_2 = math.log10(2)
@@ -59,10 +57,8 @@ def _digit_count(n: int) -> int:
     return max(digits, 1)
 
 
-def _search_block(args):
-    r, s, kind_value, lo, hi = args
-    p = validate_params(r, s)
-    kind = SeqKind(kind_value)
+def _search_block(args: tuple[LucasParams, SeqKind, int, int]):
+    p, kind, lo, hi = args
     term = u_at if kind is SeqKind.U else v_at
     hits = []
     rejects = {"odd": 0, "size": 0}
@@ -71,7 +67,7 @@ def _search_block(args):
         if value == 0:
             continue  # cannot occur for nondegenerate parameters; belt and braces
         if abs(value) == 1:
-            hits.append((n, 1, (1, ())))
+            hits.append(SearchHit(n, kind, 1, PFWitness(1, ()), trivial=True))
             continue
         reason = pf_fast_reject(value)
         if reason is not None:
@@ -80,7 +76,7 @@ def _search_block(args):
         if not pf_member(value):
             continue
         w = pf_decompose(value, limit=1)[0]
-        hits.append((n, _digit_count(value), (w.sign, w.args)))
+        hits.append(SearchHit(n, kind, _digit_count(value), w, trivial=False))
     return hits, rejects
 
 
@@ -90,11 +86,12 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     Work is split into fixed index blocks; the merge is an ordered reduction,
     so the result is identical for any worker count.
     """
+    p = validate_params(cfg.r, cfg.s)
     blocks = []
     lo = cfg.n_min
     while lo <= cfg.n_max:
         hi = min(cfg.n_max, lo + _BLOCK - 1)
-        blocks.append((cfg.r, cfg.s, cfg.kind.value, lo, hi))
+        blocks.append((p, cfg.kind, lo, hi))
         lo = hi + 1
     if cfg.workers > 1 and len(blocks) > 1:
         with get_context("fork").Pool(cfg.workers) as pool:
@@ -104,16 +101,7 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     hits: list[SearchHit] = []
     rejects = {"odd": 0, "size": 0}
     for block_hits, block_rejects in raw:
-        for n, digits, (sign, args) in block_hits:
-            hits.append(
-                SearchHit(
-                    index=n,
-                    kind=cfg.kind,
-                    value_digits=digits,
-                    witness=PFWitness(sign=sign, args=tuple(args)),
-                    trivial=not args,
-                )
-            )
+        hits += block_hits
         for k, v in block_rejects.items():
             rejects[k] += v
     if cfg.reject_log:
@@ -137,11 +125,3 @@ def verify_fibonacci_identity(indices=_FIBONACCI_FACTORIAL_INDICES) -> bool:
     for k in range(2, 12):
         eleven_fact *= k
     return prod == eleven_fact
-
-
-def sieve_primes_in_classes(n: int, x: int) -> list[int]:
-    """All primes p <= x with p congruent to +-1 mod n, by segmented sieve."""
-    if n < 3 or x < n:
-        raise DomainError("need x >= n >= 3")
-    residues = {1 % n, (n - 1) % n}
-    return [p for p in segmented_primes(2, x) if p % n in residues]

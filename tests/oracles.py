@@ -17,3 +17,17 @@ def v_naive(p, n: int) -> int:
     for _ in range(n - 1):
         a, b = b, p.r * b + p.s * a
     return b
+
+
+def sieve_upto(limit: int) -> bytearray:
+    """Byte table t with t[k] = 1 iff k is prime, 0 <= k <= limit (Eratosthenes)."""
+    if limit < 1:
+        return bytearray(limit + 1)
+    t = bytearray([1]) * (limit + 1)
+    t[0:2] = b"\x00\x00"
+    p = 2
+    while p * p <= limit:
+        if t[p]:
+            t[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+        p += 1
+    return t

@@ -39,8 +39,9 @@ from lucaspf.pipeline import (
     run_unit_case,
     stage_violated,
 )
-from lucaspf.primes import primorial, sieve_upto
+from lucaspf.primes import primorial
 from lucaspf.search import SearchConfig, search_pf_terms, verify_fibonacci_identity
+from oracles import sieve_upto
 
 # frozen ground truth: indices whose Fibonacci / Lucas-companion terms are
 # factorial products, precomputed by brute force over n <= 150

@@ -11,9 +11,7 @@ from lucaspf.bounds import (
     growth_log_alpha_lower,
     h_omega,
     logp_sum_upper,
-    mn_lower,
     mn_lower_affine,
-    mn_upper_sieve,
     mn_upper_sieve_affine,
     omega_upper,
     phi_lower_omega,
@@ -25,8 +23,9 @@ from lucaspf.bounds import (
 )
 from lucaspf.errors import DomainError
 from lucaspf.interval import Interval, log_int
-from lucaspf.lucas import validate_params
-from lucaspf.primes import primorial, sieve_upto
+from lucaspf.lucas import stirling_log_factorial_sqrt, validate_params
+from lucaspf.primes import primorial
+from oracles import sieve_upto
 
 
 def phi_omega_tables(limit):
@@ -152,36 +151,74 @@ def test_lemma_tables_domains():
     assert h_omega(1000, 7).lo > 0
 
 
-def _ctx(n, omega, parity, prec=64):
+def _ctx(n, omega, parity):
     return BoundContext.build(
         n,
         omega,
         parity,
-        growth_log_alpha_lower(n, parity, prec),
-        phi_lower_omega(n, omega, parity, prec),
-        prec=prec,
+        growth_log_alpha_lower(n, parity),
+        phi_lower_omega(n, omega, parity),
     )
-
-
-def test_affine_decomposition_consistent():
-    ctx = _ctx(100_000, 4, Parity.EVEN)
-    for variant in MnBoundVariant:
-        if variant is MnBoundVariant.LEMMA_GW:
-            continue  # odd-only form
-        a, b = mn_lower_affine(variant, ctx)
-        direct = mn_lower(variant, ctx)
-        recombined = a * ctx.log_alpha_lower + b
-        assert abs(float(direct.lo - recombined.lo)) < 1e-6
-        assert abs(float(direct.hi - recombined.hi)) < 1e-6
-    c, d = mn_upper_sieve_affine(ctx, refined=True)
-    direct = mn_upper_sieve(ctx, refined=True)
-    recombined = c * ctx.log_alpha_lower + d
-    assert abs(float(direct.lo - recombined.lo)) < 1e-6
 
 
 def test_refined_sieve_is_tighter():
     ctx = _ctx(1000, 3, Parity.EVEN)
-    assert mn_upper_sieve(ctx, refined=True).hi < mn_upper_sieve(ctx).hi
+    (c, d), (c0, d0) = mn_upper_sieve_affine(ctx, refined=True), mn_upper_sieve_affine(ctx)
+    assert (c * ctx.log_alpha_lower + d).hi < (c0 * ctx.log_alpha_lower + d0).hi
+
+
+# every n-dependent estimate, as a function of the index enclosure alone
+_ESTIMATES = {
+    "phi_lower_rs": phi_lower_rs,
+    "phi_lower_omega-even": lambda n: phi_lower_omega(n, 5, Parity.EVEN),
+    "phi_lower_omega-odd": lambda n: phi_lower_omega(n, 5, Parity.ODD),
+    "g_omega-w5": lambda n: g_omega(n, 5),
+    "g_omega-w6": lambda n: g_omega(n, 6),
+    "h_omega-w3": lambda n: h_omega(n, 3),
+    "h_omega-w7": lambda n: h_omega(n, 7),
+    "growth": lambda n: growth_log_alpha_lower(n, Parity.ODD),
+    "growth-sharp-even": lambda n: growth_log_alpha_lower(n, Parity.EVEN, sharp=True),
+    "growth-sharp-odd": lambda n: growth_log_alpha_lower(n, Parity.ODD, sharp=True),
+    "divisor-w1": lambda n: primitive_divisor_log_bound(n, 1, Parity.EVEN),
+    "divisor-w4": lambda n: primitive_divisor_log_bound(n, 4, Parity.ODD),
+    "stirling": stirling_log_factorial_sqrt,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATES))
+@pytest.mark.parametrize("n", [151, 100_001, 15_028_725])
+def test_estimates_work_at_the_precision_of_the_enclosure(name, n):
+    result = _ESTIMATES[name](Interval.from_int(n, 256))
+    assert result.prec == 256
+    assert result.width() < math.ldexp(max(1, abs(result.hi)), -180), result
+    # an int is enclosed at the default 64 bits
+    assert _ESTIMATES[name](n).prec == 64
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATES))
+def test_estimates_over_a_range_hold_at_every_index_inside(name):
+    # the value over a range lies on the safe side of the value at each index
+    # inside: below it for a lower bound, above it for the upper bounds (the
+    # lemma tables and the divisor, which the margin subtracts)
+    estimate = _ESTIMATES[name]
+    upper = name.startswith(("g_omega", "h_omega", "divisor"))
+    for a, b in ((151, 400), (300, 330), (99_990, 100_400), (15_000_000, 15_050_000)):
+        whole = estimate(Interval.from_int_range(a, b, 64))
+        for n in (a, a + 1, (a + b) // 2, b - 1, b):
+            at_n = estimate(n)
+            assert at_n.hi <= whole.hi if upper else whole.lo <= at_n.lo, (a, b, n)
+
+
+def test_context_takes_its_precision_from_the_enclosure():
+    n = Interval.from_int(100_000, 256)
+    ctx = _ctx(n, 4, Parity.EVEN)
+    assert ctx.prec == 256 and ctx.n is n and ctx.n_range is None
+    for part in (*mn_lower_affine(MnBoundVariant.LEMMA_HW, ctx), *mn_upper_sieve_affine(ctx)):
+        assert part.prec == 256
+    # over a range of indices the enclosure is the range itself
+    wide = _ctx(Interval.from_int_range(100_000, 100_064, 128), 4, Parity.EVEN)
+    assert wide.prec == 128 and wide.n_range is wide.n
+    assert omega_upper(n) == omega_upper(100_000)
 
 
 def test_context_requires_cascade_floor():

@@ -55,6 +55,15 @@ def test_log_int_handles_huge_integers():
     assert float(enc.width()) < 1e-10
 
 
+@given(st.integers(-(2**80), 2**80), st.integers(0, 2**80), st.sampled_from([64, 128]))
+def test_int_range_encloses_every_integer_inside(a, w, prec):
+    r = Interval.from_int_range(a, a + w, prec)
+    assert r.prec == prec
+    assert to_fraction(r.lo) <= a and a + w <= to_fraction(r.hi)
+    point = Interval.from_int_range(a, a, prec)
+    assert (point.lo, point.hi) == (Interval.from_int(a, prec).lo, Interval.from_int(a, prec).hi)
+
+
 def test_coerce_refuses_floats():
     # 0.1 is not one tenth, so a float is no exact point to enclose
     with pytest.raises(DomainError):

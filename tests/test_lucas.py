@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from lucaspf.errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
-from lucaspf.interval import log_int
+from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import (
     SeqKind,
     stirling_log_factorial_sqrt,
@@ -108,4 +108,4 @@ def test_binet_rounding_oracle():
 def test_stirling_bounds_are_lower_bounds():
     for m in list(range(2, 60)) + [150, 500, 2000]:
         exact = log_int(math.factorial(m), 128)
-        assert stirling_log_factorial_sqrt(m, 128).hi <= exact.lo
+        assert stirling_log_factorial_sqrt(Interval.from_int(m, 128)).hi <= exact.lo

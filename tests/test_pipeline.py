@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucaspf import pipeline
-from lucaspf.bounds import MnBoundVariant, mn_lower, mn_upper_sieve
+from lucaspf.bounds import MnBoundVariant, mn_lower_affine, mn_upper_sieve_affine
 from lucaspf.cli import cli_dispatch
 from lucaspf.errors import DomainError, Undecidable
 from lucaspf.interval import PREC_LADDER, Interval
@@ -18,6 +18,7 @@ from lucaspf.pipeline import (
     StageConfig,
     _check_coverage,
     _context,
+    _lemma_rows,
     _real_rows,
     _row_for,
     emit_report,
@@ -173,6 +174,38 @@ def test_scan_matches_point_checks_on_a_real_row():
     assert find_threshold(cfg) == brute
 
 
+def test_certified_ranges_hold_only_violated_indices():
+    # a range certified violated as a whole holds no index that its own
+    # point check spares; sampled around the thresholds, widths up to 2 000
+    lemma = _lemma_rows(1_851_039, 500_000, "stage4")
+    real = _real_rows(300_000)
+    rows = [
+        (STAGE1, 15_028_725),
+        (pipeline._GENERAL_STAGES[1](15_028_725)[0], 3_700_002),
+        (_row_for(lemma, "even", 3), 38_234),
+        (_row_for(lemma, "odd", 3), 23_303),
+        (_row_for(real, "even", 4), 248),
+        (_row_for(real, "odd", 3), 150),
+    ]
+    rng = random.Random(5)
+    certified = 0
+    for cfg, threshold in rows:
+        for k in range(4):
+            width = int(2000 ** rng.random())  # log-uniform in [1, 2000]
+            # half the ranges start within one width of the threshold
+            near = (threshold - width, threshold + width)
+            a = rng.randint(*(near if k % 2 else (threshold, 2 * threshold)))
+            a = max(a, 151, cfg.n_floor)
+            b = min(a + width, cfg.n_cap)
+            if not pipeline._range_violated(cfg, a, b):
+                continue
+            certified += 1
+            for n in range(a, b + 1):
+                if cfg.parity == "both" or n % 2 == (cfg.parity == "odd"):
+                    assert stage_violated(n, cfg), (cfg.name, a, b, n)
+    assert certified >= 12
+
+
 def test_general_stage_thresholds(general_u):
     by_name = {s.name: s for s in general_u.stages}
     assert by_name["stage1-baker"].computed <= 18_000_000
@@ -245,9 +278,10 @@ def test_violation_is_monotone_in_log_alpha():
     )
     assert stage_violated(n, cfg)
     base = _context(cfg, n, n, 64)
+    (a, b), (c, d) = mn_lower_affine(cfg.variant, base), mn_upper_sieve_affine(base)
     for k in range(1, 11):
-        ctx = dataclasses.replace(base, log_alpha_lower=base.log_alpha_lower * k)
-        assert mn_lower(cfg.variant, ctx).certainly_gt(mn_upper_sieve(ctx)), k
+        log_alpha = base.log_alpha_lower * k
+        assert (a * log_alpha + b).certainly_gt(c * log_alpha + d), k
 
 
 def test_context_refuses_estimates_outside_their_hypotheses():

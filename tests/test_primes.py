@@ -1,14 +1,8 @@
 import pytest
 
 from lucaspf.errors import DomainError
-from lucaspf.primes import (
-    is_prime,
-    nth_primes,
-    primes_upto,
-    primorial,
-    segmented_primes,
-    sieve_upto,
-)
+from lucaspf.primes import is_prime, nth_primes, primorial
+from oracles import sieve_upto
 
 
 def test_is_prime_matches_sieve_up_to_20000():
@@ -25,18 +19,6 @@ def test_is_prime_on_known_hard_cases():
     assert is_prime(10**18 + 9)
 
 
-def test_segmented_matches_direct_sieve():
-    assert list(segmented_primes(2, 10**5)) == primes_upto(10**5)
-
-
-def test_segmented_window_high_up():
-    lo, hi = 10**6, 10**6 + 10**4
-    window = [p for p in primes_upto(hi) if p >= lo]
-    assert list(segmented_primes(lo, hi)) == window
-    # small segment size exercises the block stitching
-    assert list(segmented_primes(lo, hi, segment=1000)) == window
-
-
 def test_nth_primes_and_primorial():
     assert nth_primes(5) == [2, 3, 5, 7, 11]
     assert nth_primes(4, skip_two=True) == [3, 5, 7, 11]
@@ -45,8 +27,3 @@ def test_nth_primes_and_primorial():
     assert primorial(0) == 1
     with pytest.raises(DomainError):
         nth_primes(-1)
-
-
-def test_empty_ranges():
-    assert list(segmented_primes(10, 9)) == []
-    assert primes_upto(1) == []

@@ -2,18 +2,18 @@ import json
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from lucaspf.errors import DomainError, NotCoprime
 from lucaspf.factorials import pf_fast_reject, pf_member
 from lucaspf.lucas import SeqKind, validate_params
-from lucaspf.primes import is_prime
+from lucaspf import search
 from lucaspf.search import (
     SearchConfig,
     _digit_count,
     search_pf_terms,
-    sieve_primes_in_classes,
     verify_fibonacci_identity,
 )
 from oracles import u_naive, v_naive
@@ -105,6 +105,15 @@ def test_fast_reject_differential_over_random_params():
                 assert not pf_member(v), (r, s, n)
 
 
+def test_search_validates_the_parameters_once_per_call():
+    # SearchConfig checks (r, s) on construction and the search once more,
+    # not once per index block (this call spans 20 blocks)
+    with mock.patch.object(search, "validate_params", wraps=search.validate_params) as spy:
+        hits = search_pf_terms(SearchConfig(1, -2, n_max=1280))
+    assert spy.call_count <= 2
+    assert [h.index for h in hits] == [1, 2, 3, 5, 13]
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(1, 1, SeqKind.U, 0, 10)
@@ -129,19 +138,6 @@ def test_digit_count_leaves_the_str_limit_alone():
 def test_fibonacci_identity():
     assert verify_fibonacci_identity()
     assert not verify_fibonacci_identity((1, 2, 3, 4, 5, 6, 8, 10, 11))
-
-
-def test_sieve_primes_in_classes_against_enumeration():
-    def oracle(n, x):
-        return [p for p in range(2, x + 1) if is_prime(p) and p % n in (1, n - 1)]
-
-    assert sieve_primes_in_classes(11, 100) == oracle(11, 100) == [23, 43, 67, 89]
-    assert sieve_primes_in_classes(3, 10) == oracle(3, 10) == [2, 5, 7]
-    assert sieve_primes_in_classes(150, 1000) == oracle(150, 1000)
-    with pytest.raises(DomainError):
-        sieve_primes_in_classes(2, 100)
-    with pytest.raises(DomainError):
-        sieve_primes_in_classes(10, 5)
 
 
 def run_cli(*args):
