@@ -197,74 +197,56 @@ def voutier_pair_lower(
 
 # -- lemma coefficient tables -------------------------------------------------
 
+# g_w (odd n, w <= 6) and h_w (even n, w <= 7) are 73 (a L^2 - b L + c) + c1 n + c0,
+# with L = log n for g and L = log(n/2) for h.  The quadratic (a, b, c) depends on
+# omega alone; the linear tail (c1, c0) is keyed by (parity, omega) and is zero
+# where absent.  Every coefficient is a string, enclosed outward at the working
+# precision.
+LEMMA_QUADRATIC = {
+    1: ("1", "0", "0"),
+    2: ("1", "0", "0"),
+    3: ("2", "6.8", "11.6"),
+    4: ("4", "22.6", "43.1"),
+    5: ("7", "49.1", "101.6"),
+    6: ("11", "87.5", "194.1"),
+    7: ("16", "139", "327"),
+}
+LEMMA_TAIL = {
+    (Parity.ODD, 5): ("1/1155", "0.2"),
+    (Parity.ODD, 6): ("0.0027", "3.1"),
+    (Parity.EVEN, 5): ("0.0005", "0.2"),
+    (Parity.EVEN, 6): ("0.002", "0.97"),
+    (Parity.EVEN, 7): ("0.0032", "3.1"),
+}
+# f(n) = a log^2 n - b log n + c of the two Voutier variants
+VOUTIER_QUADRATIC = {
+    MnBoundVariant.COMPLEX_VOUTIER128: ("128", "1886", "7913"),
+    MnBoundVariant.COMPLEX_VOUTIER64: ("64", "775", "2718"),
+}
 
-def _poly(logx: Interval, a: str, b: str, c: str) -> Interval:
-    prec = logx.prec
-    return (
-        Interval.from_str(a, prec) * logx**2
-        - Interval.from_str(b, prec) * logx
-        + Interval.from_str(c, prec)
-    )
+
+def _quadratic(logx: Interval, coeffs: tuple[str, str, str]) -> Interval:
+    a, b, c = (Interval.from_str(x, logx.prec) for x in coeffs)
+    return a * logx**2 - b * logx + c
 
 
-def g_omega(n, omega: int) -> Interval:
-    """Table of g_w coefficients for odd n (w <= 6)."""
-    if omega > 6 or omega < 1:
-        raise DomainError("odd n has omega <= 6 in the cascade's regime")
+def lemma_coefficient(n, omega: int, parity: Parity) -> Interval:
+    """g_w(n) for odd n, h_w(n) for even n, w = omega: what the lemma rows
+    subtract from phi(n) - 1 in the coefficient of log|alpha|."""
+    max_omega = 7 if parity is Parity.EVEN else 6
+    if not 1 <= omega <= max_omega:
+        raise DomainError(f"{parity.value} n has omega <= {max_omega} in the cascade's regime")
     ni = Interval.coerce(n)
-    prec = ni.prec
-    ln = ni.log()
-    if omega == 6:
-        return 73 * _poly(ln, "11", "87.5", "194.1") + Interval.from_str(
-            "0.0027", prec
-        ) * ni + Interval.from_str("3.1", prec)
-    if omega == 5:
-        return 73 * _poly(ln, "7", "49.1", "101.6") + ni / 1155 + Interval.from_str(
-            "0.2", prec
-        )
-    if omega == 4:
-        return 73 * _poly(ln, "4", "22.6", "43.1")
-    if omega == 3:
-        return 73 * _poly(ln, "2", "6.8", "11.6")
-    return 73 * ln**2
-
-
-def h_omega(n, omega: int) -> Interval:
-    """Table of h_w coefficients for even n (w <= 7), arguments in log(n/2)."""
-    if omega > 7 or omega < 1:
-        raise DomainError("even n has omega <= 7 in the cascade's regime")
-    ni = Interval.coerce(n)
-    prec = ni.prec
-    lh = ni.log() - log2(prec)
-    if omega == 7:
-        return 73 * _poly(lh, "16", "139", "327") + Interval.from_str(
-            "0.0032", prec
-        ) * ni + Interval.from_str("3.1", prec)
-    if omega == 6:
-        return 73 * _poly(lh, "11", "87.5", "194.1") + Interval.from_str(
-            "0.002", prec
-        ) * ni + Interval.from_str("0.97", prec)
-    if omega == 5:
-        return 73 * _poly(lh, "7", "49.1", "101.6") + Interval.from_str(
-            "0.0005", prec
-        ) * ni + Interval.from_str("0.2", prec)
-    if omega == 4:
-        return 73 * _poly(lh, "4", "22.6", "43.1")
-    if omega == 3:
-        return 73 * _poly(lh, "2", "6.8", "11.6")
-    return 73 * lh**2
+    logx = ni.log() if parity is Parity.ODD else ni.log() - log2(ni.prec)
+    value = 73 * _quadratic(logx, LEMMA_QUADRATIC[omega])
+    tail = LEMMA_TAIL.get((parity, omega))
+    if tail is None:
+        return value
+    c1, c0 = (Interval.from_str(c, ni.prec) for c in tail)
+    return value + c1 * ni + c0
 
 
 # -- certified lower bounds for log M_n ---------------------------------------
-
-
-def _f_bound(tag: MnBoundVariant, ctx: BoundContext) -> Interval:
-    ln = ctx.logn
-    if tag is MnBoundVariant.COMPLEX_VOUTIER128:
-        return _poly(ln, "128", "1886", "7913")
-    if tag is MnBoundVariant.COMPLEX_VOUTIER64:
-        return _poly(ln, "64", "775", "2718")
-    raise DomainError(f"no f(n) bound for {tag}")
 
 
 def mn_lower_affine(
@@ -287,7 +269,7 @@ def mn_lower_affine(
         )
     if variant in (MnBoundVariant.COMPLEX_VOUTIER128, MnBoundVariant.COMPLEX_VOUTIER64):
         return (
-            phi - 1 - 73 * _f_bound(variant, ctx),
+            phi - 1 - 73 * _quadratic(ln, VOUTIER_QUADRATIC[variant]),
             -(two * log2(p)) - ctx.primitive_divisor_log,
         )
     if variant is MnBoundVariant.LEMMA_GW:
@@ -295,14 +277,14 @@ def mn_lower_affine(
             raise DomainError("lemma_gw applies to odd n")
         quarter = Interval.from_fraction(2**w, 4 * w, p)
         return (
-            phi - 1 - g_omega(ctx.n, w),
+            phi - 1 - lemma_coefficient(ctx.n, w, ctx.parity),
             -(1 + quarter) * ln - Fraction(2) ** (w - 2) * log2(p),
         )
     if variant is MnBoundVariant.LEMMA_HW:
         if ctx.parity is not Parity.EVEN:
             raise DomainError("lemma_hw applies to even n")
         return (
-            phi - 1 - h_omega(ctx.n, w),
+            phi - 1 - lemma_coefficient(ctx.n, w, ctx.parity),
             -ln - Fraction(2) ** (w - 2) * log2(p),
         )
     raise DomainError(f"unknown variant {variant}")
@@ -316,6 +298,17 @@ def mn_upper_sieve_affine(
     The sieve bound is (4 (1 + loglog n) / phi(n)) n log|alpha|.  With
     ``refined`` the single guaranteed factorial argument >= n - 1 is
     accounted for, replacing n log|alpha| by n log|alpha| - (log(n-1) - 1).
+
+    From logp_sum_upper: if U_n = +-prod m_i!, the primes of M_n are +-1 mod n
+    and nu_p(m!) <= m / (p - 1), so log M_n <= sum_i m_i S(m_i, n) with S the
+    sum that lemma bounds.  m times its tail 4 (log m - 1)(1 + loglog n) / phi(n)
+    is at most 4 (1 + loglog n) / phi(n) log m!, as log m! >= m (log m - 1),
+    and sum_i log m_i! = log|U_n| stands in for n log|alpha|.  Not carried:
+    the lemma's small-prime term (11.1 or 4.1 log(3n) / 3n, times m); the
+    refined offset exceeds the slack 0.5 log(2 pi m) of that Stirling step
+    (n >= 48); log|U_n| - n log|alpha| reaches log(2 / sqrt 3) for complex
+    roots.  The tests check the tail step, and the refined form against the
+    exact content of primes +-1 mod n in m!, on a grid.
     """
     ni = ctx.n
     front = 4 * (1 + ctx.loglogn) / ctx.phi_lower

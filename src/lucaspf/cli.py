@@ -9,7 +9,7 @@ import sys
 
 from .bounds import unit_product_constant
 from .cyclotomic import cyclotomic_value
-from .errors import LucasPFError, Undecidable
+from .errors import DomainError, LucasPFError, Undecidable
 from .factorials import pf_decompose, pf_fast_reject, pf_member
 from .interval import Interval
 from .lucas import SeqKind, validate_params
@@ -33,11 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="run a bound cascade and report thresholds")
     b.add_argument("--case", choices=("general", "real", "unit"), default="general")
     b.add_argument("--kind", choices=("U", "V"), default="U")
-    b.add_argument("--r", type=int, default=1)
-    b.add_argument("--s", type=int, default=1)
+    b.add_argument("--r", type=int, default=1, help="r of the pair; only --case unit reads it")
+    b.add_argument("--s", type=int, default=1, help="s of the pair; only --case unit reads it")
     b.add_argument("--json", metavar="PATH", help="write the JSON report here")
     b.add_argument(
-        "--workers", type=int, default=1, help="scan the rows of a stage in parallel"
+        "--workers", type=int, default=1, help="scan a stage's rows in parallel (general, real)"
     )
 
     s = sub.add_parser("search", help="search a concrete sequence for factorial products")
@@ -67,6 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bounds(args) -> int:
+    if args.workers < 1:
+        raise DomainError("workers must be positive")
     kind = SeqKind(args.kind)
     if args.case == "general":
         result = run_general_cascade(kind, workers=args.workers)

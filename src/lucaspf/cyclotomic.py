@@ -1,39 +1,27 @@
-"""Exact cyclotomic specialization and primitive parts of Lucas terms.
+"""Exact cyclotomic specialization and the arithmetic profile of an index.
 
 Phi_n(alpha, beta) is computed as the exact integer
 prod_{d | n} U_{n/d}^{mu(d)}; the sqrt(Delta) factors cancel because
-sum_{d | n} mu(d) = 0 for n > 1.  The part of |U_n| built from primes
-congruent to +-1 mod n is bounded below by |Phi_n(alpha, beta)| / n.
+sum_{d | n} mu(d) = 0 for n > 1.  Only squarefree d have mu(d) != 0, so the
+product runs over the products of distinct prime factors of n.  The primitive
+part M_n of U_n is at least |Phi_n(alpha, beta)| / n, which is how the
+cascade's lower bounds for log M_n are audited.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError, NonIntegerResult
-from .interval import DEFAULT_PREC, Interval, log_int
 from .lucas import LucasParams, u_at
-from .primes import is_prime
 
 
 @dataclass(frozen=True)
 class ArithmeticProfile:
-    n: int
-    divisors: tuple[int, ...]
-    mu: dict[int, int]
+    primes: tuple[int, ...]  # the distinct prime factors, increasing
     phi: int
     omega: int
-    radical: int
     largest_prime_factor: int
-
-
-@dataclass(frozen=True)
-class PrimitivePartResult:
-    n: int
-    phi_value: int
-    mn_value: Optional[int]
-    mn_lower_log: Interval
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -58,32 +46,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def arithmetic_profile(n: int) -> ArithmeticProfile:
     if n < 2:
         raise DomainError("n must be >= 2")
-    fact = factorize(n)
-    divisors = [1]
-    for p, e in fact:
-        divisors = [d * p**i for d in divisors for i in range(e + 1)]
-    divisors.sort()
-    mu = {}
-    for d in divisors:
-        fd = [(p, e) for p, e in fact if d % p == 0]
-        if any(d % (p * p) == 0 for p, _ in fd):
-            mu[d] = 0
-        else:
-            mu[d] = -1 if len(fd) % 2 else 1
+    primes = tuple(p for p, _ in factorize(n))
     phi = n
-    for p, _ in fact:
+    for p in primes:
         phi -= phi // p
-    radical = 1
-    for p, _ in fact:
-        radical *= p
     return ArithmeticProfile(
-        n=n,
-        divisors=tuple(divisors),
-        mu=mu,
-        phi=phi,
-        omega=len(fact),
-        radical=radical,
-        largest_prime_factor=fact[-1][0],
+        primes=primes, phi=phi, omega=len(primes), largest_prime_factor=primes[-1]
     )
 
 
@@ -91,79 +59,17 @@ def cyclotomic_value(p: LucasParams, n: int) -> int:
     """Exact Phi_n(alpha, beta) for n >= 2."""
     if n < 2:
         raise DomainError("n must be >= 2 (Phi_1 is not rational in general)")
-    prof = arithmetic_profile(n)
-    num = 1
-    den = 1
-    for d in prof.divisors:
-        m = prof.mu[d]
-        if m == 0:
-            continue
+    # (d, mu(d)) for every squarefree divisor d: k primes give mu = (-1)^k
+    squarefree = [(1, 1)]
+    for q in arithmetic_profile(n).primes:
+        squarefree += [(d * q, -mu) for d, mu in squarefree]
+    num = den = 1
+    for d, mu in squarefree:
         term = u_at(p, n // d).value
-        if m == 1:
+        if mu == 1:
             num *= term
         else:
             den *= term
     if den == 0 or num % den:
         raise NonIntegerResult(f"Phi_{n}({p.r},{p.s}) quotient {num}/{den} not integral")
     return num // den
-
-
-def primitive_part_lower(
-    p: LucasParams, n: int, prec: int = DEFAULT_PREC
-) -> Interval:
-    """Enclosure of log(|Phi_n(alpha, beta)| / n), a lower bound for log M_n."""
-    value = abs(cyclotomic_value(p, n))
-    return log_int(value, prec) - log_int(n, prec)
-
-
-def m_n_exact(p: LucasParams, n: int, trial_bound: int) -> PrimitivePartResult:
-    """Peel M_n from |U_n| by trial division; declare failure over guessing.
-
-    mn_value is populated only when the cofactor left after removing all
-    prime factors below trial_bound is 1 or certified prime, so that no
-    prime congruent to +-1 mod n can hide in it.
-    """
-    if n < 2 or trial_bound < 2:
-        raise DomainError("need n >= 2 and trial_bound >= 2")
-    value = abs(u_at(p, n).value)
-    if value == 0:
-        raise DomainError(f"U_{n} = 0")
-    mn = 1
-    rest = value
-    d = 2
-    while d <= trial_bound and d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                e += 1
-                rest //= d
-            if d % n in (1, n - 1):
-                mn *= d**e
-        d += 1 if d == 2 else 2
-    certified = True
-    if rest > 1:
-        if is_prime(rest):
-            if rest % n in (1, n - 1):
-                mn *= rest
-        elif rest < trial_bound * trial_bound:
-            # composite below trial_bound^2 would have a factor already removed
-            raise NonIntegerResult("trial division invariant broken")
-        else:
-            certified = False
-    phi_val = cyclotomic_value(p, n)
-    lower = log_int(abs(phi_val)) - log_int(n)
-    return PrimitivePartResult(
-        n=n,
-        phi_value=phi_val,
-        mn_value=mn if certified else None,
-        mn_lower_log=lower,
-    )
-
-
-def primitive_prime_filter(p: LucasParams, n: int, q: int) -> bool:
-    """True iff q divides Phi_n(alpha, beta) but not n * Delta."""
-    if not is_prime(q):
-        return False
-    if (n * abs(p.delta)) % q == 0:
-        return False
-    return cyclotomic_value(p, n) % q == 0

@@ -303,6 +303,8 @@ def _run_rows(
 ) -> int:
     """Scan independent rows, append their reports in row order and return the
     largest threshold.  With workers > 1 the rows share a pool of processes."""
+    if workers < 1:
+        raise DomainError("workers must be positive")
     _check_coverage(rows)
     if workers > 1 and len(rows) > 1:
         with get_context("fork").Pool(min(workers, len(rows))) as pool:

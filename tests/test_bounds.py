@@ -7,9 +7,8 @@ from lucaspf.bounds import (
     BoundContext,
     MnBoundVariant,
     Parity,
-    g_omega,
     growth_log_alpha_lower,
-    h_omega,
+    lemma_coefficient,
     logp_sum_upper,
     mn_lower_affine,
     mn_upper_sieve_affine,
@@ -21,9 +20,11 @@ from lucaspf.bounds import (
     unit_product_constant,
     voutier_pair_lower,
 )
+from lucaspf.cyclotomic import arithmetic_profile, cyclotomic_value
 from lucaspf.errors import DomainError
 from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import stirling_log_factorial_sqrt, validate_params
+from lucaspf.pipeline import StageConfig, _context
 from lucaspf.primes import primorial
 from oracles import sieve_upto
 
@@ -143,12 +144,11 @@ def test_voutier_domain():
 
 
 def test_lemma_tables_domains():
-    with pytest.raises(DomainError):
-        g_omega(1000, 7)
-    with pytest.raises(DomainError):
-        h_omega(1000, 8)
-    assert g_omega(1000, 1).lo > 0
-    assert h_omega(1000, 7).lo > 0
+    for omega, parity in ((7, Parity.ODD), (8, Parity.EVEN), (0, Parity.ODD)):
+        with pytest.raises(DomainError):
+            lemma_coefficient(1000, omega, parity)
+    assert lemma_coefficient(1000, 1, Parity.ODD).lo > 0
+    assert lemma_coefficient(1000, 7, Parity.EVEN).lo > 0
 
 
 def _ctx(n, omega, parity):
@@ -159,6 +159,48 @@ def _ctx(n, omega, parity):
         growth_log_alpha_lower(n, parity),
         phi_lower_omega(n, omega, parity),
     )
+
+
+def _exact_phi_ctx(n):
+    prof = arithmetic_profile(n)
+    parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
+    phi = Interval.from_int(prof.phi)
+    return BoundContext.build(n, prof.omega, parity, growth_log_alpha_lower(n, parity), phi)
+
+
+_SIEVE_LIMIT = 1_500_000
+_SIEVE_GRID = sorted({
+    (n, min(m, _SIEVE_LIMIT))
+    for n in (150, 151, 210, 300, 997, 1200, 2310)
+    for m in (n - 1, n, n + 1, 2 * n + 1, 3 * n, 10 * n, n * n // 2, n * n, 3 * n * n)
+})
+
+
+def test_sieve_form_carries_the_tail_of_logp_sum_upper():
+    # one factorial m! with m >= n - 1: m times the lemma's tail term is at most
+    # C/n log m!, since log m! >= m (log m - 1); the lemma's small-prime term is
+    # not part of the cascade's form (see mn_upper_sieve_affine)
+    for n, m in _SIEVE_GRID:
+        ctx = _exact_phi_ctx(n)
+        c, _ = mn_upper_sieve_affine(ctx)
+        small = Interval.from_str("11.1" if n % 2 == 0 else "4.1") * log_int(3 * n) / (3 * n)
+        tail = logp_sum_upper(m, n, ctx.parity) - small
+        assert (m * tail).hi <= (c / n * stirling_log_factorial_sqrt(m)).lo, (n, m)
+
+
+def test_refined_sieve_form_dominates_the_exact_primitive_content():
+    # sum of nu_p(m!) log p over primes p = +-1 mod n, p <= m, against the
+    # refined form for one factorial: C/n log m! + D
+    table = sieve_upto(_SIEVE_LIMIT)
+    for n, m in _SIEVE_GRID:
+        c, d = mn_upper_sieve_affine(_exact_phi_ctx(n), refined=True)
+        content = Interval.from_int(0)
+        for q in range(n - 1, m + 1, n):
+            for p in (q, q + 2):
+                if p <= m and table[p]:
+                    nu = sum(m // p**k for k in range(1, m.bit_length()) if p**k <= m)
+                    content = content + nu * log_int(p)
+        assert content.hi <= (c / n * stirling_log_factorial_sqrt(m) + d).lo, (n, m)
 
 
 def test_refined_sieve_is_tighter():
@@ -172,10 +214,11 @@ _ESTIMATES = {
     "phi_lower_rs": phi_lower_rs,
     "phi_lower_omega-even": lambda n: phi_lower_omega(n, 5, Parity.EVEN),
     "phi_lower_omega-odd": lambda n: phi_lower_omega(n, 5, Parity.ODD),
-    "g_omega-w5": lambda n: g_omega(n, 5),
-    "g_omega-w6": lambda n: g_omega(n, 6),
-    "h_omega-w3": lambda n: h_omega(n, 3),
-    "h_omega-w7": lambda n: h_omega(n, 7),
+    # the lemma tables go by their names in the paper, g_w (odd n) and h_w (even n)
+    "g_omega-w5": lambda n: lemma_coefficient(n, 5, Parity.ODD),
+    "g_omega-w6": lambda n: lemma_coefficient(n, 6, Parity.ODD),
+    "h_omega-w3": lambda n: lemma_coefficient(n, 3, Parity.EVEN),
+    "h_omega-w7": lambda n: lemma_coefficient(n, 7, Parity.EVEN),
     "growth": lambda n: growth_log_alpha_lower(n, Parity.ODD),
     "growth-sharp-even": lambda n: growth_log_alpha_lower(n, Parity.EVEN, sharp=True),
     "growth-sharp-odd": lambda n: growth_log_alpha_lower(n, Parity.ODD, sharp=True),
@@ -260,3 +303,46 @@ def test_unit_product_constant_certified():
     const = unit_product_constant()
     assert const.certainly_gt(Interval.from_str("0.278293", 256))
     assert const.certainly_lt(Interval.from_str("0.278295", 256))
+
+
+# Lower-bound audit: each M_n lower-bound variant, evaluated at a concrete pair's
+# true log|alpha| with the exact omega and parity of n, may not exceed the exact
+# log|Phi_n(alpha, beta)| less the same divisor, which bounds log M_n from above.
+_AUDIT_PAIRS = [(1, 1), (2, 1), (3, -1), (1, 2), (3, -2), (1, -2), (1, -3), (2, -3), (1, -5)]
+
+
+def _audit_slack(p, n, variant, log_phi_n):
+    """log|Phi_n| - divisor minus the variant's bound; negative only if the
+    variant claims more than the exact value allows."""
+    cfg = StageConfig("audit", variant, "odd" if n % 2 else "even",
+                      arithmetic_profile(n).omega, 150, n, n)
+    ctx = _context(cfg, n, n, 64)
+    a, b = mn_lower_affine(variant, ctx)
+    return log_phi_n - ctx.primitive_divisor_log - (a * p.alpha_abs_log + b)
+
+
+def test_sharp_lower_bounds_hold_at_every_index_of_concrete_pairs():
+    # REAL_EQ5 for real roots, UNIT_EQ55 for |s| = 1, every n in [151, 1200];
+    # the closest calls are under 1.2 nats (Fibonacci)
+    for r, s in _AUDIT_PAIRS:
+        p = validate_params(r, s)
+        variants = [v for v, applies in ((MnBoundVariant.REAL_EQ5, p.roots_real),
+                                         (MnBoundVariant.UNIT_EQ55, p.unit_norm)) if applies]
+        if not variants:
+            continue
+        for n in range(151, 1201):
+            log_phi_n = log_int(abs(cyclotomic_value(p, n)))
+            for variant in variants:
+                assert _audit_slack(p, n, variant, log_phi_n).hi >= 0, (r, s, n, variant)
+
+
+def test_complex_and_lemma_lower_bounds_hold_on_a_sample():
+    rng = random.Random(6)
+    for r, s in _AUDIT_PAIRS:
+        p = validate_params(r, s)
+        for n in rng.sample(range(151, 1201), 8):
+            log_phi_n = log_int(abs(cyclotomic_value(p, n)))
+            lemma = MnBoundVariant.LEMMA_GW if n % 2 else MnBoundVariant.LEMMA_HW
+            for variant in (MnBoundVariant.COMPLEX_TRIVIAL_F, MnBoundVariant.COMPLEX_VOUTIER128,
+                            MnBoundVariant.COMPLEX_VOUTIER64, lemma):
+                assert _audit_slack(p, n, variant, log_phi_n).hi >= 0, (r, s, n, variant)

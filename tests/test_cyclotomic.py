@@ -1,19 +1,10 @@
-import math
 import random
 
 import pytest
 from sympy import factorint, totient
 
-from lucaspf.cyclotomic import (
-    arithmetic_profile,
-    cyclotomic_value,
-    factorize,
-    m_n_exact,
-    primitive_part_lower,
-    primitive_prime_filter,
-)
+from lucaspf.cyclotomic import arithmetic_profile, cyclotomic_value, factorize
 from lucaspf.errors import DomainError
-from lucaspf.interval import log_int
 from lucaspf.lucas import u_at, validate_params
 
 
@@ -63,15 +54,8 @@ def test_arithmetic_profile_against_sympy():
         fac = factorint(n)
         assert prof.phi == totient(n)
         assert prof.omega == len(fac)
-        assert prof.radical == math.prod(fac)
+        assert prof.primes == tuple(sorted(fac))
         assert prof.largest_prime_factor == max(fac)
-        assert prof.divisors == tuple(d for d in range(1, n + 1) if n % d == 0)
-        # Mobius spot checks through the stored table
-        assert prof.mu[1] == 1
-        for p in fac:
-            assert prof.mu[p] == -1
-            if n % (p * p) == 0:
-                assert prof.mu[p * p] == 0
 
 
 def test_primitive_prime_congruence_fibonacci():
@@ -83,42 +67,3 @@ def test_primitive_prime_congruence_fibonacci():
             if (n * abs(p.delta)) % q == 0:
                 continue
             assert q % n in (1, n - 1), (n, q)
-
-
-def test_primitive_prime_filter():
-    p = validate_params(1, 1)
-    # F_19 = 4181 = 37 * 113, both primitive
-    assert primitive_prime_filter(p, 19, 37)
-    assert primitive_prime_filter(p, 19, 113)
-    assert not primitive_prime_filter(p, 19, 2)
-    assert not primitive_prime_filter(p, 19, 4181)  # not prime
-    # 5 divides Delta, never primitive
-    assert not primitive_prime_filter(p, 25, 5)
-
-
-def test_primitive_part_lower_is_consistent():
-    p = validate_params(1, 1)
-    for n in range(5, 121):
-        enc = primitive_part_lower(p, n)
-        exact = abs(cyclotomic_value(p, n))
-        ratio = log_int(exact, 128) - log_int(n, 128)
-        assert enc.lo <= ratio.hi and enc.hi >= ratio.lo
-
-
-def test_m_n_exact_collects_primitive_part():
-    p = validate_params(1, 1)
-    for n in (19, 37, 41, 53):
-        res = m_n_exact(p, n, trial_bound=10**6)
-        assert res.mn_value is not None
-        # every collected prime power is congruent to +-1 mod n
-        for q, _ in factorize(res.mn_value):
-            assert q % n in (1, n - 1)
-        # M_n >= |Phi_n| / n
-        assert res.mn_value * n >= abs(res.phi_value)
-        assert log_int(res.mn_value).hi >= res.mn_lower_log.lo
-
-
-def test_m_n_exact_divides_term():
-    p = validate_params(1, 1)
-    res = m_n_exact(p, 37, trial_bound=10**6)
-    assert abs(u_at(p, 37).value) % res.mn_value == 0

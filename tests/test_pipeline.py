@@ -23,6 +23,8 @@ from lucaspf.pipeline import (
     _row_for,
     emit_report,
     find_threshold,
+    run_general_cascade,
+    run_real_cascade,
     run_unit_case,
     stage_violated,
 )
@@ -353,6 +355,13 @@ def test_unit_case_closes(unit_u):
 def test_unit_case_requires_unit_norm():
     with pytest.raises(DomainError):
         run_unit_case(validate_params(2, 3))
+
+
+def test_cascade_drivers_refuse_workers_below_one():
+    for workers in (0, -3):
+        for driver in (run_general_cascade, run_real_cascade):
+            with pytest.raises(DomainError, match="workers must be positive"):
+                driver(workers=workers)
 
 
 def test_v_kind_halves_everything(general_u, general_v, fib_params):

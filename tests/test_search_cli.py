@@ -184,6 +184,10 @@ def test_cli_exit_codes():
     assert run_cli("pf", "0").returncode == 2
     assert run_cli("cyclotomic", "--r", "1", "--s", "-1", "--n", "5").returncode == 2
     assert run_cli("bogus").returncode == 2
+    for workers in ("0", "-3"):
+        for case in (("--case", "unit", "--r", "1", "--s", "1"), ("--case", "general")):
+            out = run_cli("bounds", *case, "--workers", workers)
+            assert out.returncode == 2 and b"workers must be positive" in out.stderr
     # the starting precision is not a flag: the ladder escalates on its own
     assert run_cli("--precision-bits", "128", "pf", "6").returncode == 2
 
