@@ -41,15 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     s = sub.add_parser("search", help="search a concrete sequence for factorial products")
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--s", type=int, required=True)
-    s.add_argument("--kind", choices=("U", "V"), default="U")
-    s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    s.add_argument("--min-n", type=int, default=1)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--reject-log", action="store_true")
-    s.add_argument("--json", metavar="PATH")
-    s.add_argument("--csv", metavar="PATH")
+    s.add_argument("--r", type=int, required=True, help="r of the pair")
+    s.add_argument("--s", type=int, required=True, help="s of the pair")
+    s.add_argument("--kind", choices=("U", "V"), default="U", help="sequence searched")
+    s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="last index searched")
+    s.add_argument("--min-n", type=int, default=1, help="first index searched (at least 1)")
+    s.add_argument(
+        "--workers", type=int, default=1,
+        help="map index blocks over a fork pool; the result is the same for any count",
+    )
+    s.add_argument(
+        "--reject-log", action="store_true",
+        help="print the counts of fast-rejected terms (odd, size) to stderr",
+    )
+    s.add_argument("--json", metavar="PATH", help="write the hits and coverage as JSON here")
+    s.add_argument("--csv", metavar="PATH", help="write the hits as CSV here")
 
     f = sub.add_parser("pf", help="factorial-product membership of one integer")
     f.add_argument("n", type=int)
@@ -95,8 +101,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _coverage(cfg: SearchConfig) -> str:
-    params = validate_params(cfg.r, cfg.s)
-    case = "unit" if params.unit_norm else "real" if params.roots_real else "general"
+    p = cfg.params
+    case = "unit" if p.unit_norm else "real" if p.roots_real else "general"
     bound = CERTIFIED_BOUNDS[case] // (1 if cfg.kind is SeqKind.U else 2)
     if cfg.n_min == 1 and cfg.n_max >= bound:
         return f"exhaustive ({case} case, theorem bound {bound})"

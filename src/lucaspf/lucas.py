@@ -13,6 +13,7 @@ with characteristic roots alpha, beta of x^2 - r x - s, ordered so that
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -106,6 +107,24 @@ def u_at(p: LucasParams, n: int) -> SeqTerm:
 def v_at(p: LucasParams, n: int) -> SeqTerm:
     _, v = _uv_pair(p, n)
     return SeqTerm(index=n, value=v, kind=SeqKind.V)
+
+
+def iter_terms(p: LucasParams, kind: SeqKind, lo: int) -> Iterator[int]:
+    """The terms x_lo, x_lo+1, ... of U or V, without end.
+
+    One fast-doubling seed at lo, then the three-term recurrence: a run of k
+    terms costs k big-integer additions instead of k fast doublings.
+    """
+    r, s = p.r, p.s
+    u, v = _uv_pair(p, lo)
+    # the odd step of fast doubling gives x_{lo+1}; both sums are even
+    if kind is SeqKind.U:
+        x, y = u, (r * u + v) // 2
+    else:
+        x, y = v, (p.delta * u + r * v) // 2
+    while True:
+        yield x
+        x, y = y, r * y + s * x
 
 
 def stirling_log_factorial_sqrt(m) -> Interval:

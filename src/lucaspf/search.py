@@ -1,5 +1,5 @@
-"""Desk-scale exhaustive searches of concrete Lucas sequences for factorial
-products, plus an exact check of the Fibonacci factorial identity."""
+"""Exhaustive searches of concrete Lucas sequences for factorial products,
+plus an exact check of the Fibonacci factorial identity."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ from multiprocessing import get_context
 
 from .errors import DomainError
 from .factorials import PFWitness, pf_decompose, pf_fast_reject, pf_member
-from .lucas import LucasParams, SeqKind, validate_params, u_at, v_at
+from .lucas import LucasParams, SeqKind, iter_terms, validate_params, u_at
 
-_BLOCK = 64
+# one fast-doubling seed per block of indices, stepped from there
+_BLOCK = 1024
 _LOG10_2 = math.log10(2)
 DEFAULT_MAX_N = 5000
 
@@ -35,6 +36,7 @@ class SearchConfig:
     n_max: int = DEFAULT_MAX_N
     workers: int = 1
     reject_log: bool = False
+    params: LucasParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_min < 1:
@@ -43,7 +45,7 @@ class SearchConfig:
             raise DomainError("n_min must not exceed n_max")
         if self.workers < 1:
             raise DomainError("workers must be positive")
-        validate_params(self.r, self.s)
+        object.__setattr__(self, "params", validate_params(self.r, self.s))
 
 
 def _digit_count(n: int) -> int:
@@ -59,11 +61,9 @@ def _digit_count(n: int) -> int:
 
 def _search_block(args: tuple[LucasParams, SeqKind, int, int]):
     p, kind, lo, hi = args
-    term = u_at if kind is SeqKind.U else v_at
     hits = []
     rejects = {"odd": 0, "size": 0}
-    for n in range(lo, hi + 1):
-        value = term(p, n).value
+    for n, value in zip(range(lo, hi + 1), iter_terms(p, kind, lo)):
         if value == 0:
             continue  # cannot occur for nondegenerate parameters; belt and braces
         if abs(value) == 1:
@@ -86,7 +86,7 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     Work is split into fixed index blocks; the merge is an ordered reduction,
     so the result is identical for any worker count.
     """
-    p = validate_params(cfg.r, cfg.s)
+    p = cfg.params
     blocks = []
     lo = cfg.n_min
     while lo <= cfg.n_max:

@@ -1,13 +1,15 @@
 import math
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from lucaspf.errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import (
     SeqKind,
+    iter_terms,
     stirling_log_factorial_sqrt,
     u_at,
     v_at,
@@ -35,6 +37,18 @@ def test_fast_doubling_matches_recurrence(rs, n):
     p = validate_params(*rs)
     assert u_at(p, n).value == u_naive(p, n)
     assert v_at(p, n).value == v_naive(p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_pairs(), st.integers(1, 400), st.integers(1, 60))
+@example((-3, -5), 1, 40)
+@example((-7, 2), 1, 40)
+@example((5, -3), 257, 9)
+def test_stepped_terms_match_fast_doubling(rs, lo, length):
+    p = validate_params(*rs)
+    for kind, term in ((SeqKind.U, u_at), (SeqKind.V, v_at)):
+        got = list(islice(iter_terms(p, kind, lo), length))
+        assert got == [term(p, n).value for n in range(lo, lo + length)], kind
 
 
 @settings(max_examples=60, deadline=None)

@@ -87,6 +87,18 @@ def test_worker_count_does_not_change_results():
         assert again == base
 
 
+def test_small_blocks_match_the_oracle_for_any_worker_count(monkeypatch):
+    # an odd block size puts many block boundaries, and so many stepping
+    # seeds, below 300 and gives the pool more than one block to map
+    monkeypatch.setattr(search, "_BLOCK", 7)
+    for r, s in ((1, 1), (1, -2), (-2, 3), (3, -2)):
+        for kind in SeqKind:
+            hits = search_pf_terms(SearchConfig(r, s, kind, 1, 300))
+            assert [h.index for h in hits] == brute_force_hits(r, s, kind, 300), (r, s, kind)
+            again = search_pf_terms(SearchConfig(r, s, kind, 1, 300, workers=2))
+            assert again == hits, (r, s, kind)
+
+
 def test_fast_reject_differential_over_random_params():
     rng = random.Random(5)
     pairs = []
@@ -106,11 +118,11 @@ def test_fast_reject_differential_over_random_params():
 
 
 def test_search_validates_the_parameters_once_per_call():
-    # SearchConfig checks (r, s) on construction and the search once more,
-    # not once per index block (this call spans 20 blocks)
+    # SearchConfig checks (r, s) on construction; the search and the CLI's
+    # coverage label read the parameters it keeps (this call spans 2 blocks)
     with mock.patch.object(search, "validate_params", wraps=search.validate_params) as spy:
         hits = search_pf_terms(SearchConfig(1, -2, n_max=1280))
-    assert spy.call_count <= 2
+    assert spy.call_count == 1
     assert [h.index for h in hits] == [1, 2, 3, 5, 13]
 
 
