@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from mpmath import mpf
@@ -120,10 +121,17 @@ def phi_lower_omega(n, omega: int, parity: Parity) -> Interval:
     if omega < 1:
         raise DomainError("omega must be >= 1")
     ni = Interval.coerce(n)
+    frac = _totient_fraction(omega, parity)
+    return ni * Interval.from_fraction(frac.numerator, frac.denominator, ni.prec)
+
+
+# the cascade's rows use omega <= 7 at either parity
+@lru_cache(maxsize=64)
+def _totient_fraction(omega: int, parity: Parity) -> Fraction:
     frac = Fraction(1)
     for p in nth_primes(omega, skip_two=parity is Parity.ODD):
         frac *= Fraction(p - 1, p)
-    return ni * Interval.from_fraction(frac.numerator, frac.denominator, ni.prec)
+    return frac
 
 
 def omega_upper(n) -> int:

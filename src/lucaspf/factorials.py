@@ -119,7 +119,7 @@ def pf_fast_reject(n: int):
     m = abs(n)
     if m <= 1:
         raise DomainError("fast reject expects |n| > 1")
-    if m % 2:
+    if m & 1:  # reads one digit; m % 2 reads them all
         return "odd"
     v = (m & -m).bit_length() - 1
     cap = math.factorial(2 * v + 1)

@@ -6,11 +6,24 @@ machine-certified.  Each operation is one call into mpmath's raw interval
 library (``mpmath.libmp``) at an explicit binary precision, rounding the lower
 endpoint down and the upper endpoint up.  No mpmath context precision is read
 or written, so results do not depend on the caller's mpmath settings.
+
+Constructors that take caller data check it: ``Interval(lo, hi, prec)`` wants
+mpf endpoints with lo <= hi, ``from_int_range(a, b)`` wants a <= b, and
+``from_str`` checks the order of the enclosure it parses.  Every other result
+(``from_int``, ``from_fraction``, the arithmetic, log, exp, sqrt, the
+constants) is a ``libmp`` interval or integer rounding, ordered by
+construction, and is wrapped as is without a second check.
+
+The parse of a decimal string and the constants log 2, Euler's gamma and pi
+do not depend on the index, so they are computed once per precision and kept
+in bounded caches as raw endpoint tuples; every call wraps them in a fresh
+Interval.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import libmp, mp, mpf
 
@@ -21,6 +34,9 @@ PREC_LADDER = (64, 128, 256, 512)
 
 # wraps a raw mpf tuple as is: no rounding, no context precision involved
 _mpf = mp.make_mpf
+# entries of each per-precision cache: a few dozen coefficient strings, or one
+# constant, at each precision of PREC_LADDER plus the occasional other one
+_CACHE_SIZE = 256
 
 
 def _int_mpi(n: int, prec: int):
@@ -30,8 +46,22 @@ def _int_mpi(n: int, prec: int):
     )
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _constant_mpi(f, prec: int):
     return f(prec, libmp.round_floor), f(prec, libmp.round_ceiling)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _log2_mpi(prec: int):
+    return libmp.mpi_log(_int_mpi(2, prec), prec)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _str_mpi(s: str, prec: int):
+    v = libmp.mpi_from_str(s, prec)
+    if not libmp.mpf_le(*v):
+        raise DomainError(f"reversed interval {s!r}")
+    return v
 
 
 class Interval:
@@ -50,8 +80,12 @@ class Interval:
 
     @classmethod
     def _from_mpi(cls, v, prec: int) -> "Interval":
-        lo, hi = v
-        return cls(_mpf(lo), _mpf(hi), prec)
+        # unchecked: v is an ordered libmp result, never caller data
+        out = object.__new__(cls)
+        out.lo = _mpf(v[0])
+        out.hi = _mpf(v[1])
+        out.prec = prec
+        return out
 
     @property
     def _mpi(self):
@@ -66,6 +100,8 @@ class Interval:
     @classmethod
     def from_int_range(cls, a: int, b: int, prec: int = DEFAULT_PREC) -> "Interval":
         """Enclosure of every integer in [a, b]."""
+        if a > b:
+            raise DomainError(f"empty integer range [{a}, {b}]")
         lo = libmp.from_int(a, prec, libmp.round_floor)
         return cls._from_mpi((lo, libmp.from_int(b, prec, libmp.round_ceiling)), prec)
 
@@ -77,7 +113,7 @@ class Interval:
 
     @classmethod
     def from_str(cls, s: str, prec: int = DEFAULT_PREC) -> "Interval":
-        return cls._from_mpi(libmp.mpi_from_str(s, prec), prec)
+        return cls._from_mpi(_str_mpi(s, prec), prec)
 
     @classmethod
     def coerce(cls, x, prec: int = DEFAULT_PREC) -> "Interval":
@@ -175,13 +211,12 @@ def log_int(n: int, prec: int = DEFAULT_PREC) -> Interval:
     )
     r = libmp.mpi_log(body, prec)
     if shift:
-        two = libmp.mpi_log(_int_mpi(2, prec), prec)
-        r = libmp.mpi_add(r, libmp.mpi_mul(_int_mpi(shift, prec), two, prec), prec)
+        r = libmp.mpi_add(r, libmp.mpi_mul(_int_mpi(shift, prec), _log2_mpi(prec), prec), prec)
     return Interval._from_mpi(r, prec)
 
 
 def log2(prec: int = DEFAULT_PREC) -> Interval:
-    return Interval._from_mpi(libmp.mpi_log(_int_mpi(2, prec), prec), prec)
+    return Interval._from_mpi(_log2_mpi(prec), prec)
 
 
 def euler_gamma(prec: int = DEFAULT_PREC) -> Interval:

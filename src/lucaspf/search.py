@@ -66,7 +66,7 @@ def _search_block(args: tuple[LucasParams, SeqKind, int, int]):
     for n, value in zip(range(lo, hi + 1), iter_terms(p, kind, lo)):
         if value == 0:
             continue  # cannot occur for nondegenerate parameters; belt and braces
-        if abs(value) == 1:
+        if value in (1, -1):  # no abs(): it would copy a large term
             hits.append(SearchHit(n, kind, 1, PFWitness(1, ()), trivial=True))
             continue
         reason = pf_fast_reject(value)

@@ -112,6 +112,44 @@ def test_fast_reject_reasons():
     assert pf_fast_reject(2 * (3**40)) == "size"
 
 
+def _fast_reject_mod2(n):
+    # the parity test as a remainder, the form pf_fast_reject used to take
+    m = abs(n)
+    if m % 2:
+        return "odd"
+    v = (m & -m).bit_length() - 1
+    cap = math.factorial(2 * v + 1)
+    if m.bit_length() >= v * cap.bit_length() + 1:
+        return "size"
+    if v * cap.bit_length() <= 4 * m.bit_length() + 64 and m > cap**v:
+        return "size"
+    return None
+
+
+odd_ints = st.integers(0, 2**300).map(lambda x: 2 * x + 1)
+big_ints = st.one_of(
+    st.integers(2, 2**70),
+    st.integers(2**200, 2**4000),
+    st.builds(lambda k, odd: (1 << k) * odd, st.integers(1, 60), odd_ints),
+    st.builds(lambda k: math.factorial(k) * math.factorial(k // 2), st.integers(2, 300)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_ints, st.sampled_from([1, -1]), st.sampled_from([0, 1]))
+def test_fast_reject_low_bit_parity_matches_remainder(m, sign, bump):
+    n = sign * (m + bump)
+    assert pf_fast_reject(n) == _fast_reject_mod2(n)
+
+
+def test_fast_reject_parity_on_huge_terms():
+    # about the size of the terms a search to the certified bound meets
+    even = 2 * 3**200_000
+    deep = 2**3000 * 3**200_000
+    for n in (even, -even, even + 1, -(even + 1), deep, -deep):
+        assert pf_fast_reject(n) == _fast_reject_mod2(n), n
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 10**9))
 def test_fast_reject_soundness_random(n):

@@ -3,10 +3,12 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp, mpf
 
+from lucaspf import bounds, interval
 from lucaspf.errors import DomainError
 from lucaspf.interval import (
+    PREC_LADDER,
     Interval,
     euler_gamma,
     log2,
@@ -82,6 +84,43 @@ def test_interval_constructor_rejects_reversed_endpoints():
         Interval(one.hi + 1, one.lo)
     with pytest.raises(DomainError):
         Interval(1, 2)
+    with pytest.raises(DomainError):
+        Interval(mpf(2), mpf(1))
+    # the constructors that take caller data check it too
+    with pytest.raises(DomainError):
+        Interval.from_int_range(5, 3)
+    with pytest.raises(DomainError):
+        Interval.from_str("[2, 1]")
+
+
+@pytest.mark.parametrize("prec", PREC_LADDER)
+@pytest.mark.parametrize("s", ["2.50637", "1.28", "1/1155", "0.0027", "[1, 2]", "-7.5"])
+def test_from_str_is_the_libmp_parse(s, prec):
+    expected = libmp.mpi_from_str(s, prec)
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        x = Interval.from_str(s, prec)
+        assert (x.lo._mpf_, x.hi._mpf_, x.prec) == (*expected, prec)
+
+
+@pytest.mark.parametrize("make", [lambda: log2(128), lambda: Interval.from_str("1.28", 128),
+                                  lambda: pi(128), lambda: euler_gamma(128)])
+def test_cached_values_come_back_unchanged(make):
+    before = _raw(make())
+    x = make()
+    assert x is not make()
+    -x
+    x + 1
+    x - x
+    x.lo, x.hi = x.hi + 1, x.hi + 2  # even writing to a returned object
+    assert _raw(make()) == before
+
+
+def test_caches_are_bounded():
+    caches = [f for mod in (interval, bounds) for f in vars(mod).values()
+              if hasattr(f, "cache_info")]
+    assert len(caches) >= 4
+    for f in caches:
+        assert f.cache_info().maxsize is not None, f.__name__
 
 
 def test_log_of_nonpositive_rejected():
