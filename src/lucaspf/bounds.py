@@ -9,7 +9,9 @@ MnBoundVariant.
 Every n-dependent estimate takes the index as one enclosure, [n, n] at a point
 or [a, b] over a range of indices, and works at that enclosure's precision; an
 int is enclosed at DEFAULT_PREC.  An estimate over [a, b] holds for every
-integer index inside.
+integer index inside.  The estimates that read log n or log log n take them as
+arguments, enclosures of the same index at the same precision, so that one
+margin evaluation takes each log once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 from mpmath import mpf
 
 from .errors import DomainError
-from .interval import DEFAULT_PREC, Interval, euler_gamma, log2, log_int
+from .interval import DEFAULT_PREC, Interval, exp_euler_gamma, log2, log_int
 from .primes import nth_primes, primorial
 
 
@@ -48,7 +50,8 @@ class BoundContext:
     """The estimates one margin evaluation combines.
 
     ``n`` encloses the index, [n, n] at a point or [a, b] over a range, and its
-    precision is the working precision of every term built from it.
+    precision is the working precision of every term built from it; ``logn``
+    and ``loglogn`` enclose log n and log log n at that precision.
     """
 
     n: Interval
@@ -62,6 +65,10 @@ class BoundContext:
     # log n is the conservative default, log max(3, P(n)) when justified.
     primitive_divisor_log: Interval
 
+    def __post_init__(self):
+        if self.n.lo < 150:
+            raise DomainError("the cascade's standing assumption is n >= 150")
+
     # prec and n_range are derived from n; perfbench/tracer.py reads both
     @property
     def prec(self) -> int:
@@ -72,44 +79,16 @@ class BoundContext:
         """The enclosure when it spans more than one index, None at a point."""
         return None if self.n.lo == self.n.hi else self.n
 
-    @classmethod
-    def build(
-        cls,
-        n,
-        omega_assumed: int,
-        parity: Parity,
-        log_alpha_lower: Interval,
-        phi_lower: Interval,
-        primitive_divisor_log: Optional[Interval] = None,
-    ) -> "BoundContext":
-        n = Interval.coerce(n)
-        if n.lo < 150:
-            raise DomainError("the cascade's standing assumption is n >= 150")
-        logn = n.log()
-        if primitive_divisor_log is None:
-            primitive_divisor_log = logn
-        return cls(
-            n=n,
-            logn=logn,
-            loglogn=logn.log(),
-            omega_assumed=omega_assumed,
-            parity=parity,
-            log_alpha_lower=log_alpha_lower,
-            phi_lower=phi_lower,
-            primitive_divisor_log=primitive_divisor_log,
-        )
-
 
 # -- explicit prime-theory estimates ----------------------------------------
 
 
-def phi_lower_rs(n) -> Interval:
+def phi_lower_rs(n, loglogn: Interval) -> Interval:
     """n / (e^gamma loglog n + 2.50637 / loglog n), a lower bound of phi(n)."""
     ni = Interval.coerce(n)
     if ni.lo < 3:
         raise DomainError("n must be >= 3")
-    ll = ni.log().log()
-    denom = euler_gamma(ni.prec).exp() * ll + Interval.from_str("2.50637", ni.prec) / ll
+    denom = exp_euler_gamma(ni.prec) * loglogn + Interval.from_str("2.50637", ni.prec) / loglogn
     return ni / denom
 
 
@@ -134,13 +113,12 @@ def _totient_fraction(omega: int, parity: Parity) -> Fraction:
     return frac
 
 
-def omega_upper(n) -> int:
+def omega_upper(n, logn: Interval, loglogn: Interval) -> int:
     """Certified upper bound for omega(n) via 1.3841 log n / loglog n."""
     ni = Interval.coerce(n)
     if ni.lo < 26:
         raise DomainError("the explicit omega bound needs n >= 26")
-    logn = ni.log()
-    val = Interval.from_str("1.3841", ni.prec) * logn / logn.log()
+    val = Interval.from_str("1.3841", ni.prec) * logn / loglogn
     return math.floor(val.hi)
 
 
@@ -238,14 +216,14 @@ def _quadratic(logx: Interval, coeffs: tuple[str, str, str]) -> Interval:
     return a * logx**2 - b * logx + c
 
 
-def lemma_coefficient(n, omega: int, parity: Parity) -> Interval:
+def lemma_coefficient(n, logn: Interval, omega: int, parity: Parity) -> Interval:
     """g_w(n) for odd n, h_w(n) for even n, w = omega: what the lemma rows
     subtract from phi(n) - 1 in the coefficient of log|alpha|."""
     max_omega = 7 if parity is Parity.EVEN else 6
     if not 1 <= omega <= max_omega:
         raise DomainError(f"{parity.value} n has omega <= {max_omega} in the cascade's regime")
     ni = Interval.coerce(n)
-    logx = ni.log() if parity is Parity.ODD else ni.log() - log2(ni.prec)
+    logx = logn if parity is Parity.ODD else logn - log2(ni.prec)
     value = 73 * _quadratic(logx, LEMMA_QUADRATIC[omega])
     tail = LEMMA_TAIL.get((parity, omega))
     if tail is None:
@@ -285,14 +263,14 @@ def mn_lower_affine(
             raise DomainError("lemma_gw applies to odd n")
         quarter = Interval.from_fraction(2**w, 4 * w, p)
         return (
-            phi - 1 - lemma_coefficient(ctx.n, w, ctx.parity),
+            phi - 1 - lemma_coefficient(ctx.n, ln, w, ctx.parity),
             -(1 + quarter) * ln - Fraction(2) ** (w - 2) * log2(p),
         )
     if variant is MnBoundVariant.LEMMA_HW:
         if ctx.parity is not Parity.EVEN:
             raise DomainError("lemma_hw applies to even n")
         return (
-            phi - 1 - lemma_coefficient(ctx.n, w, ctx.parity),
+            phi - 1 - lemma_coefficient(ctx.n, ln, w, ctx.parity),
             -ln - Fraction(2) ** (w - 2) * log2(p),
         )
     raise DomainError(f"unknown variant {variant}")
@@ -329,7 +307,7 @@ def mn_upper_sieve_affine(
 # -- worst-case growth bounds for log|alpha| ----------------------------------
 
 
-def growth_log_alpha_lower(n, parity: Parity, sharp: bool = False) -> Interval:
+def growth_log_alpha_lower(n, logn: Interval, parity: Parity, sharp: bool = False) -> Interval:
     """Minimum permitted log|alpha| when U_n is a factorial product.
 
     The largest factorial argument is at least rn - 1 (r = 1 even, r = 2 odd)
@@ -338,7 +316,6 @@ def growth_log_alpha_lower(n, parity: Parity, sharp: bool = False) -> Interval:
     constants as a floor) is used.
     """
     ni = Interval.coerce(n)
-    logn = ni.log()
     if not sharp:
         return logn / 2
     from .lucas import stirling_log_factorial_sqrt

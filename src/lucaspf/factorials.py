@@ -116,12 +116,15 @@ def pf_fast_reject(n: int):
     m >= 2 is even) and every argument m satisfies nu_2(m!) >= (m - 1) / 2,
     hence m <= 2v + 1; so N > ((2v+1)!)^v is impossible.
     """
+    # abs copies a negative n once; a bitwise op on a negative int would copy
+    # all of it every time (two's complement), and abs of a positive n is free
     m = abs(n)
     if m <= 1:
         raise DomainError("fast reject expects |n| > 1")
     if m & 1:  # reads one digit; m % 2 reads them all
         return "odd"
-    v = (m & -m).bit_length() - 1
+    low = m & 0xFFFF_FFFF_FFFF_FFFF  # nu_2 from the low 64 bits; m & -m copies m
+    v = ((low & -low) if low else (m & -m)).bit_length() - 1
     cap = math.factorial(2 * v + 1)
     # sufficient bit-length test: bl(m) >= v * bl(cap) + 1 implies m > cap**v
     if m.bit_length() >= v * cap.bit_length() + 1:

@@ -14,10 +14,10 @@ mpf endpoints with lo <= hi, ``from_int_range(a, b)`` wants a <= b, and
 constants) is a ``libmp`` interval or integer rounding, ordered by
 construction, and is wrapped as is without a second check.
 
-The parse of a decimal string and the constants log 2, Euler's gamma and pi
-do not depend on the index, so they are computed once per precision and kept
-in bounded caches as raw endpoint tuples; every call wraps them in a fresh
-Interval.
+The parse of a decimal string and the constants log 2, Euler's gamma, e^gamma
+and pi do not depend on the index, so they are computed once per precision
+and kept in bounded caches as raw endpoint tuples; every call wraps them in a
+fresh Interval.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ def _int_mpi(n: int, prec: int):
 @lru_cache(maxsize=_CACHE_SIZE)
 def _constant_mpi(f, prec: int):
     return f(prec, libmp.round_floor), f(prec, libmp.round_ceiling)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _exp_euler_gamma_mpi(prec: int):
+    return libmp.mpi_exp(_constant_mpi(libmp.mpf_euler, prec), prec)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -221,6 +226,10 @@ def log2(prec: int = DEFAULT_PREC) -> Interval:
 
 def euler_gamma(prec: int = DEFAULT_PREC) -> Interval:
     return Interval._from_mpi(_constant_mpi(libmp.mpf_euler, prec), prec)
+
+
+def exp_euler_gamma(prec: int = DEFAULT_PREC) -> Interval:
+    return Interval._from_mpi(_exp_euler_gamma_mpi(prec), prec)
 
 
 def pi(prec: int = DEFAULT_PREC) -> Interval:

@@ -12,11 +12,13 @@ certifies the whole ray.
 Coverage of a stage's range is exhaustive: a margin is evaluated on one
 enclosure of the index, [n, n] at a point or [a, b] over a range, at that
 enclosure's precision, so one evaluation over [a, b] certifies every integer
-inside.  Points and ranges share one verdict, which climbs the precision
-ladder until the sign of the margin is certain.  The scan
-starts from the whole range and bisects only ranges it cannot decide, upper
-half first, down to individual indices; below the first survivor nothing is
-evaluated, since it cannot raise the threshold.
+inside; it takes log n and log log n once.  Points and ranges share one
+verdict: a range is decided at 64 bits, the first precision of the ladder,
+and a single index climbs the ladder until the sign of the margin is certain.
+The scan starts from the whole range and bisects only ranges it cannot decide,
+upper half first, until a range holds one admissible index, which is
+point-checked; below the first survivor nothing is evaluated, since it cannot
+raise the threshold.
 
 The general cascade is a table of five stages, each built from the threshold
 of the stage before.  The real and unit cases end with a sweep that checks
@@ -54,9 +56,6 @@ NO_SURVIVOR = 150
 # cascades reproduce these values, and `lucaspf search` labels its coverage
 # by them.
 CERTIFIED_BOUNDS = {"general": 267_212, "real": 210, "unit": 150}
-
-_LEAF_WIDTH = 64
-
 
 @dataclass(frozen=True)
 class StageConfig:
@@ -115,9 +114,11 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
     """
     parity = Parity.EVEN if cfg.parity == "both" else Parity(cfg.parity)
     n = Interval.from_int_range(n_lo, n_hi, prec)
-    omega = cfg.omega if cfg.omega is not None else omega_upper(n)
+    logn = n.log()
+    loglogn = logn.log()
+    omega = cfg.omega if cfg.omega is not None else omega_upper(n, logn, loglogn)
 
-    divisor = None  # log n
+    divisor = logn
     if cfg.variant is MnBoundVariant.UNIT_EQ55:
         if n_hi > n_lo:
             raise DomainError("exact phi(n) and P(n) are pointwise only")
@@ -125,19 +126,19 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
         phi = Interval.from_int(profile.phi, prec)
         divisor = log_int(max(3, profile.largest_prime_factor), prec)
     elif cfg.omega is None:
-        phi = phi_lower_rs(n)
+        phi = phi_lower_rs(n, loglogn)
     else:
         phi = phi_lower_omega(n, omega, parity)
 
     sharp = cfg.variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55)
     if sharp and cfg.parity == "both":
         raise DomainError("the sharp growth bound is parity specific")
-    alpha = growth_log_alpha_lower(n, parity, sharp=sharp)
+    alpha = growth_log_alpha_lower(n, logn, parity, sharp=sharp)
 
     if cfg.variant is MnBoundVariant.REAL_EQ5:
         divisor = primitive_divisor_log_bound(n, omega, parity)
 
-    return BoundContext.build(n, omega, parity, alpha, phi, primitive_divisor_log=divisor)
+    return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, divisor)
 
 
 def _margin_parts(cfg: StageConfig, n_lo: int, n_hi: int, prec: int):
@@ -191,9 +192,9 @@ def _range_violated(cfg: StageConfig, a: int, b: int) -> bool:
     a wide range loses the correlation between the two sides of the margin, so
     its enclosure can straddle zero, or even fall below it, while every index
     inside is violated."""
-    # A range still undecided at 128 bits is split rather than escalated:
-    # halving it narrows the enclosure more cheaply than 256 or 512 bits would.
-    return _verdict(cfg, a, b, PREC_LADDER[:2]) is True
+    # A range undecided at 64 bits is split rather than escalated: its width,
+    # not the rounding, is what leaves it undecided, and halving narrows it.
+    return _verdict(cfg, a, b, PREC_LADDER[:1]) is True
 
 
 # -- exhaustive threshold scan -------------------------------------------------
@@ -225,12 +226,13 @@ def _scan(cfg: StageConfig, a: int, b: int) -> int:
 
     Top-down bisection: a range certified violated is dropped whole, any other
     range is halved, and the lower half is visited only when the upper half
-    holds no survivor.  Survivors are only ever taken from point checks.
+    holds no survivor.  A range down to one admissible index is point-checked,
+    and survivors are only ever taken from point checks.
     """
     points = _admissible(cfg, a, b)
     if not points:
         return NO_SURVIVOR
-    if b - a <= _LEAF_WIDTH:
+    if len(points) == 1:
         return _sweep(points, lambda n: cfg)
     if _range_violated(cfg, a, b):
         return NO_SURVIVOR
@@ -243,9 +245,10 @@ def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
     """Largest index in [n_floor, n_cap] the stage fails to violate.
 
     The whole range is covered: every admissible index above the answer lies
-    in a range certified violated or was checked individually.  One row is
-    scanned sequentially; ``workers`` is accepted for call compatibility, and
-    the cascade drivers run the rows of a stage in parallel instead.
+    in a range certified violated at 64 bits or was point-checked on its own.
+    One row is scanned sequentially; ``workers`` is accepted for call
+    compatibility, and the cascade drivers run the rows of a stage in parallel
+    instead.
     """
     return _scan(cfg, max(151, cfg.n_floor), cfg.n_cap)
 

@@ -253,16 +253,22 @@ def test_criterion_08_empirical_bound_domination(verdict):
 
     # phi and omega explicit bounds for every n <= 10^6
     PHI, OMEGA = _exact_tables(10**6)
+
+    def logs(n):
+        # the estimates take log n and log log n of the index enclosure
+        logn = Interval.coerce(n).log()
+        return logn, logn.log()
+
     for n in range(3, 1024):
-        ok = ok and phi_lower_rs(n).lo <= PHI[n]
+        ok = ok and phi_lower_rs(n, logs(n)[1]).lo <= PHI[n]
     a = 1024
     while a <= 10**6:
         b = min(10**6, a + max(256, a // 16))
         block = Interval(Interval.from_int(a).lo, Interval.from_int(b).hi, 64)
-        cap = phi_lower_rs(block).hi
+        cap = phi_lower_rs(block, logs(block)[1]).hi
         for n in range(a, b + 1):
             if PHI[n] < cap:
-                ok = ok and phi_lower_rs(n).lo <= PHI[n]
+                ok = ok and phi_lower_rs(n, logs(n)[1]).lo <= PHI[n]
         a = b + 1
 
     # product form: exact rational comparison per (parity, omega) class
@@ -291,7 +297,7 @@ def test_criterion_08_empirical_bound_domination(verdict):
         val = Interval.from_str("1.3841", 64) * log_int(n0) / log_int(n0).log()
         ok = ok and val.lo > w
     for n in list(range(26, 20000)) + [random.Random(1).randint(26, 10**6) for _ in range(2000)]:
-        ok = ok and omega_upper(n) >= OMEGA[n]
+        ok = ok and omega_upper(n, *logs(n)) >= OMEGA[n]
 
     verdict(8, "analytic bounds dominated by exact sieves; phi/omega bounds hold to 10^6", ok)
 

@@ -46,9 +46,16 @@ def phi_omega_tables(limit):
 PHI, OMEGA, LARGEST = phi_omega_tables(100_000)
 
 
+def _logs(n):
+    # log n and log log n of the index enclosure, which the estimates take as
+    # arguments (pipeline._context takes each once per margin evaluation)
+    logn = Interval.coerce(n).log()
+    return logn, logn.log()
+
+
 def test_phi_lower_rs_holds():
     for n in range(3, 30_001):
-        assert phi_lower_rs(n).lo <= PHI[n], n
+        assert phi_lower_rs(n, _logs(n)[1]).lo <= PHI[n], n
 
 
 def test_phi_lower_omega_holds():
@@ -67,12 +74,12 @@ def test_phi_lower_omega_valid_for_overestimated_omega():
 
 def test_omega_upper_holds():
     for n in range(26, 30_001):
-        assert omega_upper(n) >= OMEGA[n], n
+        assert omega_upper(n, *_logs(n)) >= OMEGA[n], n
     # tightness at primorials: the bound must admit the true count
     for k in range(2, 9):
         n = primorial(k)
         if n >= 26:
-            assert omega_upper(n) >= k
+            assert omega_upper(n, *_logs(n)) >= k
 
 
 def test_brun_titchmarsh_domination():
@@ -146,26 +153,25 @@ def test_voutier_domain():
 def test_lemma_tables_domains():
     for omega, parity in ((7, Parity.ODD), (8, Parity.EVEN), (0, Parity.ODD)):
         with pytest.raises(DomainError):
-            lemma_coefficient(1000, omega, parity)
-    assert lemma_coefficient(1000, 1, Parity.ODD).lo > 0
-    assert lemma_coefficient(1000, 7, Parity.EVEN).lo > 0
+            lemma_coefficient(1000, _logs(1000)[0], omega, parity)
+    assert lemma_coefficient(1000, _logs(1000)[0], 1, Parity.ODD).lo > 0
+    assert lemma_coefficient(1000, _logs(1000)[0], 7, Parity.EVEN).lo > 0
 
 
-def _ctx(n, omega, parity):
-    return BoundContext.build(
-        n,
-        omega,
-        parity,
-        growth_log_alpha_lower(n, parity),
-        phi_lower_omega(n, omega, parity),
-    )
+def _ctx(n, omega, parity, phi=None):
+    # the context _context builds for a product-totient row, divisor log n
+    n = Interval.coerce(n)
+    logn, loglogn = _logs(n)
+    if phi is None:
+        phi = phi_lower_omega(n, omega, parity)
+    alpha = growth_log_alpha_lower(n, logn, parity)
+    return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, logn)
 
 
 def _exact_phi_ctx(n):
     prof = arithmetic_profile(n)
     parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
-    phi = Interval.from_int(prof.phi)
-    return BoundContext.build(n, prof.omega, parity, growth_log_alpha_lower(n, parity), phi)
+    return _ctx(n, prof.omega, parity, Interval.from_int(prof.phi))
 
 
 _SIEVE_LIMIT = 1_500_000
@@ -211,17 +217,17 @@ def test_refined_sieve_is_tighter():
 
 # every n-dependent estimate, as a function of the index enclosure alone
 _ESTIMATES = {
-    "phi_lower_rs": phi_lower_rs,
+    "phi_lower_rs": lambda n: phi_lower_rs(n, _logs(n)[1]),
     "phi_lower_omega-even": lambda n: phi_lower_omega(n, 5, Parity.EVEN),
     "phi_lower_omega-odd": lambda n: phi_lower_omega(n, 5, Parity.ODD),
     # the lemma tables go by their names in the paper, g_w (odd n) and h_w (even n)
-    "g_omega-w5": lambda n: lemma_coefficient(n, 5, Parity.ODD),
-    "g_omega-w6": lambda n: lemma_coefficient(n, 6, Parity.ODD),
-    "h_omega-w3": lambda n: lemma_coefficient(n, 3, Parity.EVEN),
-    "h_omega-w7": lambda n: lemma_coefficient(n, 7, Parity.EVEN),
-    "growth": lambda n: growth_log_alpha_lower(n, Parity.ODD),
-    "growth-sharp-even": lambda n: growth_log_alpha_lower(n, Parity.EVEN, sharp=True),
-    "growth-sharp-odd": lambda n: growth_log_alpha_lower(n, Parity.ODD, sharp=True),
+    "g_omega-w5": lambda n: lemma_coefficient(n, _logs(n)[0], 5, Parity.ODD),
+    "g_omega-w6": lambda n: lemma_coefficient(n, _logs(n)[0], 6, Parity.ODD),
+    "h_omega-w3": lambda n: lemma_coefficient(n, _logs(n)[0], 3, Parity.EVEN),
+    "h_omega-w7": lambda n: lemma_coefficient(n, _logs(n)[0], 7, Parity.EVEN),
+    "growth": lambda n: growth_log_alpha_lower(n, _logs(n)[0], Parity.ODD),
+    "growth-sharp-even": lambda n: growth_log_alpha_lower(n, _logs(n)[0], Parity.EVEN, sharp=True),
+    "growth-sharp-odd": lambda n: growth_log_alpha_lower(n, _logs(n)[0], Parity.ODD, sharp=True),
     "divisor-w1": lambda n: primitive_divisor_log_bound(n, 1, Parity.EVEN),
     "divisor-w4": lambda n: primitive_divisor_log_bound(n, 4, Parity.ODD),
     "stirling": stirling_log_factorial_sqrt,
@@ -261,7 +267,7 @@ def test_context_takes_its_precision_from_the_enclosure():
     # over a range of indices the enclosure is the range itself
     wide = _ctx(Interval.from_int_range(100_000, 100_064, 128), 4, Parity.EVEN)
     assert wide.prec == 128 and wide.n_range is wide.n
-    assert omega_upper(n) == omega_upper(100_000)
+    assert omega_upper(n, *_logs(n)) == omega_upper(100_000, *_logs(100_000))
 
 
 def test_context_requires_cascade_floor():
@@ -276,13 +282,13 @@ def test_growth_bound_is_below_true_requirement():
         r = 1 if parity is Parity.EVEN else 2
         true_min = (log_int(math.factorial(r * n - 1), 128) - log_int(2, 128)) / n
         for sharp in (False, True):
-            assert growth_log_alpha_lower(n, parity, sharp=sharp).hi <= true_min.hi
+            assert growth_log_alpha_lower(n, _logs(n)[0], parity, sharp=sharp).hi <= true_min.hi
     # sharp dominates the generic 0.5 log n floor
     for n in (150, 151, 100_000):
         parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
         assert (
-            growth_log_alpha_lower(n, parity, sharp=True).lo
-            > growth_log_alpha_lower(n, parity).hi
+            growth_log_alpha_lower(n, _logs(n)[0], parity, sharp=True).lo
+            > growth_log_alpha_lower(n, _logs(n)[0], parity).hi
         )
 
 

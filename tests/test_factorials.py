@@ -131,6 +131,13 @@ big_ints = st.one_of(
     st.integers(2, 2**70),
     st.integers(2**200, 2**4000),
     st.builds(lambda k, odd: (1 << k) * odd, st.integers(1, 60), odd_ints),
+    # nu_2 >= 64: the low 64 bits are all zero, so nu_2 comes from the whole
+    # term; odd parts up to 3^45000 (71 000 bits) reach the size test there
+    st.builds(lambda k, odd: (1 << k) * odd, st.sampled_from([64, 128]), odd_ints),
+    st.builds(lambda k, e, odd: (1 << k) * 3**e * odd, st.integers(63, 200),
+              st.integers(0, 45_000), odd_ints),
+    # negative before the drawn sign, so both signs meet every bump
+    st.integers(-(2**200), -3),
     st.builds(lambda k: math.factorial(k) * math.factorial(k // 2), st.integers(2, 300)),
 )
 

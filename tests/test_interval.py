@@ -11,6 +11,7 @@ from lucaspf.interval import (
     PREC_LADDER,
     Interval,
     euler_gamma,
+    exp_euler_gamma,
     log2,
     log_int,
     pi,
@@ -103,7 +104,8 @@ def test_from_str_is_the_libmp_parse(s, prec):
 
 
 @pytest.mark.parametrize("make", [lambda: log2(128), lambda: Interval.from_str("1.28", 128),
-                                  lambda: pi(128), lambda: euler_gamma(128)])
+                                  lambda: pi(128), lambda: euler_gamma(128),
+                                  lambda: exp_euler_gamma(128)])
 def test_cached_values_come_back_unchanged(make):
     before = _raw(make())
     x = make()
@@ -133,8 +135,15 @@ def test_log_of_nonpositive_rejected():
 def test_constants_contain_reference_values():
     with mp.workprec(200):
         assert euler_gamma(64).lo <= mp.euler <= euler_gamma(64).hi
+        assert exp_euler_gamma(64).lo <= mp.exp(mp.euler) <= exp_euler_gamma(64).hi
         assert pi(64).lo <= mp.pi <= pi(64).hi
         assert log2(64).lo <= mp.log(2) <= log2(64).hi
+
+
+@pytest.mark.parametrize("prec", PREC_LADDER)
+def test_exp_euler_gamma_is_the_exp_of_the_gamma_enclosure(prec):
+    # the cached value is the one phi_lower_rs used to compute on every call
+    assert _raw(exp_euler_gamma(prec)) == _raw(euler_gamma(prec).exp())
 
 
 def test_precision_refines_enclosures():
@@ -205,7 +214,8 @@ def test_operations_write_no_mpmath_precision():
         x = Interval.from_fraction(5, 3, 128)
         y = Interval.from_str("2.50637") + 2
         results = [x + y, x - y, 1 - x, x * y, x / y, 2 / x, -x, x**3, x.log(),
-                   x.exp(), x.sqrt(), log_int(3**90), log2(), pi(), euler_gamma()]
+                   x.exp(), x.sqrt(), log_int(3**90), log2(), pi(), euler_gamma(),
+                   exp_euler_gamma()]
         x.width()
     assert writes == []
     assert (mp.prec, iv.prec) == before

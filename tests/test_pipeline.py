@@ -1,6 +1,8 @@
 import bisect
 import dataclasses
+import json
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -122,6 +124,13 @@ def test_computed_thresholds_are_pinned(general_u, real_u, unit_u):
         "real": real_u.final_bound,
         "unit": unit_u.final_bound,
     }
+
+
+def test_reports_match_the_frozen_oracle(general_u, real_u, unit_u):
+    # the --json reports, frozen as CI diffs them byte for byte
+    oracle = Path(__file__).parent / "oracle"
+    for case, result in (("general", general_u), ("real", real_u), ("unit", unit_u)):
+        assert emit_report(result) == json.loads((oracle / f"bounds-{case}.json").read_text())
 
 
 @st.composite
@@ -325,6 +334,63 @@ def test_undecided_margin_raises_and_exits_3(capsys):
         assert precs == list(PREC_LADDER)
         assert cli_dispatch(["bounds", "--case", "unit", "--r", "1", "--s", "1"]) == 3
     assert "undecidable" in capsys.readouterr().err
+
+
+def _recorded_margins():
+    # patches _margin_parts to record (a, b, prec) of every evaluation
+    calls = []
+    margin_parts = pipeline._margin_parts
+
+    def record(cfg, n_lo, n_hi, prec):
+        calls.append((n_lo, n_hi, prec))
+        return margin_parts(cfg, n_lo, n_hi, prec)
+
+    return calls, mock.patch.object(pipeline, "_margin_parts", record)
+
+
+def test_ranges_are_decided_at_the_first_precision():
+    # a range undecided at 64 bits is halved, never escalated: only a single
+    # index climbs the precision ladder
+    for cfg, threshold in ((STAGE1, 15_028_725), (_row_for(_real_rows(1000), "even", 4), 248)):
+        calls, patch = _recorded_margins()
+        with patch:
+            assert find_threshold(cfg) == threshold
+        ranges = [(a, b, prec) for a, b, prec in calls if a < b]
+        assert ranges, cfg.name
+        assert all(prec == PREC_LADDER[0] for _, _, prec in ranges), cfg.name
+
+
+def test_one_margin_evaluation_takes_log_n_and_log_log_n_once():
+    lemma = _lemma_rows(1_851_039, 500_000, "stage4")
+    rows = [
+        (STAGE1, 1_000_000),
+        (pipeline._GENERAL_STAGES[1](15_028_725)[0], 3_700_002),
+        (_row_for(lemma, "even", 3), 38_234),
+        (_row_for(lemma, "odd", 3), 23_303),
+    ]
+    log = Interval.log
+    logs = []
+
+    def counted(self):
+        logs.append(self)
+        return log(self)
+
+    with mock.patch.object(Interval, "log", counted):
+        for cfg, n in rows:
+            for a, b, prec in ((n, n, 64), (n, n, 256), (n - 1000, n, 64)):
+                logs.clear()
+                pipeline._margin_parts(cfg, a, b, prec)
+                assert len(logs) == 2, (cfg.name, a, b, prec)
+
+
+def test_stage5_even_w6_evaluation_count_is_pinned():
+    # the row that sets the certified bound: its threshold is its own cap, so
+    # the scan checks the top index and every range bisected on the way to it
+    cfg = _row_for(pipeline._GENERAL_STAGES[4](267_212), "even", 6)
+    calls, patch = _recorded_margins()
+    with patch:
+        assert find_threshold(cfg) == 267_212
+    assert len(calls) == 18
 
 
 def test_find_threshold_on_empty_domain():
