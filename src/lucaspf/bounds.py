@@ -26,7 +26,7 @@ from typing import Optional
 from mpmath import mpf
 
 from .errors import DomainError
-from .interval import DEFAULT_PREC, Interval, exp_euler_gamma, log2, log_int
+from .interval import DEFAULT_PREC, Interval, exp_euler_gamma, log2, log_int, log_int_cached
 from .primes import nth_primes, primorial
 
 
@@ -52,6 +52,8 @@ class BoundContext:
     ``n`` encloses the index, [n, n] at a point or [a, b] over a range, and its
     precision is the working precision of every term built from it; ``logn``
     and ``loglogn`` enclose log n and log log n at that precision.
+    ``sieve_log`` encloses log(n - 1) for the refined sieve, None for the plain
+    one (see mn_upper_sieve_affine).
     """
 
     n: Interval
@@ -64,6 +66,7 @@ class BoundContext:
     # log of the divisor applied to |Phi_n| when bounding M_n from below;
     # log n is the conservative default, log max(3, P(n)) when justified.
     primitive_divisor_log: Interval
+    sieve_log: Optional[Interval]
 
     def __post_init__(self):
         if self.n.lo < 150:
@@ -276,13 +279,11 @@ def mn_lower_affine(
     raise DomainError(f"unknown variant {variant}")
 
 
-def mn_upper_sieve_affine(
-    ctx: BoundContext, refined: bool = False
-) -> tuple[Interval, Interval]:
+def mn_upper_sieve_affine(ctx: BoundContext) -> tuple[Interval, Interval]:
     """(C, D) with C * log|alpha| + D an upper bound for log M_n.
 
-    The sieve bound is (4 (1 + loglog n) / phi(n)) n log|alpha|.  With
-    ``refined`` the single guaranteed factorial argument >= n - 1 is
+    The sieve bound is (4 (1 + loglog n) / phi(n)) n log|alpha|.  With log(n-1)
+    in ``ctx.sieve_log`` the single guaranteed factorial argument >= n - 1 is
     accounted for, replacing n log|alpha| by n log|alpha| - (log(n-1) - 1).
 
     From logp_sum_upper: if U_n = +-prod m_i!, the primes of M_n are +-1 mod n
@@ -299,31 +300,31 @@ def mn_upper_sieve_affine(
     ni = ctx.n
     front = 4 * (1 + ctx.loglogn) / ctx.phi_lower
     c = front * ni
-    if refined:
-        return c, -front * ((ni - 1).log() - 1)
+    if ctx.sieve_log is not None:
+        return c, -front * (ctx.sieve_log - 1)
     return c, Interval.from_int(0, ctx.prec)
 
 
 # -- worst-case growth bounds for log|alpha| ----------------------------------
 
 
-def growth_log_alpha_lower(n, logn: Interval, parity: Parity, sharp: bool = False) -> Interval:
+def growth_log_alpha_lower(n, logn: Interval, parity: Parity,
+                           log_m: Optional[Interval]) -> Interval:
     """Minimum permitted log|alpha| when U_n is a factorial product.
 
-    The largest factorial argument is at least rn - 1 (r = 1 even, r = 2 odd)
-    so 2 |alpha|^n >= (rn - 1)!.  Default is the cascade's 0.5 log n; with
-    ``sharp`` the direct Stirling form (and the parity-aware 0.75/1.75
-    constants as a floor) is used.
+    The largest factorial argument is at least m = rn - 1 (r = 1 even, r = 2
+    odd) so 2 |alpha|^n >= m!.  With ``log_m`` None this is the cascade's
+    0.5 log n; given log m, the sharp bound: the direct Stirling form, with the
+    parity-aware 0.75/1.75 log n as a floor.
     """
     ni = Interval.coerce(n)
-    if not sharp:
+    if log_m is None:
         return logn / 2
     from .lucas import stirling_log_factorial_sqrt
 
-    r = 1 if parity is Parity.EVEN else 2
-    direct = (stirling_log_factorial_sqrt(r * ni - 1) - log2(ni.prec)) / ni
-    coeff = Interval.from_fraction(3 if parity is Parity.EVEN else 7, 4, ni.prec)
-    floor = coeff * logn
+    m = ni - 1 if parity is Parity.EVEN else 2 * ni - 1
+    direct = (stirling_log_factorial_sqrt(m, log_m) - log2(ni.prec)) / ni
+    floor = Interval.from_str("0.75" if parity is Parity.EVEN else "1.75", ni.prec) * logn
     if direct.lo >= floor.lo:
         return direct
     return floor
@@ -351,24 +352,16 @@ def unit_product_constant(prec: int = 256) -> Interval:
     return prod * tail
 
 
-def primitive_divisor_log_bound(n, omega: int, parity: Parity) -> Interval:
-    """Enclosure of log max(3, m / primorial(omega - 1)) over every integer m
-    in the enclosure n.
+def primitive_divisor_log_bound(logn: Interval, omega: int, parity: Parity) -> Interval:
+    """Enclosure of max(log 3, log n - log primorial(omega - 1)) over the
+    enclosure ``logn`` of log n, at its precision.
 
     For n with omega distinct prime factors, P(n) is at most n divided by the
     product of the omega - 1 smallest admissible primes, and the primitive
-    part of U_n is at least |Phi_n| / max(3, P(n)).
+    part of U_n is at least |Phi_n| / max(3, P(n)).  The logs of 3 and of the
+    primorial come from a cache, so the bound takes no log of its own.
     """
-    ni = Interval.coerce(n)
-    prec = ni.prec
+    prec = logn.prec
     denom = primorial(omega - 1, skip_two=parity is Parity.ODD)
-
-    def at(m: int) -> Interval:
-        if m >= 3 * denom:
-            return log_int(m, prec) - log_int(denom, prec)
-        return log_int(3, prec)
-
-    # the bound grows with m, so the end indices bound the range
-    lo, hi = math.floor(ni.lo), math.ceil(ni.hi)
-    lower = at(lo)
-    return lower if lo == hi else Interval(lower.lo, at(hi).hi, prec)
+    x, three = logn - log_int_cached(denom, prec), log_int_cached(3, prec)
+    return Interval(max(x.lo, three.lo), max(x.hi, three.hi), prec)

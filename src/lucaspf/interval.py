@@ -14,10 +14,10 @@ mpf endpoints with lo <= hi, ``from_int_range(a, b)`` wants a <= b, and
 constants) is a ``libmp`` interval or integer rounding, ordered by
 construction, and is wrapped as is without a second check.
 
-The parse of a decimal string and the constants log 2, Euler's gamma, e^gamma
-and pi do not depend on the index, so they are computed once per precision
-and kept in bounded caches as raw endpoint tuples; every call wraps them in a
-fresh Interval.
+The parse of a decimal string, the constants Euler's gamma, e^gamma, pi and
+log 2 pi, and the log of a small integer (``log_int_cached``) do not depend on
+the index, so they are computed once per precision and kept in bounded caches
+as raw endpoint tuples; every call wraps them in a fresh Interval.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ PREC_LADDER = (64, 128, 256, 512)
 
 # wraps a raw mpf tuple as is: no rounding, no context precision involved
 _mpf = mp.make_mpf
-# entries of each per-precision cache: a few dozen coefficient strings, or one
-# constant, at each precision of PREC_LADDER plus the occasional other one
+# entries of each per-precision cache: a few dozen strings or small-integer
+# logs, or one constant, at each precision of PREC_LADDER and a few others
 _CACHE_SIZE = 256
 
 
@@ -57,8 +57,15 @@ def _exp_euler_gamma_mpi(prec: int):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _log2_mpi(prec: int):
-    return libmp.mpi_log(_int_mpi(2, prec), prec)
+def _log_mpi(n: int, prec: int):
+    # as tight as log_int for n < 2^prec, and valid (if looser) above
+    return libmp.mpi_log(_int_mpi(n, prec), prec)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _log_2pi_mpi(prec: int):
+    two_pi = libmp.mpi_mul(_int_mpi(2, prec), _constant_mpi(libmp.mpf_pi, prec), prec)
+    return libmp.mpi_log(two_pi, prec)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -216,12 +223,17 @@ def log_int(n: int, prec: int = DEFAULT_PREC) -> Interval:
     )
     r = libmp.mpi_log(body, prec)
     if shift:
-        r = libmp.mpi_add(r, libmp.mpi_mul(_int_mpi(shift, prec), _log2_mpi(prec), prec), prec)
+        r = libmp.mpi_add(r, libmp.mpi_mul(_int_mpi(shift, prec), _log_mpi(2, prec), prec), prec)
     return Interval._from_mpi(r, prec)
 
 
+def log_int_cached(n: int, prec: int = DEFAULT_PREC) -> Interval:
+    """log_int(n) of a small n, from a bounded per-precision cache."""
+    return Interval._from_mpi(_log_mpi(n, prec), prec)
+
+
 def log2(prec: int = DEFAULT_PREC) -> Interval:
-    return Interval._from_mpi(_log2_mpi(prec), prec)
+    return Interval._from_mpi(_log_mpi(2, prec), prec)
 
 
 def euler_gamma(prec: int = DEFAULT_PREC) -> Interval:
@@ -234,3 +246,7 @@ def exp_euler_gamma(prec: int = DEFAULT_PREC) -> Interval:
 
 def pi(prec: int = DEFAULT_PREC) -> Interval:
     return Interval._from_mpi(_constant_mpi(libmp.mpf_pi, prec), prec)
+
+
+def log_2pi(prec: int = DEFAULT_PREC) -> Interval:
+    return Interval._from_mpi(_log_2pi_mpi(prec), prec)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
-from .interval import DEFAULT_PREC, Interval, pi
+from .interval import DEFAULT_PREC, Interval, log_2pi
 
 
 class SeqKind(str, Enum):
@@ -127,10 +127,12 @@ def iter_terms(p: LucasParams, kind: SeqKind, lo: int) -> Iterator[int]:
         x, y = y, r * y + s * x
 
 
-def stirling_log_factorial_sqrt(m) -> Interval:
+def stirling_log_factorial_sqrt(m, logm: Interval) -> Interval:
     """Enclosure of 0.5 log(2 pi m) + m (log m - 1) <= log m! (Robbins), at
-    the precision of the enclosure m."""
+    the precision of the enclosure m, as 0.5 log 2 pi + (m + 0.5) log m - m
+    from the enclosure ``logm`` of log m and the cached log 2 pi: no log taken."""
     mi = Interval.coerce(m)
     if mi.lo < 1:
         raise DomainError("m must be at least 1")
-    return (2 * pi(mi.prec) * mi).log() / 2 + mi * (mi.log() - 1)
+    half = Interval.from_str("0.5", mi.prec)
+    return half * log_2pi(mi.prec) + (mi + half) * logm - mi

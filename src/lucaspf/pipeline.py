@@ -22,14 +22,15 @@ raise the threshold.
 
 The general cascade is a table of five stages, each built from the threshold
 of the stage before.  The real and unit cases end with a sweep that checks
-each remaining index against the row of its exact parity and omega.
+each remaining index against the row of its exact parity and omega, in the
+real case only those that no row's scan certified against that same row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .bounds import (
     BoundContext,
@@ -45,7 +46,7 @@ from .bounds import (
 )
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
-from .interval import PREC_LADDER, Interval, log_int
+from .interval import PREC_LADDER, Interval, log_int_cached
 from .lucas import SeqKind
 from .primes import primorial
 
@@ -106,11 +107,12 @@ class CascadeResult:
 def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
     """The estimates of cfg over [n_lo, n_hi], chosen by its variant.
 
-    REAL_EQ5: the omega-prime totient product, the sharp growth bound and the
-    radical divisor bound (and, in _margin_parts, the refined sieve).
-    UNIT_EQ55: exact phi(n) and P(n) with the sharp growth bound.  Every
-    complex and lemma variant: the Rosser-Schoenfeld totient bound when omega
-    is None, else the product; the half-log growth bound; divisor n.
+    REAL_EQ5: the omega-prime totient product, the sharp growth bound, the
+    radical divisor bound and the refined sieve.  UNIT_EQ55: exact phi(n) and
+    P(n) with the sharp growth bound.  Every complex and lemma variant: the
+    Rosser-Schoenfeld totient bound when omega is None, else the product; the
+    half-log growth bound; divisor n.  The sharp rows take log(rn - 1) once
+    (r = 1 even, r = 2 odd), which on even rows is also the sieve's log(n - 1).
     """
     parity = Parity.EVEN if cfg.parity == "both" else Parity(cfg.parity)
     n = Interval.from_int_range(n_lo, n_hi, prec)
@@ -124,21 +126,24 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
             raise DomainError("exact phi(n) and P(n) are pointwise only")
         profile = arithmetic_profile(n_lo)
         phi = Interval.from_int(profile.phi, prec)
-        divisor = log_int(max(3, profile.largest_prime_factor), prec)
+        divisor = log_int_cached(max(3, profile.largest_prime_factor), prec)
     elif cfg.omega is None:
         phi = phi_lower_rs(n, loglogn)
     else:
         phi = phi_lower_omega(n, omega, parity)
 
-    sharp = cfg.variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55)
-    if sharp and cfg.parity == "both":
-        raise DomainError("the sharp growth bound is parity specific")
-    alpha = growth_log_alpha_lower(n, logn, parity, sharp=sharp)
+    log_m = sieve_log = None
+    if cfg.variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55):
+        if cfg.parity == "both":
+            raise DomainError("the sharp growth bound is parity specific")
+        log_m = (n - 1 if parity is Parity.EVEN else 2 * n - 1).log()
+    alpha = growth_log_alpha_lower(n, logn, parity, log_m)
 
     if cfg.variant is MnBoundVariant.REAL_EQ5:
-        divisor = primitive_divisor_log_bound(n, omega, parity)
+        divisor = primitive_divisor_log_bound(logn, omega, parity)
+        sieve_log = log_m if parity is Parity.EVEN else (n - 1).log()
 
-    return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, divisor)
+    return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, divisor, sieve_log)
 
 
 def _margin_parts(cfg: StageConfig, n_lo: int, n_hi: int, prec: int):
@@ -146,7 +151,7 @@ def _margin_parts(cfg: StageConfig, n_lo: int, n_hi: int, prec: int):
     evaluated at the minimal permitted log|alpha|."""
     ctx = _context(cfg, n_lo, n_hi, prec)
     a, b = mn_lower_affine(cfg.variant, ctx)
-    c, d = mn_upper_sieve_affine(ctx, refined=cfg.variant is MnBoundVariant.REAL_EQ5)
+    c, d = mn_upper_sieve_affine(ctx)
     slope = a - c
     margin = slope * ctx.log_alpha_lower + (b - d)
     return slope, margin
@@ -212,7 +217,7 @@ def _parity(n: int) -> str:
     return "odd" if n % 2 else "even"
 
 
-def _sweep(points: range, row: Callable[[int], StageConfig]) -> int:
+def _sweep(points: Sequence[int], row: Callable[[int], StageConfig]) -> int:
     """Largest n in points that row(n) fails to violate (NO_SURVIVOR if none),
     checked one index at a time from the top down."""
     for n in reversed(points):
@@ -234,7 +239,7 @@ def _scan(cfg: StageConfig, a: int, b: int) -> int:
         return NO_SURVIVOR
     if len(points) == 1:
         return _sweep(points, lambda n: cfg)
-    if _range_violated(cfg, a, b):
+    if _range_violated(cfg, points[0], points[-1]):
         return NO_SURVIVOR
     mid = (a + b) // 2
     upper = _scan(cfg, mid + 1, b)
@@ -434,15 +439,18 @@ def run_general_cascade(
 def run_real_cascade(
     kind: SeqKind = SeqKind.U, workers: int = 1, cap: int = 300_000
 ) -> CascadeResult:
-    """Per-(parity, omega) rows for real quadratic alpha, then the survivors
-    are checked with their true parity and omega."""
+    """Per-(parity, omega) rows for real quadratic alpha, then a sweep checks
+    the indices no row certified against the row of their true parity and
+    omega.  An index above its own row's threshold is skipped: it lies in that
+    row's scanned range (at least primorial(omega), at most the cap), which
+    certified it violated."""
     reports: list[BoundStageReport] = []
     rows = _real_rows(cap)
     row_max = _run_rows(rows, workers, reports)
-    final = _sweep(
-        range(151, row_max + 1),
-        lambda n: _row_for(rows, _parity(n), arithmetic_profile(n).omega),
-    )
+    threshold = {cfg: rep.computed for cfg, rep in zip(rows, reports)}
+    row_of = {n: _row_for(rows, _parity(n), arithmetic_profile(n).omega)
+              for n in range(151, row_max + 1)}
+    final = _sweep([n for n, cfg in row_of.items() if n <= threshold[cfg]], row_of.__getitem__)
     reports.append(_sweep_report("real-survivors", MnBoundVariant.REAL_EQ5, final, 210))
     return _finish("real", kind, reports, final, 210)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -51,6 +52,17 @@ def _logs(n):
     # arguments (pipeline._context takes each once per margin evaluation)
     logn = Interval.coerce(n).log()
     return logn, logn.log()
+
+
+def _sharp_growth(n, parity):
+    # the sharp growth bound takes log(rn - 1), r = 1 even and 2 odd, as an
+    # argument (pipeline._context takes it once per margin evaluation)
+    m = Interval.coerce(n) * (1 if parity is Parity.EVEN else 2) - 1
+    return growth_log_alpha_lower(n, _logs(n)[0], parity, m.log())
+
+
+def _stirling(m):
+    return stirling_log_factorial_sqrt(m, Interval.coerce(m).log())
 
 
 def test_phi_lower_rs_holds():
@@ -164,8 +176,13 @@ def _ctx(n, omega, parity, phi=None):
     logn, loglogn = _logs(n)
     if phi is None:
         phi = phi_lower_omega(n, omega, parity)
-    alpha = growth_log_alpha_lower(n, logn, parity)
-    return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, logn)
+    alpha = growth_log_alpha_lower(n, logn, parity, None)
+    return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, logn, None)
+
+
+def _refined(ctx):
+    # the context of a refined-sieve row carries log(n - 1)
+    return dataclasses.replace(ctx, sieve_log=(ctx.n - 1).log())
 
 
 def _exact_phi_ctx(n):
@@ -191,7 +208,7 @@ def test_sieve_form_carries_the_tail_of_logp_sum_upper():
         c, _ = mn_upper_sieve_affine(ctx)
         small = Interval.from_str("11.1" if n % 2 == 0 else "4.1") * log_int(3 * n) / (3 * n)
         tail = logp_sum_upper(m, n, ctx.parity) - small
-        assert (m * tail).hi <= (c / n * stirling_log_factorial_sqrt(m)).lo, (n, m)
+        assert (m * tail).hi <= (c / n * _stirling(m)).lo, (n, m)
 
 
 def test_refined_sieve_form_dominates_the_exact_primitive_content():
@@ -199,19 +216,19 @@ def test_refined_sieve_form_dominates_the_exact_primitive_content():
     # refined form for one factorial: C/n log m! + D
     table = sieve_upto(_SIEVE_LIMIT)
     for n, m in _SIEVE_GRID:
-        c, d = mn_upper_sieve_affine(_exact_phi_ctx(n), refined=True)
+        c, d = mn_upper_sieve_affine(_refined(_exact_phi_ctx(n)))
         content = Interval.from_int(0)
         for q in range(n - 1, m + 1, n):
             for p in (q, q + 2):
                 if p <= m and table[p]:
                     nu = sum(m // p**k for k in range(1, m.bit_length()) if p**k <= m)
                     content = content + nu * log_int(p)
-        assert content.hi <= (c / n * stirling_log_factorial_sqrt(m) + d).lo, (n, m)
+        assert content.hi <= (c / n * _stirling(m) + d).lo, (n, m)
 
 
 def test_refined_sieve_is_tighter():
     ctx = _ctx(1000, 3, Parity.EVEN)
-    (c, d), (c0, d0) = mn_upper_sieve_affine(ctx, refined=True), mn_upper_sieve_affine(ctx)
+    (c, d), (c0, d0) = mn_upper_sieve_affine(_refined(ctx)), mn_upper_sieve_affine(ctx)
     assert (c * ctx.log_alpha_lower + d).hi < (c0 * ctx.log_alpha_lower + d0).hi
 
 
@@ -225,12 +242,12 @@ _ESTIMATES = {
     "g_omega-w6": lambda n: lemma_coefficient(n, _logs(n)[0], 6, Parity.ODD),
     "h_omega-w3": lambda n: lemma_coefficient(n, _logs(n)[0], 3, Parity.EVEN),
     "h_omega-w7": lambda n: lemma_coefficient(n, _logs(n)[0], 7, Parity.EVEN),
-    "growth": lambda n: growth_log_alpha_lower(n, _logs(n)[0], Parity.ODD),
-    "growth-sharp-even": lambda n: growth_log_alpha_lower(n, _logs(n)[0], Parity.EVEN, sharp=True),
-    "growth-sharp-odd": lambda n: growth_log_alpha_lower(n, _logs(n)[0], Parity.ODD, sharp=True),
-    "divisor-w1": lambda n: primitive_divisor_log_bound(n, 1, Parity.EVEN),
-    "divisor-w4": lambda n: primitive_divisor_log_bound(n, 4, Parity.ODD),
-    "stirling": stirling_log_factorial_sqrt,
+    "growth": lambda n: growth_log_alpha_lower(n, _logs(n)[0], Parity.ODD, None),
+    "growth-sharp-even": lambda n: _sharp_growth(n, Parity.EVEN),
+    "growth-sharp-odd": lambda n: _sharp_growth(n, Parity.ODD),
+    "divisor-w1": lambda n: primitive_divisor_log_bound(_logs(n)[0], 1, Parity.EVEN),
+    "divisor-w4": lambda n: primitive_divisor_log_bound(_logs(n)[0], 4, Parity.ODD),
+    "stirling": _stirling,
 }
 
 
@@ -281,14 +298,14 @@ def test_growth_bound_is_below_true_requirement():
         parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
         r = 1 if parity is Parity.EVEN else 2
         true_min = (log_int(math.factorial(r * n - 1), 128) - log_int(2, 128)) / n
-        for sharp in (False, True):
-            assert growth_log_alpha_lower(n, _logs(n)[0], parity, sharp=sharp).hi <= true_min.hi
+        assert growth_log_alpha_lower(n, _logs(n)[0], parity, None).hi <= true_min.hi
+        assert _sharp_growth(n, parity).hi <= true_min.hi
     # sharp dominates the generic 0.5 log n floor
     for n in (150, 151, 100_000):
         parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
         assert (
-            growth_log_alpha_lower(n, _logs(n)[0], parity, sharp=True).lo
-            > growth_log_alpha_lower(n, _logs(n)[0], parity).hi
+            _sharp_growth(n, parity).lo
+            > growth_log_alpha_lower(n, _logs(n)[0], parity, None).hi
         )
 
 
@@ -301,7 +318,7 @@ def test_radical_divisor_bound():
     # and the interval form is an upper bound for log max(3, P(n))
     for n in (150, 151, 2310, 99990):
         parity = Parity.EVEN if n % 2 == 0 else Parity.ODD
-        bound = primitive_divisor_log_bound(n, OMEGA[n], parity)
+        bound = primitive_divisor_log_bound(log_int(n), OMEGA[n], parity)
         assert bound.hi >= log_int(max(3, LARGEST[n])).lo
 
 

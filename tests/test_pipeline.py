@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucaspf import pipeline
+from lucaspf import bounds, interval, pipeline
 from lucaspf.bounds import MnBoundVariant, mn_lower_affine, mn_upper_sieve_affine
+from lucaspf.cyclotomic import arithmetic_profile
 from lucaspf.cli import cli_dispatch
 from lucaspf.errors import DomainError, Undecidable
 from lucaspf.interval import PREC_LADDER, Interval
@@ -161,6 +162,8 @@ def test_scan_finds_the_largest_survivor(case):
 
     def range_violated(c, a, b):
         assert c is cfg and lo <= a <= b <= n_cap
+        # a range is evaluated between its first and last admissible index
+        assert parity == "both" or a % 2 == b % 2 == (parity == "odd")
         return b - a <= decided_width and not any_survivor(a, b)
 
     def point_violated(n, c):
@@ -381,6 +384,105 @@ def test_one_margin_evaluation_takes_log_n_and_log_log_n_once():
                 logs.clear()
                 pipeline._margin_parts(cfg, a, b, prec)
                 assert len(logs) == 2, (cfg.name, a, b, prec)
+
+
+def _logs_per_evaluation(cfg, a, b, prec):
+    # Interval.log and log_int calls of one margin evaluation, caches warm
+    pipeline._margin_parts(cfg, a, b, prec)
+    logs = []
+    log, log_int = Interval.log, interval.log_int
+
+    def counted_log(self):
+        logs.append(self)
+        return log(self)
+
+    def counted_log_int(n, prec=64):
+        logs.append(n)
+        return log_int(n, prec)
+
+    patches = [mock.patch.object(Interval, "log", counted_log)]
+    patches += [mock.patch.object(mod, "log_int", counted_log_int)
+                for mod in (interval, bounds, pipeline) if hasattr(mod, "log_int")]
+    for patch in patches:
+        patch.start()
+    try:
+        pipeline._margin_parts(cfg, a, b, prec)
+    finally:
+        for patch in patches:
+            patch.stop()
+    return len(logs)
+
+
+def test_sharp_margins_take_log_rn_minus_1_once():
+    # REAL_EQ5 takes log n, log log n and log(rn - 1), whose even form is the
+    # refined sieve's log(n - 1); odd rows take log(n - 1) on its own.
+    # UNIT_EQ55 takes log n, log log n and log(rn - 1).
+    real = _real_rows(300_000)
+    cases = [
+        (_row_for(real, "even", 4), (250, 250), (250, 300), 3),
+        (_row_for(real, "even", 6), (30_030, 30_030), (30_030, 31_000), 3),
+        (_row_for(real, "odd", 3), (315, 315), (301, 399), 4),
+        (_row_for(real, "odd", 5), (3_465, 3_465), (3_465, 4_001), 4),
+    ]
+    for cfg, point, span, most in cases:
+        for (a, b), prec in ((point, 64), (point, 256), (span, 64)):
+            assert _logs_per_evaluation(cfg, a, b, prec) <= most, (cfg.name, a, b, prec)
+    for n in (160, 197, 209, 210):
+        unit = StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, "odd" if n % 2 else "even",
+                           arithmetic_profile(n).omega, 150, n, 150)
+        for prec in (64, 256):
+            assert _logs_per_evaluation(unit, n, n, prec) <= 3, (n, prec)
+
+
+def _real_cascade_sweep():
+    # the points the survivor sweep of run_real_cascade is given, and the
+    # point checks it makes; the row scans come first
+    sweeps, checks = [], []
+    sweep, run_rows, violated = pipeline._sweep, pipeline._run_rows, pipeline.stage_violated
+
+    def rows_then_clear(*args):
+        found = run_rows(*args)
+        checks.clear()
+        return found
+
+    def record_sweep(points, row):
+        sweeps.append(list(points))
+        return sweep(points, row)
+
+    def record_check(n, cfg):
+        checks.append(n)
+        return violated(n, cfg)
+
+    with mock.patch.object(pipeline, "_run_rows", rows_then_clear), \
+            mock.patch.object(pipeline, "_sweep", record_sweep), \
+            mock.patch.object(pipeline, "stage_violated", record_check):
+        result = run_real_cascade()
+    assert result.final_bound == 210
+    return sweeps[-1], checks
+
+
+def test_real_survivor_sweep_makes_one_point_check():
+    _, checks = _real_cascade_sweep()
+    assert checks == [210]
+
+
+def test_real_sweep_skips_only_indices_their_row_certified(real_u):
+    swept, _ = _real_cascade_sweep()
+    rows = _real_rows(300_000)
+    # the sweep without the skip: every index up to the largest row
+    # threshold, against the row of its exact parity and omega
+    survivors, skipped = [], []
+    for n in range(151, 249):
+        cfg = _row_for(rows, "odd" if n % 2 else "even", arithmetic_profile(n).omega)
+        if not stage_violated(n, cfg):
+            survivors.append(n)
+        if n not in swept:
+            skipped.append(n)
+            assert stage_violated(n, cfg), n
+    assert max(survivors) == real_u.final_bound == 210
+    assert set(survivors) <= set(swept)
+    # every index above 210 that the old sweep checked is skipped
+    assert set(range(211, 249)) <= set(skipped)
 
 
 def test_stage5_even_w6_evaluation_count_is_pinned():
