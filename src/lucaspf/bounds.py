@@ -26,7 +26,7 @@ from typing import Optional
 from mpmath import mpf
 
 from .errors import DomainError
-from .interval import DEFAULT_PREC, Interval, exp_euler_gamma, log2, log_int, log_int_cached
+from .interval import DEFAULT_PREC, Interval, exp_euler_gamma, log2, log_int
 from .primes import nth_primes, primorial
 
 
@@ -309,21 +309,20 @@ def mn_upper_sieve_affine(ctx: BoundContext) -> tuple[Interval, Interval]:
 
 
 def growth_log_alpha_lower(n, logn: Interval, parity: Parity,
-                           log_m: Optional[Interval]) -> Interval:
+                           m_log: Optional[tuple[Interval, Interval]]) -> Interval:
     """Minimum permitted log|alpha| when U_n is a factorial product.
 
     The largest factorial argument is at least m = rn - 1 (r = 1 even, r = 2
-    odd) so 2 |alpha|^n >= m!.  With ``log_m`` None this is the cascade's
-    0.5 log n; given log m, the sharp bound: the direct Stirling form, with the
-    parity-aware 0.75/1.75 log n as a floor.
+    odd) so 2 |alpha|^n >= m!.  With ``m_log`` None this is the cascade's
+    0.5 log n; given the pair (m, log m), the sharp bound: the direct Stirling
+    form, with the parity-aware 0.75/1.75 log n as a floor.
     """
     ni = Interval.coerce(n)
-    if log_m is None:
+    if m_log is None:
         return logn / 2
     from .lucas import stirling_log_factorial_sqrt
 
-    m = ni - 1 if parity is Parity.EVEN else 2 * ni - 1
-    direct = (stirling_log_factorial_sqrt(m, log_m) - log2(ni.prec)) / ni
+    direct = (stirling_log_factorial_sqrt(*m_log) - log2(ni.prec)) / ni
     floor = Interval.from_str("0.75" if parity is Parity.EVEN else "1.75", ni.prec) * logn
     if direct.lo >= floor.lo:
         return direct
@@ -358,10 +357,10 @@ def primitive_divisor_log_bound(logn: Interval, omega: int, parity: Parity) -> I
 
     For n with omega distinct prime factors, P(n) is at most n divided by the
     product of the omega - 1 smallest admissible primes, and the primitive
-    part of U_n is at least |Phi_n| / max(3, P(n)).  The logs of 3 and of the
-    primorial come from a cache, so the bound takes no log of its own.
+    part of U_n is at least |Phi_n| / max(3, P(n)).  log_int caches the logs
+    of 3 and of the primorial, so the bound takes no log of its own.
     """
     prec = logn.prec
     denom = primorial(omega - 1, skip_two=parity is Parity.ODD)
-    x, three = logn - log_int_cached(denom, prec), log_int_cached(3, prec)
+    x, three = logn - log_int(denom, prec), log_int(3, prec)
     return Interval(max(x.lo, three.lo), max(x.hi, three.hi), prec)

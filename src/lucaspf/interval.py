@@ -15,9 +15,9 @@ constants) is a ``libmp`` interval or integer rounding, ordered by
 construction, and is wrapped as is without a second check.
 
 The parse of a decimal string, the constants Euler's gamma, e^gamma, pi and
-log 2 pi, and the log of a small integer (``log_int_cached``) do not depend on
-the index, so they are computed once per precision and kept in bounded caches
-as raw endpoint tuples; every call wraps them in a fresh Interval.
+log 2 pi, and the log of an integer below 2^prec (a primorial, a prime factor)
+are computed once per precision and kept in bounded caches as raw endpoint
+tuples; every call wraps them in a fresh Interval.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ PREC_LADDER = (64, 128, 256, 512)
 
 # wraps a raw mpf tuple as is: no rounding, no context precision involved
 _mpf = mp.make_mpf
-# entries of each per-precision cache: a few dozen strings or small-integer
-# logs, or one constant, at each precision of PREC_LADDER and a few others
+# entries of each per-precision cache: a few dozen strings or integer logs,
+# or one constant, at each precision of PREC_LADDER and a few others
 _CACHE_SIZE = 256
 
 
@@ -58,7 +58,6 @@ def _exp_euler_gamma_mpi(prec: int):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _log_mpi(n: int, prec: int):
-    # as tight as log_int for n < 2^prec, and valid (if looser) above
     return libmp.mpi_log(_int_mpi(n, prec), prec)
 
 
@@ -214,22 +213,17 @@ def log_int(n: int, prec: int = DEFAULT_PREC) -> Interval:
     """Enclosure of log(n) for a positive integer of any size."""
     if n <= 0:
         raise DomainError("log_int requires a positive integer")
-    shift = max(0, n.bit_length() - prec)
-    m = n >> shift
+    shift = n.bit_length() - prec
+    if shift <= 0:
+        # n is exact at prec: its log comes from the cache
+        return Interval._from_mpi(_log_mpi(n, prec), prec)
     # n lies in [m, m + 1) * 2^shift
-    body = (
-        libmp.from_int(m, prec, libmp.round_floor),
-        libmp.from_int(m + 1 if shift else m, prec, libmp.round_ceiling),
-    )
-    r = libmp.mpi_log(body, prec)
-    if shift:
-        r = libmp.mpi_add(r, libmp.mpi_mul(_int_mpi(shift, prec), _log_mpi(2, prec), prec), prec)
+    m = n >> shift
+    body = (libmp.from_int(m, prec, libmp.round_floor),
+            libmp.from_int(m + 1, prec, libmp.round_ceiling))
+    r = libmp.mpi_add(libmp.mpi_log(body, prec),
+                      libmp.mpi_mul(_int_mpi(shift, prec), _log_mpi(2, prec), prec), prec)
     return Interval._from_mpi(r, prec)
-
-
-def log_int_cached(n: int, prec: int = DEFAULT_PREC) -> Interval:
-    """log_int(n) of a small n, from a bounded per-precision cache."""
-    return Interval._from_mpi(_log_mpi(n, prec), prec)
 
 
 def log2(prec: int = DEFAULT_PREC) -> Interval:

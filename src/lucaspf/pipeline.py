@@ -46,7 +46,7 @@ from .bounds import (
 )
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
-from .interval import PREC_LADDER, Interval, log_int_cached
+from .interval import PREC_LADDER, Interval, log_int
 from .lucas import SeqKind
 from .primes import primorial
 
@@ -126,22 +126,23 @@ def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
             raise DomainError("exact phi(n) and P(n) are pointwise only")
         profile = arithmetic_profile(n_lo)
         phi = Interval.from_int(profile.phi, prec)
-        divisor = log_int_cached(max(3, profile.largest_prime_factor), prec)
+        divisor = log_int(max(3, profile.largest_prime_factor), prec)
     elif cfg.omega is None:
         phi = phi_lower_rs(n, loglogn)
     else:
         phi = phi_lower_omega(n, omega, parity)
 
-    log_m = sieve_log = None
+    m_log = sieve_log = None
     if cfg.variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55):
         if cfg.parity == "both":
             raise DomainError("the sharp growth bound is parity specific")
-        log_m = (n - 1 if parity is Parity.EVEN else 2 * n - 1).log()
-    alpha = growth_log_alpha_lower(n, logn, parity, log_m)
+        m = n - 1 if parity is Parity.EVEN else 2 * n - 1
+        m_log = (m, m.log())
+    alpha = growth_log_alpha_lower(n, logn, parity, m_log)
 
     if cfg.variant is MnBoundVariant.REAL_EQ5:
         divisor = primitive_divisor_log_bound(logn, omega, parity)
-        sieve_log = log_m if parity is Parity.EVEN else (n - 1).log()
+        sieve_log = m_log[1] if parity is Parity.EVEN else (n - 1).log()
 
     return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, divisor, sieve_log)
 

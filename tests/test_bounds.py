@@ -55,10 +55,10 @@ def _logs(n):
 
 
 def _sharp_growth(n, parity):
-    # the sharp growth bound takes log(rn - 1), r = 1 even and 2 odd, as an
+    # the sharp growth bound takes m = rn - 1, r = 1 even and 2 odd, and log m as an
     # argument (pipeline._context takes it once per margin evaluation)
     m = Interval.coerce(n) * (1 if parity is Parity.EVEN else 2) - 1
-    return growth_log_alpha_lower(n, _logs(n)[0], parity, m.log())
+    return growth_log_alpha_lower(n, _logs(n)[0], parity, (m, m.log()))
 
 
 def _stirling(m):

@@ -15,7 +15,6 @@ from lucaspf.interval import (
     log2,
     log_2pi,
     log_int,
-    log_int_cached,
     pi,
 )
 
@@ -108,7 +107,7 @@ def test_from_str_is_the_libmp_parse(s, prec):
 @pytest.mark.parametrize("make", [lambda: log2(128), lambda: Interval.from_str("1.28", 128),
                                   lambda: pi(128), lambda: euler_gamma(128),
                                   lambda: exp_euler_gamma(128), lambda: log_2pi(128),
-                                  lambda: log_int_cached(15015, 128)])
+                                  lambda: log_int(15015, 128)])
 def test_cached_values_come_back_unchanged(make):
     before = _raw(make())
     x = make()
@@ -142,16 +141,6 @@ def test_constants_contain_reference_values():
         assert pi(64).lo <= mp.pi <= pi(64).hi
         assert log2(64).lo <= mp.log(2) <= log2(64).hi
         assert log_2pi(64).lo <= mp.log(2 * mp.pi) <= log_2pi(64).hi
-
-
-@pytest.mark.parametrize("prec", PREC_LADDER)
-def test_cached_log_of_a_small_integer_is_log_int(prec):
-    for n in (1, 2, 3, 1155, 15015, 30030, 211, 2**prec - 1):
-        for _ in range(2):  # the first call fills the cache, the second reads it
-            assert _raw(log_int_cached(n, prec)) == _raw(log_int(n, prec)), n
-    # above 2^prec the cached form is looser than log_int but still encloses
-    big, tight = 3**200, log_int(3**200, 512)
-    assert log_int_cached(big).lo <= tight.lo <= tight.hi <= log_int_cached(big).hi
 
 
 @pytest.mark.parametrize("prec", PREC_LADDER)
@@ -229,7 +218,7 @@ def test_operations_write_no_mpmath_precision():
         y = Interval.from_str("2.50637") + 2
         results = [x + y, x - y, 1 - x, x * y, x / y, 2 / x, -x, x**3, x.log(),
                    x.exp(), x.sqrt(), log_int(3**90), log2(), pi(), euler_gamma(),
-                   exp_euler_gamma(), log_2pi(), log_int_cached(77)]
+                   exp_euler_gamma(), log_2pi(), log_int(77)]
         x.width()
     assert writes == []
     assert (mp.prec, iv.prec) == before

@@ -8,8 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
-from lucaspf import bounds, interval, pipeline
+from lucaspf import pipeline
 from lucaspf.bounds import MnBoundVariant, mn_lower_affine, mn_upper_sieve_affine
 from lucaspf.cyclotomic import arithmetic_profile
 from lucaspf.cli import cli_dispatch
@@ -387,29 +388,18 @@ def test_one_margin_evaluation_takes_log_n_and_log_log_n_once():
 
 
 def _logs_per_evaluation(cfg, a, b, prec):
-    # Interval.log and log_int calls of one margin evaluation, caches warm
+    # logs one margin evaluation takes with the caches warm: every log, from
+    # Interval.log, log_int or a cache fill, is one libmp.mpi_log call
     pipeline._margin_parts(cfg, a, b, prec)
     logs = []
-    log, log_int = Interval.log, interval.log_int
+    mpi_log = libmp.mpi_log
 
-    def counted_log(self):
-        logs.append(self)
-        return log(self)
+    def counted(x, prec):
+        logs.append(x)
+        return mpi_log(x, prec)
 
-    def counted_log_int(n, prec=64):
-        logs.append(n)
-        return log_int(n, prec)
-
-    patches = [mock.patch.object(Interval, "log", counted_log)]
-    patches += [mock.patch.object(mod, "log_int", counted_log_int)
-                for mod in (interval, bounds, pipeline) if hasattr(mod, "log_int")]
-    for patch in patches:
-        patch.start()
-    try:
+    with mock.patch.object(libmp, "mpi_log", counted):
         pipeline._margin_parts(cfg, a, b, prec)
-    finally:
-        for patch in patches:
-            patch.stop()
     return len(logs)
 
 
