@@ -11,6 +11,7 @@ cascade's lower bounds for log M_n are audited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, NonIntegerResult
 from .lucas import LucasParams, u_at
@@ -43,6 +44,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# the cascades read the profile of an index in [151, 248] more than once: to
+# pick its row, and again in its unit-case margin
+@lru_cache(maxsize=512)
 def arithmetic_profile(n: int) -> ArithmeticProfile:
     if n < 2:
         raise DomainError("n must be >= 2")

@@ -21,9 +21,11 @@ point-checked; below the first survivor nothing is evaluated, since it cannot
 raise the threshold.
 
 The general cascade is a table of five stages, each built from the threshold
-of the stage before.  The real and unit cases end with a sweep that checks
-each remaining index against the row of its exact parity and omega, in the
-real case only those that no row's scan certified against that same row.
+of the stage before; a row that repeats the verdict of a row scanned earlier
+takes that row's threshold when its cap allows.  The real and unit cases end
+with a sweep that checks each remaining index against the row of its exact
+parity and omega, in the real case only those that no row's scan certified
+against that same row.
 """
 
 from __future__ import annotations
@@ -170,9 +172,11 @@ def _verdict(cfg: StageConfig, a: int, b: int, precs: tuple[int, ...]) -> Option
     """
     for prec in precs:
         slope, margin = _margin_parts(cfg, a, b, prec)
-        if margin.lo > 0 and slope.lo >= 0:
+        # decided on the signs of the raw endpoints: no mpf is built
+        (slope_lo, slope_hi), (margin_lo, margin_hi) = slope.signs(), margin.signs()
+        if margin_lo > 0 and slope_lo >= 0:
             return True
-        if margin.hi <= 0 or slope.hi < 0:
+        if margin_hi <= 0 or slope_hi < 0:
             return False
     return None
 
@@ -307,21 +311,47 @@ def _check_coverage(rows: list[StageConfig]) -> None:
             )
 
 
+def _verdict_key(cfg: StageConfig) -> tuple:
+    # what a row's scan reads besides its cap: the fields of the verdict and
+    # the floor the scan starts from
+    return cfg.variant, cfg.parity, cfg.omega, cfg.n_floor
+
+
 def _run_rows(
-    rows: list[StageConfig], workers: int, reports: list[BoundStageReport]
+    rows: list[StageConfig],
+    workers: int,
+    reports: list[BoundStageReport],
+    scanned: dict[tuple, tuple[int, int]],
 ) -> int:
     """Scan independent rows, append their reports in row order and return the
-    largest threshold.  With workers > 1 the rows share a pool of processes."""
+    largest threshold.  With workers > 1 the rows share a pool of processes.
+
+    ``scanned`` maps a row's verdict key to (cap, threshold) of its last scan
+    and gains an entry per scan.  A row with the key of an earlier scan whose
+    threshold t and cap C satisfy t <= n_cap <= C takes t without a scan: the
+    verdicts are the same at every index, that scan certified every admissible
+    index in (t, C] violated and point-checked t, so t is also the largest
+    survivor up to n_cap.
+    """
     if workers < 1:
         raise DomainError("workers must be positive")
     _check_coverage(rows)
-    if workers > 1 and len(rows) > 1:
-        with get_context("fork").Pool(min(workers, len(rows))) as pool:
-            found = pool.map(_threshold_job, rows, chunksize=1)
+    found = {}
+    for cfg in rows:
+        earlier = scanned.get(_verdict_key(cfg))
+        if earlier is not None and earlier[1] <= cfg.n_cap <= earlier[0]:
+            found[cfg] = earlier[1]
+    todo = [cfg for cfg in rows if cfg not in found]
+    if workers > 1 and len(todo) > 1:
+        with get_context("fork").Pool(min(workers, len(todo))) as pool:
+            thresholds = pool.map(_threshold_job, todo, chunksize=1)
     else:
-        found = [find_threshold(cfg, workers) for cfg in rows]
-    reports.extend(_report(cfg, t) for cfg, t in zip(rows, found))
-    return max(found, default=NO_SURVIVOR)
+        thresholds = [find_threshold(cfg, workers) for cfg in todo]
+    for cfg, t in zip(todo, thresholds):
+        found[cfg] = t
+        scanned[_verdict_key(cfg)] = cfg.n_cap, t
+    reports.extend(_report(cfg, found[cfg]) for cfg in rows)
+    return max(found.values(), default=NO_SURVIVOR)
 
 
 def _halve(result: CascadeResult) -> CascadeResult:
@@ -429,11 +459,21 @@ _GENERAL_STAGES: tuple[Callable[[int], list[StageConfig]], ...] = (
 def run_general_cascade(
     kind: SeqKind = SeqKind.U, workers: int = 1
 ) -> CascadeResult:
-    """The five-stage reduction for arbitrary nondegenerate parameters."""
+    """The five-stage reduction for arbitrary nondegenerate parameters.
+
+    A row whose verdict key (variant, parity, omega, n_floor) an earlier stage
+    already scanned up to a cap C, with threshold t, takes t without a scan
+    when t <= its own cap <= C (see _run_rows).  This is sound because a
+    verdict never reads a row's cap: the earlier scan certified the same
+    inequality at every admissible index in (t, C].  Every stage-5 row, and
+    stage4-even-w7 after stage3-even-w7, is settled this way, so 16 of the 29
+    rows are scanned.
+    """
     reports: list[BoundStageReport] = []
+    scanned: dict[tuple, tuple[int, int]] = {}
     cap = _SCAN_CEILING
     for stage in _GENERAL_STAGES:
-        cap = _run_rows(stage(cap), workers, reports)
+        cap = _run_rows(stage(cap), workers, reports, scanned)
     return _finish("general", kind, reports, cap, 300_000)
 
 
@@ -447,7 +487,7 @@ def run_real_cascade(
     certified it violated."""
     reports: list[BoundStageReport] = []
     rows = _real_rows(cap)
-    row_max = _run_rows(rows, workers, reports)
+    row_max = _run_rows(rows, workers, reports, {})
     threshold = {cfg: rep.computed for cfg, rep in zip(rows, reports)}
     row_of = {n: _row_for(rows, _parity(n), arithmetic_profile(n).omega)
               for n in range(151, row_max + 1)}

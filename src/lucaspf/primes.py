@@ -6,6 +6,8 @@ candidate is tested by trial division against the primes already found.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError
 
 
@@ -23,6 +25,8 @@ def nth_primes(k: int, skip_two: bool = False) -> list[int]:
     return out
 
 
+# the cascade asks for k <= 9 at either parity, once per margin evaluation
+@lru_cache(maxsize=64)
 def primorial(k: int, skip_two: bool = False) -> int:
     """Product of the first k primes (of the allowed set)."""
     out = 1

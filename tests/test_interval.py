@@ -1,12 +1,14 @@
+import pickle
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import iv, libmp, mp, mpf
 
-from lucaspf import bounds, interval
+from lucaspf import bounds, cyclotomic, interval, pipeline, primes
 from lucaspf.errors import DomainError
+from lucaspf.lucas import validate_params
 from lucaspf.interval import (
     PREC_LADDER,
     Interval,
@@ -115,14 +117,16 @@ def test_cached_values_come_back_unchanged(make):
     -x
     x + 1
     x - x
-    x.lo, x.hi = x.hi + 1, x.hi + 2  # even writing to a returned object
+    with pytest.raises(AttributeError):  # the endpoints are read-only
+        x.lo, x.hi = x.hi + 1, x.hi + 2
     assert _raw(make()) == before
 
 
 def test_caches_are_bounded():
-    caches = [f for mod in (interval, bounds) for f in vars(mod).values()
+    caches = [f for mod in (interval, bounds, cyclotomic, primes) for f in vars(mod).values()
               if hasattr(f, "cache_info")]
-    assert len(caches) >= 4
+    assert len(caches) >= 6
+    assert cyclotomic.arithmetic_profile in caches and primes.primorial in caches
     for f in caches:
         assert f.cache_info().maxsize is not None, f.__name__
 
@@ -237,3 +241,133 @@ def test_certainly_comparisons_need_separation():
 def test_exp_log_roundtrip_contains_input(n):
     enc = log_int(n, 64).exp()
     assert enc.lo <= n <= enc.hi
+
+
+
+# -- the lean core: the same libmp call as a direct one, bit for bit -----------
+
+
+def _mpi_int(n, prec):
+    return libmp.from_int(n, prec, libmp.round_floor), libmp.from_int(n, prec, libmp.round_ceiling)
+
+
+def _mpi_operand(y, prec):
+    # the raw enclosure of an operand at prec, built from libmp alone
+    if isinstance(y, Interval):
+        return y.lo._mpf_, y.hi._mpf_
+    if isinstance(y, Fraction):
+        return libmp.mpi_div(_mpi_int(y.numerator, prec), _mpi_int(y.denominator, prec), prec)
+    return _mpi_int(y, prec)
+
+
+precs = st.sampled_from(PREC_LADDER)
+rationals = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+
+
+@st.composite
+def intervals(draw, positive=False):
+    # a quotient, a log or an integer range, at a precision of the ladder;
+    # every one is positive when asked for
+    prec, q = draw(precs), draw(rationals)
+    if positive:
+        q = abs(q) + 1
+    kind = draw(st.sampled_from(("fraction", "log", "range")))
+    if kind == "log":
+        return log_int(abs(q.numerator) + 2, prec)
+    if kind == "range":
+        a = q.numerator // q.denominator
+        return Interval.from_int_range(a, a + draw(st.integers(0, 10**6)), prec)
+    return Interval.from_fraction(q.numerator, q.denominator, prec)
+
+
+# (operation, libmp call, whether the drawn operand comes first)
+_BINARY = [
+    (lambda x, y: x + y, libmp.mpi_add, False),
+    (lambda x, y: y + x, libmp.mpi_add, True),
+    (lambda x, y: x - y, libmp.mpi_sub, False),
+    (lambda x, y: y - x, libmp.mpi_sub, True),
+    (lambda x, y: x * y, libmp.mpi_mul, False),
+    (lambda x, y: y * x, libmp.mpi_mul, True),
+    (lambda x, y: x / y, libmp.mpi_div, False),
+    (lambda x, y: y / x, libmp.mpi_div, True),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), st.one_of(intervals(), st.integers(-(10**30), 10**30), rationals))
+def test_binary_operators_are_the_direct_libmp_call(x, y):
+    # an int or Fraction is enclosed at x's precision; two Intervals meet at
+    # the larger of their precisions, which covers every mixed pair
+    prec = max(x.prec, y.prec) if isinstance(y, Interval) else x.prec
+    xm, ym = _mpi_operand(x, prec), _mpi_operand(y, prec)
+    for op, f, y_first in _BINARY:
+        expected = f(ym, xm, prec) if y_first else f(xm, ym, prec)
+        assert _raw(op(x, y)) == (*expected, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals(positive=True), st.integers(-3, 6))
+def test_unary_operations_are_the_direct_libmp_call(x, k):
+    prec = x.prec
+    xm = _mpi_operand(x, prec)
+    assert _raw(-x) == (*libmp.mpi_neg(xm), prec)
+    assert _raw(x.log()) == (*libmp.mpi_log(xm, prec), prec)
+    assert _raw(x.sqrt()) == (*libmp.mpi_sqrt(xm, prec), prec)
+    assert _raw(x**k) == (*libmp.mpi_pow_int(xm, k, prec), prec)
+    assert _raw((-x) ** k) == (*libmp.mpi_pow_int(libmp.mpi_neg(xm), k, prec), prec)
+    small = log_int(abs(int(x.lo)) + 2, prec)  # exp of a log stays small
+    assert _raw(small.exp()) == (*libmp.mpi_exp(_mpi_operand(small, prec), prec), prec)
+    assert _raw(Interval(x.lo, x.hi, prec)) == _raw(x)
+
+
+def test_domain_checks_read_the_sign_of_the_lower_endpoint():
+    zero = Interval.from_int(0)
+    assert _raw(zero.sqrt()) == (libmp.fzero, libmp.fzero, 64)
+    with pytest.raises(DomainError):
+        zero.log()
+    with pytest.raises(DomainError):
+        (zero - 1).sqrt()
+    assert zero.signs() == (0, 0)
+    assert Interval.from_int_range(-1, 1).signs() == (-1, 1)
+    assert (-log_int(3)).signs() == (-1, -1)
+
+
+def test_intervals_survive_pickling():
+    # the search and cascade pools pickle LucasParams, which holds one
+    for x in (log_int(10**40 + 1, 128), -Interval.from_fraction(1, 3), Interval.from_int(0)):
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is Interval and _raw(y) == _raw(x)
+    params = validate_params(3, -5)
+    back = pickle.loads(pickle.dumps(params))
+    assert (back.r, back.s, back.delta) == (params.r, params.s, params.delta)
+    assert _raw(back.alpha_abs_log) == _raw(params.alpha_abs_log)
+
+
+def test_intervals_are_immutable():
+    x = log_int(7, 64)
+    before = _raw(x)
+    for name in ("lo", "hi", "prec"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert _raw(x) == before
+
+
+def test_a_verdict_builds_almost_no_mpf():
+    # an mpf endpoint is built only where a caller reads one: a 64-bit verdict
+    # on the row that sets the certified bound decides on raw endpoint signs
+    cfg = pipeline._row_for(pipeline._lemma_rows(1_851_039, 500_000, "stage4"), "even", 6)
+    make = interval._mpf
+    built = []
+
+    def counted(v):
+        built.append(v)
+        return make(v)
+
+    for a, b in ((267_212, 267_212), (267_214, 300_000)):
+        pipeline._verdict(cfg, a, b, PREC_LADDER[:1])  # fills the caches
+        built.clear()
+        with mock.patch.object(interval, "_mpf", counted):
+            pipeline._verdict(cfg, a, b, PREC_LADDER[:1])
+        assert len(built) <= 4, (a, b, len(built))

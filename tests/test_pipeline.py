@@ -1,4 +1,5 @@
 import bisect
+import collections
 import dataclasses
 import json
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from lucaspf import pipeline
+from lucaspf import cyclotomic, pipeline, primes
 from lucaspf.bounds import MnBoundVariant, mn_lower_affine, mn_upper_sieve_affine
 from lucaspf.cyclotomic import arithmetic_profile
 from lucaspf.cli import cli_dispatch
@@ -25,6 +26,7 @@ from lucaspf.pipeline import (
     _lemma_rows,
     _real_rows,
     _row_for,
+    _run_rows,
     emit_report,
     find_threshold,
     run_general_cascade,
@@ -483,6 +485,75 @@ def test_stage5_even_w6_evaluation_count_is_pinned():
     with patch:
         assert find_threshold(cfg) == 267_212
     assert len(calls) == 18
+
+
+def _recorded_scans():
+    # patches find_threshold to record the name of every row it scans
+    names = []
+    scan = pipeline.find_threshold
+
+    def record(cfg, workers=1):
+        names.append(cfg.name)
+        return scan(cfg, workers)
+
+    return names, mock.patch.object(pipeline, "find_threshold", record)
+
+
+def test_general_cascade_scans_16_of_its_29_rows():
+    # every stage-5 row, and stage4-even-w7 (the key of stage3-even-w7), takes
+    # the threshold of an earlier scan of the same verdict key
+    names, patch = _recorded_scans()
+    with patch:
+        result = run_general_cascade()
+    assert len(names) == 16 and len(result.stages) == 29
+    assert not [n for n in names if n.startswith("stage5")] and "stage4-even-w7" not in names
+    oracle = Path(__file__).parent / "oracle" / "bounds-general.json"
+    assert emit_report(result) == json.loads(oracle.read_text())
+
+
+def test_a_row_reuses_an_earlier_scan_only_up_to_its_cap():
+    scanned = {}
+    _run_rows(_real_rows(1000), 1, [], scanned)
+    all_rows = [cfg.name for cfg in _real_rows(2000)]
+    # real-even-w4 survives at 248: a cap of 240 lies below that threshold,
+    # and a cap of 2000 above the earlier scans' cap
+    for cap, rescanned in ((600, []), (240, ["real-even-w4"]), (2000, all_rows)):
+        rows, reports = _real_rows(cap), []
+        names, patch = _recorded_scans()
+        with patch:
+            _run_rows(rows, 1, reports, dict(scanned))
+        assert names == rescanned, cap
+        assert [r.computed for r in reports] == [find_threshold(cfg) for cfg in rows], cap
+
+
+def test_unit_case_factorizes_each_index_once(fib_params):
+    cyclotomic.arithmetic_profile.cache_clear()
+    factorize = cyclotomic.factorize
+    seen = []
+
+    def record(n):
+        seen.append(n)
+        return factorize(n)
+
+    with mock.patch.object(cyclotomic, "factorize", record):
+        assert run_unit_case(fib_params).final_bound == 150
+    assert sorted(seen) == list(range(151, 211))
+
+
+def test_real_cascade_builds_each_prime_list_once():
+    # primorial is cached, so the divisor bound of a REAL_EQ5 margin no longer
+    # rebuilds its prime list
+    primorial.cache_clear()
+    nth_primes = primes.nth_primes
+    calls = collections.Counter()
+
+    def record(k, skip_two=False):
+        calls[k, skip_two] += 1
+        return nth_primes(k, skip_two)
+
+    with mock.patch.object(primes, "nth_primes", record):
+        assert run_real_cascade().final_bound == 210
+    assert calls and max(calls.values()) == 1
 
 
 def test_find_threshold_on_empty_domain():
