@@ -69,7 +69,7 @@ class BoundContext:
     sieve_log: Optional[Interval]
 
     def __post_init__(self):
-        if self.n.lo < 150:
+        if not self.n.certainly_ge(150):
             raise DomainError("the cascade's standing assumption is n >= 150")
 
     # prec and n_range are derived from n; perfbench/tracer.py reads both
@@ -89,7 +89,7 @@ class BoundContext:
 def phi_lower_rs(n, loglogn: Interval) -> Interval:
     """n / (e^gamma loglog n + 2.50637 / loglog n), a lower bound of phi(n)."""
     ni = Interval.coerce(n)
-    if ni.lo < 3:
+    if not ni.certainly_ge(3):
         raise DomainError("n must be >= 3")
     denom = exp_euler_gamma(ni.prec) * loglogn + Interval.from_str("2.50637", ni.prec) / loglogn
     return ni / denom
@@ -119,7 +119,7 @@ def _totient_fraction(omega: int, parity: Parity) -> Fraction:
 def omega_upper(n, logn: Interval, loglogn: Interval) -> int:
     """Certified upper bound for omega(n) via 1.3841 log n / loglog n."""
     ni = Interval.coerce(n)
-    if ni.lo < 26:
+    if not ni.certainly_ge(26):
         raise DomainError("the explicit omega bound needs n >= 26")
     val = Interval.from_str("1.3841", ni.prec) * logn / loglogn
     return math.floor(val.hi)
@@ -189,8 +189,10 @@ def voutier_pair_lower(
 # g_w (odd n, w <= 6) and h_w (even n, w <= 7) are 73 (a L^2 - b L + c) + c1 n + c0,
 # with L = log n for g and L = log(n/2) for h.  The quadratic (a, b, c) depends on
 # omega alone; the linear tail (c1, c0) is keyed by (parity, omega) and is zero
-# where absent.  Every coefficient is a string, enclosed outward at the working
-# precision.
+# where absent.  Every coefficient is a string: an exact decimal or fraction.
+# A margin evaluation takes the quadratic in Horner form, (A L - B) L + C, with
+# A = 73a, B = 73b and C = 73c + c0 enclosed outward once per precision from
+# their exact rational values, and c1 cached with them (see _lemma_constants).
 LEMMA_QUADRATIC = {
     1: ("1", "0", "0"),
     2: ("1", "0", "0"),
@@ -214,9 +216,32 @@ VOUTIER_QUADRATIC = {
 }
 
 
-def _quadratic(logx: Interval, coeffs: tuple[str, str, str]) -> Interval:
-    a, b, c = (Interval.from_str(x, logx.prec) for x in coeffs)
-    return a * logx**2 - b * logx + c
+def _horner(coeffs: tuple[str, str, str], c0: str, prec: int) -> tuple[Interval, ...]:
+    # (A, B, C) = (73a, 73b, 73c + c0), each enclosed once from its exact value
+    a, b, c = (Fraction(x) for x in coeffs)
+    return tuple(Interval.from_fraction(x.numerator, x.denominator, prec)
+                 for x in (73 * a, 73 * b, 73 * c + Fraction(c0)))
+
+
+# each cache below holds a few dozen entries at each precision of the ladder
+@lru_cache(maxsize=256)
+def _lemma_constants(omega: int, parity: Parity, prec: int) -> tuple[Optional[Interval], ...]:
+    # (A, B, C, c1) of g_w or h_w; c1 is None where the table has no linear tail
+    c1, c0 = LEMMA_TAIL.get((parity, omega), (None, "0"))
+    return (*_horner(LEMMA_QUADRATIC[omega], c0, prec),
+            None if c1 is None else Interval.from_str(c1, prec))
+
+
+@lru_cache(maxsize=64)
+def _voutier_constants(variant: MnBoundVariant, prec: int) -> tuple[Interval, ...]:
+    # (A, B, C) of 73 f(L) + 1: the 1 is the one that phi(n) - 1 subtracts
+    return _horner(VOUTIER_QUADRATIC[variant], "1", prec)
+
+
+@lru_cache(maxsize=256)
+def _log2_times(k: int, prec: int) -> Interval:
+    """2^k log 2 (k may be negative), enclosed once per precision."""
+    return log2(prec) * Fraction(2) ** k
 
 
 def lemma_coefficient(n, logn: Interval, omega: int, parity: Parity) -> Interval:
@@ -226,13 +251,10 @@ def lemma_coefficient(n, logn: Interval, omega: int, parity: Parity) -> Interval
     if not 1 <= omega <= max_omega:
         raise DomainError(f"{parity.value} n has omega <= {max_omega} in the cascade's regime")
     ni = Interval.coerce(n)
+    a, b, c, c1 = _lemma_constants(omega, parity, ni.prec)
     logx = logn if parity is Parity.ODD else logn - log2(ni.prec)
-    value = 73 * _quadratic(logx, LEMMA_QUADRATIC[omega])
-    tail = LEMMA_TAIL.get((parity, omega))
-    if tail is None:
-        return value
-    c1, c0 = (Interval.from_str(c, ni.prec) for c in tail)
-    return value + c1 * ni + c0
+    value = (a * logx - b) * logx + c
+    return value if c1 is None else value + c1 * ni
 
 
 # -- certified lower bounds for log M_n ---------------------------------------
@@ -241,40 +263,45 @@ def lemma_coefficient(n, logn: Interval, omega: int, parity: Parity) -> Interval
 def mn_lower_affine(
     variant: MnBoundVariant, ctx: BoundContext
 ) -> tuple[Interval, Interval]:
-    """(A, B) with mn_lower = A * log|alpha| + B; used for slope certification."""
+    """(A, B) with mn_lower = A * log|alpha| + B; used for slope certification.
+
+    The terms that depend on the row alone come from per-precision caches or
+    are int and fraction operands, which the interval layer encloses once per
+    precision: no evaluation does Fraction arithmetic."""
     ln = ctx.logn
     phi = ctx.phi_lower
     w = ctx.omega_assumed
     p = ctx.prec
-    two = 2 ** (w - 1)
     if variant is MnBoundVariant.REAL_EQ5:
-        return phi - two, -(two * log2(p)) - ctx.primitive_divisor_log
+        return phi - 2 ** (w - 1), -_log2_times(w - 1, p) - ctx.primitive_divisor_log
     if variant is MnBoundVariant.UNIT_EQ55:
         return phi, -Interval.from_str("1.28", p) - ctx.primitive_divisor_log
     if variant is MnBoundVariant.COMPLEX_TRIVIAL_F:
         return (
-            phi - 1 - two * 73 * ln**2,
-            -(two * log2(p)) - ctx.primitive_divisor_log,
+            phi - 1 - 2 ** (w - 1) * 73 * ln**2,
+            -_log2_times(w - 1, p) - ctx.primitive_divisor_log,
         )
     if variant in (MnBoundVariant.COMPLEX_VOUTIER128, MnBoundVariant.COMPLEX_VOUTIER64):
+        a, b, c = _voutier_constants(variant, p)
         return (
-            phi - 1 - 73 * _quadratic(ln, VOUTIER_QUADRATIC[variant]),
-            -(two * log2(p)) - ctx.primitive_divisor_log,
+            phi - ((a * ln - b) * ln + c),
+            -_log2_times(w - 1, p) - ctx.primitive_divisor_log,
         )
     if variant is MnBoundVariant.LEMMA_GW:
         if ctx.parity is not Parity.ODD:
             raise DomainError("lemma_gw applies to odd n")
-        quarter = Interval.from_fraction(2**w, 4 * w, p)
+        # -(1 + 2^w / 4w), as one fraction
+        quarter = Interval.from_fraction(-(4 * w + 2**w), 4 * w, p)
         return (
             phi - 1 - lemma_coefficient(ctx.n, ln, w, ctx.parity),
-            -(1 + quarter) * ln - Fraction(2) ** (w - 2) * log2(p),
+            quarter * ln - _log2_times(w - 2, p),
         )
     if variant is MnBoundVariant.LEMMA_HW:
         if ctx.parity is not Parity.EVEN:
             raise DomainError("lemma_hw applies to even n")
         return (
             phi - 1 - lemma_coefficient(ctx.n, ln, w, ctx.parity),
-            -ln - Fraction(2) ** (w - 2) * log2(p),
+            -ln - _log2_times(w - 2, p),
         )
     raise DomainError(f"unknown variant {variant}")
 
@@ -324,9 +351,7 @@ def growth_log_alpha_lower(n, logn: Interval, parity: Parity,
 
     direct = (stirling_log_factorial_sqrt(*m_log) - log2(ni.prec)) / ni
     floor = Interval.from_str("0.75" if parity is Parity.EVEN else "1.75", ni.prec) * logn
-    if direct.lo >= floor.lo:
-        return direct
-    return floor
+    return direct if direct.lower_at_least(floor) else floor
 
 
 def unit_product_constant(prec: int = 256) -> Interval:
@@ -362,5 +387,4 @@ def primitive_divisor_log_bound(logn: Interval, omega: int, parity: Parity) -> I
     """
     prec = logn.prec
     denom = primorial(omega - 1, skip_two=parity is Parity.ODD)
-    x, three = logn - log_int(denom, prec), log_int(3, prec)
-    return Interval(max(x.lo, three.lo), max(x.hi, three.hi), prec)
+    return (logn - log_int(denom, prec)).max(log_int(3, prec))

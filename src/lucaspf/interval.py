@@ -241,9 +241,31 @@ class Interval:
         lo, hi = self._mpi
         return _sign(lo), _sign(hi)
 
+    def mid_float(self) -> float:
+        """A float near the midpoint, read from the raw endpoints: an
+        estimate, never an enclosure."""
+        lo, hi = self._mpi
+        return (libmp.to_float(lo) + libmp.to_float(hi)) / 2
+
     def certainly_gt(self, other) -> bool:
         other = Interval.coerce(other, self._prec)
         return libmp.mpf_gt(self._mpi[0], other._mpi[1])
+
+    def certainly_ge(self, other) -> bool:
+        other = Interval.coerce(other, self._prec)
+        return libmp.mpf_ge(self._mpi[0], other._mpi[1])
+
+    def lower_at_least(self, other: "Interval") -> bool:
+        """Whether the lower endpoint is at least ``other``'s: which of two
+        lower bounds is the better one."""
+        return libmp.mpf_ge(self._mpi[0], other._mpi[0])
+
+    def max(self, other: "Interval") -> "Interval":
+        """Enclosure of max(x, y) for x in self and y in other: the maximum of
+        each endpoint, at the larger precision."""
+        (a, b), (c, d) = self._mpi, other._mpi
+        return _wrap((a if libmp.mpf_ge(a, c) else c, b if libmp.mpf_ge(b, d) else d),
+                     max(self._prec, other._prec))
 
     def certainly_lt(self, other) -> bool:
         other = Interval.coerce(other, self._prec)

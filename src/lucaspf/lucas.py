@@ -132,7 +132,7 @@ def stirling_log_factorial_sqrt(m, logm: Interval) -> Interval:
     the precision of the enclosure m, as 0.5 log 2 pi + (m + 0.5) log m - m
     from the enclosure ``logm`` of log m and the cached log 2 pi: no log taken."""
     mi = Interval.coerce(m)
-    if mi.lo < 1:
+    if not mi.certainly_ge(1):
         raise DomainError("m must be at least 1")
     half = Interval.from_str("0.5", mi.prec)
     return half * log_2pi(mi.prec) + (mi + half) * logm - mi

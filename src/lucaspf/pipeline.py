@@ -15,10 +15,18 @@ enclosure's precision, so one evaluation over [a, b] certifies every integer
 inside; it takes log n and log log n once.  Points and ranges share one
 verdict: a range is decided at 64 bits, the first precision of the ladder,
 and a single index climbs the ladder until the sign of the margin is certain.
-The scan starts from the whole range and bisects only ranges it cannot decide,
-upper half first, until a range holds one admissible index, which is
-point-checked; below the first survivor nothing is evaluated, since it cannot
-raise the threshold.
+
+The scan of a row first tries its whole range.  Then the row's own 64-bit
+point margins, read as floats, serve as hints: a safeguarded secant in log n
+locates the top sign change h, the indices above h are covered top-down by
+cells whose width grows geometrically with their distance from h, and h is
+point-checked.  A cell left undecided is scanned the same way.  A range whose
+hints give no bracket, and the range below an h that its point check finds
+violated, are bisected, upper half first, with no further hints.  A hint only
+chooses where the scan cuts: every range dropped is certified violated, every
+survivor comes from a point check, and ranges are visited from the top down,
+so the first survivor found is the largest whatever the hints say.  Below it
+nothing is evaluated, since it cannot raise the threshold.
 
 The general cascade is a table of five stages, each built from the threshold
 of the stage before; a row that repeats the verdict of a row scanned earlier
@@ -30,8 +38,8 @@ against that same row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 from typing import Callable, Optional, Sequence
 
 from .bounds import (
@@ -231,24 +239,124 @@ def _sweep(points: Sequence[int], row: Callable[[int], StageConfig]) -> int:
     return NO_SURVIVOR
 
 
-def _scan(cfg: StageConfig, a: int, b: int) -> int:
-    """Largest surviving admissible index in [a, b] (NO_SURVIVOR if none).
+# Each cell reaches _CELL_GROWTH times as far from the located index h as the
+# cell below it, so its width is _CELL_GROWTH - 1 times its distance from h.
+# Near h the margin grows about linearly with that distance and the slack of
+# its enclosure with the width, so a cell certifies only up to some ratio of
+# the two.  Margin evaluations of the full general cascade, and of its three
+# benchmark rows (stage1-baker, stage4-even-w6, stage4-odd-w5), by factor:
+# 2: 462 and 104; 2.5: 402 and 89; 3: 376 and 85; 3.5: 360 and 81; 4: 399
+# and 96, where the cells next to h stop certifying and are split.  3 lies in
+# the flat part, a step short of that edge.
+_CELL_GROWTH = 3
 
-    Top-down bisection: a range certified violated is dropped whole, any other
-    range is halved, and the lower half is visited only when the upper half
-    holds no survivor.  A range down to one admissible index is point-checked,
-    and survivors are only ever taken from point checks.
+
+def _hint(cfg: StageConfig, n: int) -> float:
+    """A float reading of the row's 64-bit point margin at n, over n: positive
+    where n looks violated.  Where the slope is negative the smaller of margin
+    and slope is read, so the sign follows the verdict's.  Dividing by n makes
+    the reading nearly linear in log n, which the secant needs.  It is an
+    estimate from the midpoints of the raw endpoints and decides nothing."""
+    slope, margin = _margin_parts(cfg, n, n, PREC_LADDER[0])
+    m, s = margin.mid_float(), slope.mid_float()
+    return (m if s >= 0 else min(m, s)) / n
+
+
+def _rescale(new: float, old: float) -> float:
+    # Anderson-Björck: the factor applied to the value of the bracket end that
+    # is kept twice in a row, so the next secant point lands past the zero.
+    # The Illinois rule's constant 1/2 took 209 hints over the general and
+    # real cascades where this takes 162.
+    m = 1 - new / old if old else 0.5
+    return m if m > 0 else 0.5
+
+
+def _locate(cfg: StageConfig, points: range) -> Optional[int]:
+    """Position in ``points`` of the row's top survivor as the hints see it.
+
+    None when the hint at the bottom is positive: there is no bracket.  The
+    top when its own hint is nonpositive.  Otherwise the bracket [bottom, top]
+    (hint nonpositive, positive) is narrowed to two neighbouring positions by
+    regula falsi in log n, and the lower one is returned.  The end kept twice
+    in a row has its value scaled down, by the Anderson-Björck rule (BIT 13
+    (1973)), a refinement of the Illinois rule (Dowell and Jarratt, BIT 11
+    (1971)).  Each new point lies strictly inside the bracket, so the search
+    ends whatever the hints are.  The first step, and any step whose two
+    steps before did not halve the bracket, bisects in log n instead: a row's
+    hints at its two ends differ by orders of magnitude, and a secant through
+    them lands next to one end.
     """
-    points = _admissible(cfg, a, b)
+    lo, hi = 0, len(points) - 1
+    f_lo = _hint(cfg, points[lo])
+    if f_lo > 0:
+        return None
+    f_hi = _hint(cfg, points[hi])
+    if not f_hi > 0:
+        return hi
+    side, one_back = 0, hi - lo
+    two_back = one_back  # so the first step bisects
+    while hi - lo > 1:
+        t = f_lo / (f_lo - f_hi)
+        if not 0 < t < 1 or 2 * (hi - lo) > two_back:
+            t = 0.5
+        two_back, one_back = one_back, hi - lo
+        x_lo, x_hi = math.log(points[lo]), math.log(points[hi])
+        n = math.exp(x_lo + t * (x_hi - x_lo))
+        k = min(max(round((n - points[0]) / points.step), lo + 1), hi - 1)
+        f = _hint(cfg, points[k])
+        if f > 0:
+            if side > 0:
+                f_lo *= _rescale(f, f_hi)
+            hi, f_hi, side = k, f, 1
+        else:
+            if side < 0:
+                f_hi *= _rescale(f, f_lo)
+            lo, f_lo, side = k, f, -1
+    return lo
+
+
+def _cells(points: range, h: int) -> list[range]:
+    """The positions above h in ``points``, cut into cells bottom-up, each
+    reaching _CELL_GROWTH times as far from h as the one below it."""
+    cells, lo = [], h + 1
+    while lo < len(points):
+        hi = min(len(points), max(lo + 1, h + math.floor(_CELL_GROWTH * (lo - h))))
+        cells.append(points[lo:hi])
+        lo = hi
+    return cells
+
+
+def _scan(cfg: StageConfig, points: range, hinted: bool = True) -> int:
+    """Largest surviving index among ``points`` (NO_SURVIVOR if none).
+
+    A range certified violated is dropped whole.  Otherwise the hints locate
+    the likely top survivor h (see _locate), the indices above h are covered
+    top-down by cells that grow geometrically away from h, each scanned by
+    this function, and h is point-checked.  Without a bracket, and below an h
+    whose point check finds it violated, the range is bisected instead, upper
+    half first and with no further hints.  Every dropped range comes from
+    _range_violated and every survivor from a point check, and the ranges are
+    visited from the top down, so the first survivor found is the largest:
+    a hint only chooses where to cut, never a verdict.
+    """
     if not points:
         return NO_SURVIVOR
     if len(points) == 1:
         return _sweep(points, lambda n: cfg)
     if _range_violated(cfg, points[0], points[-1]):
         return NO_SURVIVOR
-    mid = (a + b) // 2
-    upper = _scan(cfg, mid + 1, b)
-    return upper if upper != NO_SURVIVOR else _scan(cfg, a, mid)
+    h = _locate(cfg, points) if hinted else None
+    if h is None:
+        mid = len(points) // 2
+        upper = _scan(cfg, points[mid:], False)
+        return upper if upper != NO_SURVIVOR else _scan(cfg, points[:mid], False)
+    for cell in reversed(_cells(points, h)):
+        found = _scan(cfg, cell)
+        if found != NO_SURVIVOR:
+            return found
+    if not stage_violated(points[h], cfg):
+        return points[h]
+    return _scan(cfg, points[:h], False)
 
 
 def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
@@ -256,11 +364,12 @@ def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
 
     The whole range is covered: every admissible index above the answer lies
     in a range certified violated at 64 bits or was point-checked on its own.
-    One row is scanned sequentially; ``workers`` is accepted for call
-    compatibility, and the cascade drivers run the rows of a stage in parallel
-    instead.
+    The float hints that guide the scan come from the row's own point margins
+    and only choose the cells; they never stand in for a verdict.  One row is
+    scanned sequentially; ``workers`` is accepted for call compatibility, and
+    the cascade drivers run the rows of a stage in parallel instead.
     """
-    return _scan(cfg, max(151, cfg.n_floor), cfg.n_cap)
+    return _scan(cfg, _admissible(cfg, max(151, cfg.n_floor), cfg.n_cap))
 
 
 def _threshold_job(cfg: StageConfig) -> int:
@@ -343,6 +452,9 @@ def _run_rows(
             found[cfg] = earlier[1]
     todo = [cfg for cfg in rows if cfg not in found]
     if workers > 1 and len(todo) > 1:
+        # imported here: a run without a pool does not load multiprocessing
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(min(workers, len(todo))) as pool:
             thresholds = pool.map(_threshold_job, todo, chunksize=1)
     else:

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 from .errors import DomainError
 from .factorials import PFWitness, pf_decompose, pf_fast_reject, pf_member
@@ -94,6 +93,9 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
         blocks.append((p, cfg.kind, lo, hi))
         lo = hi + 1
     if cfg.workers > 1 and len(blocks) > 1:
+        # imported here: a run without a pool does not load multiprocessing
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(cfg.workers) as pool:
             raw = pool.map(_search_block, blocks)
     else:

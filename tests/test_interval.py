@@ -235,6 +235,19 @@ def test_certainly_comparisons_need_separation():
     assert not a.certainly_gt(b)
     assert not a.certainly_lt(b)
     assert a.certainly_lt(Interval.from_fraction(1, 2))
+    assert not a.certainly_ge(b)
+    assert Interval.from_int(2).certainly_ge(2)
+
+
+@given(st.integers(-50, 50), st.integers(0, 50), st.integers(-50, 50), st.integers(0, 50))
+def test_max_and_endpoint_reads_match_the_mpf_endpoints(a, w, c, v):
+    # read on the raw endpoints, without building an mpf
+    x, y = Interval.from_int_range(a, a + w), Interval.from_int_range(c, c + v, 128)
+    m = x.max(y)
+    assert (m.lo, m.hi, m.prec) == (max(x.lo, y.lo), max(x.hi, y.hi), 128)
+    assert x.lower_at_least(y) == (x.lo >= y.lo)
+    assert x.certainly_ge(y) == (x.lo >= y.hi)
+    assert x.mid_float() == (2 * a + w) / 2
 
 
 @given(st.integers(2, 10**6))
@@ -356,8 +369,12 @@ def test_intervals_are_immutable():
 
 def test_a_verdict_builds_almost_no_mpf():
     # an mpf endpoint is built only where a caller reads one: a 64-bit verdict
-    # on the row that sets the certified bound decides on raw endpoint signs
-    cfg = pipeline._row_for(pipeline._lemma_rows(1_851_039, 500_000, "stage4"), "even", 6)
+    # decides on raw endpoint signs, and the estimates compare raw endpoints.
+    # Rows: the one that sets the certified bound, the slowest real row (the
+    # sharp growth bound, the radical divisor bound) and a unit index
+    lemma = pipeline._row_for(pipeline._lemma_rows(1_851_039, 500_000, "stage4"), "even", 6)
+    real = pipeline._row_for(pipeline._real_rows(300_000), "even", 4)
+    unit = pipeline.StageConfig("unit-n210", bounds.MnBoundVariant.UNIT_EQ55, "even", 4, 150, 210, 150)
     make = interval._mpf
     built = []
 
@@ -365,9 +382,13 @@ def test_a_verdict_builds_almost_no_mpf():
         built.append(v)
         return make(v)
 
-    for a, b in ((267_212, 267_212), (267_214, 300_000)):
+    cases = [
+        (lemma, 267_212, 267_212), (lemma, 267_214, 300_000),
+        (real, 248, 248), (real, 250, 300_000), (unit, 210, 210),
+    ]
+    for cfg, a, b in cases:
         pipeline._verdict(cfg, a, b, PREC_LADDER[:1])  # fills the caches
         built.clear()
         with mock.patch.object(interval, "_mpf", counted):
             pipeline._verdict(cfg, a, b, PREC_LADDER[:1])
-        assert len(built) <= 4, (a, b, len(built))
+        assert not built, (cfg.name, a, b, len(built))

@@ -1,5 +1,6 @@
 import bisect
 import collections
+import contextlib
 import dataclasses
 import json
 import random
@@ -152,9 +153,10 @@ def _scan_cases(draw):
     return parity, n_floor, n_cap, survivors, decided_width
 
 
-@settings(max_examples=300, deadline=None)
-@given(_scan_cases())
-def test_scan_finds_the_largest_survivor(case):
+def _scan_with_mocked_verdicts(case, hint=None):
+    # find_threshold with _range_violated and stage_violated mocked by the
+    # drawn survivors, and with the hints patched when given; returns what it
+    # found and the largest survivor in range
     parity, n_floor, n_cap, survivors, decided_width = case
     cfg = dataclasses.replace(STAGE1, parity=parity, n_floor=n_floor, n_cap=n_cap)
     lo = max(151, n_floor)
@@ -174,10 +176,32 @@ def test_scan_finds_the_largest_survivor(case):
         assert parity == "both" or n % 2 == (parity == "odd")
         return not any_survivor(n, n)
 
+    def hinted(c, n):
+        assert c is cfg and lo <= n <= n_cap
+        return hint(n)
+
+    hints = mock.patch.object(pipeline, "_hint", hinted) if hint else contextlib.nullcontext()
     with mock.patch.object(pipeline, "_range_violated", range_violated), \
-            mock.patch.object(pipeline, "stage_violated", point_violated):
+            mock.patch.object(pipeline, "stage_violated", point_violated), hints:
         got = find_threshold(cfg)
-    expected = max((n for n in survivors if lo <= n <= n_cap), default=NO_SURVIVOR)
+    return got, max((n for n in survivors if lo <= n <= n_cap), default=NO_SURVIVOR)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_cases())
+def test_scan_finds_the_largest_survivor(case):
+    # the hints are the row's own margins, which know nothing of the mock
+    got, expected = _scan_with_mocked_verdicts(case)
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_cases(), st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_hints_never_decide_a_verdict(case, values):
+    # hints that say anything at all: brackets around no survivor, survivors
+    # with positive hints, patterns that flip from one index to the next,
+    # infinities; the scan still returns the largest survivor
+    got, expected = _scan_with_mocked_verdicts(case, lambda n: values[n % len(values)])
     assert got == expected
 
 
@@ -479,12 +503,97 @@ def test_real_sweep_skips_only_indices_their_row_certified(real_u):
 
 def test_stage5_even_w6_evaluation_count_is_pinned():
     # the row that sets the certified bound: its threshold is its own cap, so
-    # the scan checks the top index and every range bisected on the way to it
+    # the whole range is undecided, the hints at both ends are nonpositive and
+    # the top index is point-checked
     cfg = _row_for(pipeline._GENERAL_STAGES[4](267_212), "even", 6)
     calls, patch = _recorded_margins()
     with patch:
         assert find_threshold(cfg) == 267_212
-    assert len(calls) == 18
+    assert len(calls) == 4
+
+
+# The work of a scan, pinned exactly: margin evaluations, hints included, of
+# the three general rows the benchmark scans, of the slowest real row and of
+# the full cascades.  A change of scan or enclosure that moves one is seen.
+ROW_WORK = {
+    "stage1-baker": (15_028_725, 36),
+    "stage4-even-w6": (267_212, 23),
+    "stage4-odd-w5": (85_261, 26),
+    "real-even-w4": (248, 34),
+}
+CASCADE_WORK = {"general": 376, "real": 210, "unit": 60}
+
+
+def _work_rows():
+    lemma = _lemma_rows(1_851_039, 500_000, "stage4")
+    return {
+        "stage1-baker": STAGE1,
+        "stage4-even-w6": _row_for(lemma, "even", 6),
+        "stage4-odd-w5": _row_for(lemma, "odd", 5),
+        "real-even-w4": _row_for(_real_rows(300_000), "even", 4),
+    }
+
+
+def test_scan_work_is_pinned(fib_params):
+    for name, cfg in _work_rows().items():
+        threshold, evaluations = ROW_WORK[name]
+        calls, patch = _recorded_margins()
+        with patch:
+            assert find_threshold(cfg) == threshold, name
+        assert len(calls) == evaluations, name
+    cascades = {
+        "general": run_general_cascade,
+        "real": run_real_cascade,
+        "unit": lambda: run_unit_case(fib_params),
+    }
+    for case, run in cascades.items():
+        calls, patch = _recorded_margins()
+        with patch:
+            assert run().final_bound == pipeline.CERTIFIED_BOUNDS[case]
+        assert len(calls) == CASCADE_WORK[case], case
+
+
+def test_stage1_finds_its_top_survivor_above_a_lower_one():
+    # stage 1 survives up to 6 715 930, is violated above it until omega_upper
+    # steps from 7 to 8 at 9 245 844, and then survives again through a
+    # negative slope up to 15 028 725: not one interval of survivors
+    assert not stage_violated(6_715_930, STAGE1) and stage_violated(6_715_931, STAGE1)
+    omega = [_context(STAGE1, n, n, 64).omega_assumed for n in (9_245_843, 9_245_844)]
+    assert omega == [7, 8]
+    slope, _ = pipeline._margin_parts(STAGE1, 10**7, 10**7, 64)
+    assert slope.signs() == (-1, -1)
+    calls, patch = _recorded_margins()
+    with patch:
+        assert find_threshold(STAGE1) == 15_028_725
+    assert len(calls) == ROW_WORK["stage1-baker"][1]
+
+
+def _interval_calls(cfg, a, b, prec):
+    # libmp interval calls (mpi_*) of one margin evaluation, caches warm
+    pipeline._margin_parts(cfg, a, b, prec)
+    calls = []
+
+    def counted(f):
+        def call(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in dir(libmp):
+            if name.startswith("mpi_"):
+                stack.enter_context(mock.patch.object(libmp, name, counted(getattr(libmp, name))))
+        pipeline._margin_parts(cfg, a, b, prec)
+    return len(calls)
+
+
+def test_a_lemma_evaluation_makes_at_most_23_interval_calls():
+    # the quadratic in Horner form and the row constants folded once per
+    # precision: even rows take log(n/2), odd rows log n and a folded quarter
+    rows = _work_rows()
+    for name, n, pinned in (("stage4-even-w6", 267_212, 23), ("stage4-odd-w5", 85_261, 22)):
+        for (a, b), prec in (((n, n), 64), ((n, n), 256), ((n + 2, 2 * n), 64)):
+            assert _interval_calls(rows[name], a, b, prec) == pinned, (name, a, b, prec)
 
 
 def _recorded_scans():

@@ -160,6 +160,14 @@ def run_cli(*args):
     )
 
 
+def test_importing_the_cli_loads_no_multiprocessing():
+    # a pool is made only for --workers > 1, and imports multiprocessing there
+    probe = "import sys, lucaspf.cli; print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode().strip() == "[]"
+
+
 def test_cli_search_deterministic_bytes():
     first = run_cli("search", "--r", "1", "--s", "1", "--max-n", "150")
     second = run_cli("search", "--r", "1", "--s", "1", "--max-n", "150")
