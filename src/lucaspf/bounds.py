@@ -181,7 +181,7 @@ def voutier_pair_lower(
     half = m // math.gcd(m, 2)
     b1 = m * log_alpha - (half + log2(prec) / 4 + Interval.from_str("0.02", prec)) * log_alpha
     b2 = m * log_alpha - 73 * log_alpha * log_int(half, prec) ** 2
-    return Interval(max(b1.lo, b2.lo), max(b1.hi, b2.hi), prec)
+    return b1.max(b2)
 
 
 # -- lemma coefficient tables -------------------------------------------------

@@ -231,7 +231,8 @@ def cli_dispatch(argv) -> int:
     except Undecidable as exc:
         print(f"undecidable: {exc}", file=sys.stderr)
         return 3
-    except LucasPFError as exc:
+    except (LucasPFError, OSError) as exc:
+        # OSError: a --json or --csv path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,8 +39,8 @@ against that same row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bounds import (
     BoundContext,
@@ -342,7 +342,7 @@ def _scan(cfg: StageConfig, points: range, hinted: bool = True) -> int:
     if not points:
         return NO_SURVIVOR
     if len(points) == 1:
-        return _sweep(points, lambda n: cfg)
+        return NO_SURVIVOR if stage_violated(points[0], cfg) else points[0]
     if _range_violated(cfg, points[0], points[-1]):
         return NO_SURVIVOR
     h = _locate(cfg, points) if hinted else None
@@ -377,34 +377,6 @@ def _threshold_job(cfg: StageConfig) -> int:
     return find_threshold(cfg)
 
 
-def _report(cfg: StageConfig, computed: int) -> BoundStageReport:
-    return BoundStageReport(
-        name=cfg.name,
-        parity=cfg.parity,
-        omega=cfg.omega,
-        phi_bound=cfg.phi_bound,
-        variant=cfg.variant.value,
-        computed=computed,
-        paper=cfg.paper_threshold,
-        decisive=computed <= cfg.paper_threshold,
-    )
-
-
-def _sweep_report(
-    name: str, variant: MnBoundVariant, computed: int, paper: int
-) -> BoundStageReport:
-    return BoundStageReport(
-        name=name,
-        parity="both",
-        omega=None,
-        phi_bound="exact",
-        variant=variant.value,
-        computed=computed,
-        paper=paper,
-        decisive=computed <= paper,
-    )
-
-
 def _check_coverage(rows: list[StageConfig]) -> None:
     """Raise unless no index up to the rows' cap has more distinct primes than
     the rows covering its parity assume (omega None assumes no limit)."""
@@ -426,30 +398,27 @@ def _verdict_key(cfg: StageConfig) -> tuple:
     return cfg.variant, cfg.parity, cfg.omega, cfg.n_floor
 
 
-def _run_rows(
-    rows: list[StageConfig],
-    workers: int,
-    reports: list[BoundStageReport],
-    scanned: dict[tuple, tuple[int, int]],
-) -> int:
-    """Scan independent rows, append their reports in row order and return the
-    largest threshold.  With workers > 1 the rows share a pool of processes.
+def _run_rows(rows: list[StageConfig], workers: int,
+              earlier: dict[StageConfig, int]) -> dict[StageConfig, int]:
+    """Scan independent rows and return {row: threshold} in row order.  With
+    workers > 1 the rows share a pool of processes.
 
-    ``scanned`` maps a row's verdict key to (cap, threshold) of its last scan
-    and gains an entry per scan.  A row with the key of an earlier scan whose
-    threshold t and cap C satisfy t <= n_cap <= C takes t without a scan: the
-    verdicts are the same at every index, that scan certified every admissible
-    index in (t, C] violated and point-checked t, so t is also the largest
-    survivor up to n_cap.
+    ``earlier`` holds the thresholds the cascade found before these rows.  A
+    row takes the threshold t of the earlier row with its verdict key and the
+    largest cap C when t <= n_cap <= C: the verdicts are the same at every
+    index, that scan certified every admissible index in (t, C] violated and
+    point-checked t, so t is also the largest survivor up to n_cap.
     """
     if workers < 1:
         raise DomainError("workers must be positive")
     _check_coverage(rows)
+    # the last of the rows with a key, sorted by cap, has its largest cap
+    widest = {_verdict_key(cfg): cfg for cfg in sorted(earlier, key=lambda cfg: cfg.n_cap)}
     found = {}
     for cfg in rows:
-        earlier = scanned.get(_verdict_key(cfg))
-        if earlier is not None and earlier[1] <= cfg.n_cap <= earlier[0]:
-            found[cfg] = earlier[1]
+        prior = widest.get(_verdict_key(cfg))
+        if prior is not None and earlier[prior] <= cfg.n_cap <= prior.n_cap:
+            found[cfg] = earlier[prior]
     todo = [cfg for cfg in rows if cfg not in found]
     if workers > 1 and len(todo) > 1:
         # imported here: a run without a pool does not load multiprocessing
@@ -459,53 +428,49 @@ def _run_rows(
             thresholds = pool.map(_threshold_job, todo, chunksize=1)
     else:
         thresholds = [find_threshold(cfg, workers) for cfg in todo]
-    for cfg, t in zip(todo, thresholds):
-        found[cfg] = t
-        scanned[_verdict_key(cfg)] = cfg.n_cap, t
-    reports.extend(_report(cfg, found[cfg]) for cfg in rows)
-    return max(found.values(), default=NO_SURVIVOR)
+    found.update(zip(todo, thresholds))
+    return {cfg: found[cfg] for cfg in rows}
 
 
-def _halve(result: CascadeResult) -> CascadeResult:
-    """Map a level-2n cascade onto V-sequence indices (primitive divisors of
-    V_n live at level 2n, so every level threshold halves)."""
-    stages = tuple(
-        replace(s, computed=s.computed // 2, paper=s.paper // 2) for s in result.stages
+def _finish(case: str, kind: SeqKind, found: dict[StageConfig, int],
+            sweep_report: Optional[tuple], final: int, paper_final: int) -> CascadeResult:
+    """The cascade's report: a stage per row of ``found``, in order, then the
+    survivor sweep (name, variant, computed, paper) if there is one.
+
+    Kind V maps the level-2n cascade onto V-sequence indices: primitive
+    divisors of V_n live at level 2n, so every threshold halves, and a stage
+    stays decisive as it was at level 2n.
+    """
+    stages = [(cfg.name, cfg.parity, cfg.omega, cfg.phi_bound, cfg.variant, t,
+               cfg.paper_threshold) for cfg, t in found.items()]
+    if sweep_report is not None:
+        name, variant, computed, paper = sweep_report
+        stages.append((name, "both", None, "exact", variant, computed, paper))
+    level = 2 if kind is SeqKind.V else 1
+    reports = tuple(
+        BoundStageReport(name, parity, omega, phi_bound, variant.value,
+                         computed // level, paper // level, computed <= paper)
+        for name, parity, omega, phi_bound, variant, computed, paper in stages
     )
-    return replace(
-        result,
-        kind=SeqKind.V,
-        stages=stages,
-        final_bound=result.final_bound // 2,
-        paper_final=result.paper_final // 2,
-    )
-
-
-def _finish(
-    case: str, kind: SeqKind, reports: list[BoundStageReport], final: int, paper_final: int
-) -> CascadeResult:
-    result = CascadeResult(case, SeqKind.U, tuple(reports), final, paper_final)
-    return _halve(result) if kind is SeqKind.V else result
+    return CascadeResult(case, kind, reports, final // level, paper_final // level)
 
 
 # -- stage tables --------------------------------------------------------------
 
 
-def _omega_rows(
-    prefix: str,
-    cap: int,
-    variant: Callable[[str], MnBoundVariant],
-    paper: Callable[[str, int], int],
-) -> list[StageConfig]:
+def _omega_rows(prefix: str, cap: int, paper: Callable[[str, int], int]) -> list[StageConfig]:
     """One row per (parity, omega) that some index below cap can have; even n
-    is taken up to omega 7 and odd n up to 6, which _check_coverage confirms."""
+    is taken up to omega 7 and odd n up to 6, which _check_coverage confirms.
+    Rows named "real" use the real-root bound, the others the lemma of their
+    parity; paper(parity, omega) is a row's stated threshold."""
     rows = []
     for parity, max_w in (("even", 7), ("odd", 6)):
+        variant = MnBoundVariant.REAL_EQ5 if prefix == "real" else _LEMMA_VARIANT[parity]
         for w in range(1, max_w + 1):
             floor = primorial(w, skip_two=parity == "odd")
             if floor <= cap:
                 rows.append(
-                    StageConfig(f"{prefix}-{parity}-w{w}", variant(parity), parity, w,
+                    StageConfig(f"{prefix}-{parity}-w{w}", variant, parity, w,
                                 max(150, floor), cap, paper(parity, w))
                 )
     return rows
@@ -518,20 +483,15 @@ _REAL_PAPER = {1: 167, 2: 167, 3: 167, 4: 252, 5: 1000, 6: 1000, 7: 1000}
 def _lemma_rows(cap: int, paper, prefix: str) -> list[StageConfig]:
     """Lemma rows below cap; paper is one threshold or one per parity."""
     return _omega_rows(
-        prefix,
-        cap,
-        _LEMMA_VARIANT.__getitem__,
-        lambda parity, w: paper[parity] if isinstance(paper, dict) else paper,
+        prefix, cap, lambda parity, w: paper[parity] if isinstance(paper, dict) else paper
     )
 
 
 def _real_rows(cap: int) -> list[StageConfig]:
-    return _omega_rows(
-        "real", cap, lambda parity: MnBoundVariant.REAL_EQ5, lambda parity, w: _REAL_PAPER[w]
-    )
+    return _omega_rows("real", cap, lambda parity, w: _REAL_PAPER[w])
 
 
-def _row_for(rows: list[StageConfig], parity: str, omega: int) -> StageConfig:
+def _row_for(rows: Iterable[StageConfig], parity: str, omega: int) -> StageConfig:
     for cfg in rows:
         if cfg.parity == parity and cfg.omega == omega:
             return cfg
@@ -581,31 +541,27 @@ def run_general_cascade(
     stage4-even-w7 after stage3-even-w7, is settled this way, so 16 of the 29
     rows are scanned.
     """
-    reports: list[BoundStageReport] = []
-    scanned: dict[tuple, tuple[int, int]] = {}
+    found: dict[StageConfig, int] = {}
     cap = _SCAN_CEILING
     for stage in _GENERAL_STAGES:
-        cap = _run_rows(stage(cap), workers, reports, scanned)
-    return _finish("general", kind, reports, cap, 300_000)
+        thresholds = _run_rows(stage(cap), workers, found)
+        found.update(thresholds)
+        cap = max(thresholds.values(), default=NO_SURVIVOR)
+    return _finish("general", kind, found, None, cap, 300_000)
 
 
-def run_real_cascade(
-    kind: SeqKind = SeqKind.U, workers: int = 1, cap: int = 300_000
-) -> CascadeResult:
+def run_real_cascade(kind: SeqKind = SeqKind.U, workers: int = 1) -> CascadeResult:
     """Per-(parity, omega) rows for real quadratic alpha, then a sweep checks
     the indices no row certified against the row of their true parity and
     omega.  An index above its own row's threshold is skipped: it lies in that
     row's scanned range (at least primorial(omega), at most the cap), which
     certified it violated."""
-    reports: list[BoundStageReport] = []
-    rows = _real_rows(cap)
-    row_max = _run_rows(rows, workers, reports, {})
-    threshold = {cfg: rep.computed for cfg, rep in zip(rows, reports)}
-    row_of = {n: _row_for(rows, _parity(n), arithmetic_profile(n).omega)
-              for n in range(151, row_max + 1)}
-    final = _sweep([n for n, cfg in row_of.items() if n <= threshold[cfg]], row_of.__getitem__)
-    reports.append(_sweep_report("real-survivors", MnBoundVariant.REAL_EQ5, final, 210))
-    return _finish("real", kind, reports, final, 210)
+    found = _run_rows(_real_rows(300_000), workers, {})
+    row_of = {n: _row_for(found, _parity(n), arithmetic_profile(n).omega)
+              for n in range(151, max(found.values(), default=NO_SURVIVOR) + 1)}
+    final = _sweep([n for n, cfg in row_of.items() if n <= found[cfg]], row_of.__getitem__)
+    sweep_report = ("real-survivors", MnBoundVariant.REAL_EQ5, final, 210)
+    return _finish("real", kind, found, sweep_report, final, 210)
 
 
 def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
@@ -622,8 +578,8 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
         lambda n: StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, _parity(n),
                               arithmetic_profile(n).omega, 150, n, 150),
     )
-    reports = [_sweep_report("unit-151-210", MnBoundVariant.UNIT_EQ55, worst, 150)]
-    return _finish("unit", kind, reports, worst, 150)
+    sweep_report = ("unit-151-210", MnBoundVariant.UNIT_EQ55, worst, 150)
+    return _finish("unit", kind, {}, sweep_report, worst, 150)
 
 
 def emit_report(result: CascadeResult) -> dict:
@@ -636,17 +592,7 @@ def emit_report(result: CascadeResult) -> dict:
         "finalBound": result.final_bound,
         "paperFinal": result.paper_final,
         "decisive": result.decisive,
-        "stages": [
-            {
-                "name": s.name,
-                "parity": s.parity,
-                "omega": s.omega,
-                "phiBound": s.phi_bound,
-                "variant": s.variant,
-                "computed": s.computed,
-                "paper": s.paper,
-                "decisive": s.decisive,
-            }
-            for s in result.stages
-        ],
+        # the fields of BoundStageReport in order, phi_bound as phiBound
+        "stages": [{"phiBound" if k == "phi_bound" else k: v for k, v in asdict(s).items()}
+                   for s in result.stages],
     }

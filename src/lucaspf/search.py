@@ -96,7 +96,7 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
         # imported here: a run without a pool does not load multiprocessing
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(cfg.workers) as pool:
+        with get_context("fork").Pool(min(cfg.workers, len(blocks))) as pool:
             raw = pool.map(_search_block, blocks)
     else:
         raw = [_search_block(b) for b in blocks]

@@ -1,7 +1,7 @@
 import pytest
 
 from lucaspf.lucas import SeqKind, validate_params
-from lucaspf.pipeline import _halve, run_general_cascade, run_real_cascade, run_unit_case
+from lucaspf.pipeline import run_general_cascade, run_real_cascade, run_unit_case
 
 # one PASS/FAIL line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -36,10 +36,10 @@ def general_u():
 
 
 @pytest.fixture(scope="session")
-def general_v(general_u):
-    # kind V only halves the U cascade; the real and unit cases of criterion 4
-    # run the kind=V ending end to end
-    return _halve(general_u)
+def general_v():
+    # the kind=V cascade end to end: its reports are built and halved from the
+    # same results table as kind U's
+    return run_general_cascade(SeqKind.V)
 
 
 @pytest.fixture(scope="session")

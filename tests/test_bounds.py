@@ -23,7 +23,7 @@ from lucaspf.bounds import (
 )
 from lucaspf.cyclotomic import arithmetic_profile, cyclotomic_value
 from lucaspf.errors import DomainError
-from lucaspf.interval import Interval, log_int
+from lucaspf.interval import Interval, log2, log_int
 from lucaspf.lucas import stirling_log_factorial_sqrt, validate_params
 from lucaspf.pipeline import StageConfig, _context
 from lucaspf.primes import primorial
@@ -148,6 +148,22 @@ def test_voutier_lower_never_contradicts_exact():
             exact = log_int(u, 128) + log_int(abs(p.delta), 128) / 2
             bound = voutier_pair_lower(p.alpha_abs_log, m)
             assert bound.lo <= exact.hi, (p.r, p.s, m)
+
+
+def test_voutier_max_is_the_max_of_each_endpoint():
+    # taken on the raw endpoints, bit for bit the mpf max of the two bounds
+    for r, s in ((1, -3), (2, -5), (-3, -7), (5, -9)):
+        log_alpha = validate_params(r, s).alpha_abs_log
+        for m in (3, 4, 57, 1001, 5357, 5358, 5359, 10**6):
+            for prec in (64, 128, 256):
+                half = m // math.gcd(m, 2)
+                b1 = m * log_alpha - (half + log2(prec) / 4
+                                      + Interval.from_str("0.02", prec)) * log_alpha
+                b2 = m * log_alpha - 73 * log_alpha * log_int(half, prec) ** 2
+                bound = voutier_pair_lower(log_alpha, m, prec)
+                assert (bound.lo._mpf_, bound.hi._mpf_) == (max(b1.lo, b2.lo)._mpf_,
+                                                             max(b1.hi, b2.hi)._mpf_)
+                assert bound.prec == prec
 
 
 def u_val(p, m):

@@ -621,18 +621,31 @@ def test_general_cascade_scans_16_of_its_29_rows():
 
 
 def test_a_row_reuses_an_earlier_scan_only_up_to_its_cap():
-    scanned = {}
-    _run_rows(_real_rows(1000), 1, [], scanned)
+    earlier = _run_rows(_real_rows(1000), 1, {})
+    before = dict(earlier)
     all_rows = [cfg.name for cfg in _real_rows(2000)]
     # real-even-w4 survives at 248: a cap of 240 lies below that threshold,
     # and a cap of 2000 above the earlier scans' cap
     for cap, rescanned in ((600, []), (240, ["real-even-w4"]), (2000, all_rows)):
-        rows, reports = _real_rows(cap), []
+        rows = _real_rows(cap)
         names, patch = _recorded_scans()
         with patch:
-            _run_rows(rows, 1, reports, dict(scanned))
+            found = _run_rows(rows, 1, earlier)
         assert names == rescanned, cap
-        assert [r.computed for r in reports] == [find_threshold(cfg) for cfg in rows], cap
+        assert list(found) == rows, cap
+        assert list(found.values()) == [find_threshold(cfg) for cfg in rows], cap
+    assert earlier == before
+
+
+def test_reuse_reads_the_earlier_row_with_the_largest_cap():
+    # real-even-w4 at cap 240 comes last, but the row with cap 1000 and
+    # threshold 248 is the one a cap of 600 reuses, whatever the order
+    wide, narrow = _run_rows(_real_rows(1000), 1, {}), _run_rows(_real_rows(240), 1, {})
+    for earlier in ({**wide, **narrow}, {**narrow, **wide}):
+        names, patch = _recorded_scans()
+        with patch:
+            found = _run_rows(_real_rows(600), 1, earlier)
+        assert names == [] and max(found.values()) == 248
 
 
 def test_unit_case_factorizes_each_index_once(fib_params):

@@ -2,10 +2,12 @@ import json
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
+from lucaspf.cli import cli_dispatch
 from lucaspf.errors import DomainError, NotCoprime
 from lucaspf.factorials import pf_fast_reject, pf_member
 from lucaspf.lucas import SeqKind, validate_params
@@ -97,6 +99,33 @@ def test_small_blocks_match_the_oracle_for_any_worker_count(monkeypatch):
             assert [h.index for h in hits] == brute_force_hits(r, s, kind, 300), (r, s, kind)
             again = search_pf_terms(SearchConfig(r, s, kind, 1, 300, workers=2))
             assert again == hits, (r, s, kind)
+
+
+def test_search_pool_has_at_most_one_process_per_block(monkeypatch):
+    # a fake fork context records the pool size and maps in process, so no
+    # process is started
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(search, "_BLOCK", 7)
+    hits = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 21, workers=64))
+    assert sizes == [3]
+    assert hits == search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 21))
 
 
 def test_fast_reject_differential_over_random_params():
@@ -240,6 +269,32 @@ def test_cli_json_and_csv_outputs(tmp_path):
     rows = cpath.read_text().strip().splitlines()
     assert rows[0] == "index,kind,digits,witness,trivial"
     assert len(rows) == 6
+
+
+def test_cli_search_reject_log(capsys):
+    # the counts go to stderr; stdout is the same as without the flag
+    argv = ["search", "--r", "1", "--s", "1", "--max-n", "150"]
+    assert cli_dispatch(argv) == 0
+    plain = capsys.readouterr()
+    assert cli_dispatch(argv + ["--reject-log"]) == 0
+    logged = capsys.readouterr()
+    assert plain.err == ""
+    assert logged.err == "fast-reject: odd=98 size=33\n"
+    assert logged.out == plain.out
+
+
+def test_cli_unwritable_output_path_is_exit_2(tmp_path):
+    missing = tmp_path / "missing"
+    runs = [
+        ("bounds", "--case", "unit", "--r", "1", "--s", "1", "--json", str(missing / "x.json")),
+        ("search", "--r", "1", "--s", "1", "--max-n", "20", "--json", str(missing / "x.json")),
+        ("search", "--r", "1", "--s", "1", "--max-n", "20", "--csv", str(missing / "x.csv")),
+    ]
+    for argv in runs:
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert out.stderr.startswith(b"error: ") and b"Traceback" not in out.stderr, argv
+        assert str(missing).encode() in out.stderr, argv
 
 
 def test_cli_bounds_unit_json(tmp_path):
