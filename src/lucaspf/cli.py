@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -52,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "--reject-log", action="store_true",
-        help="print the counts of fast-rejected terms (odd, size) to stderr",
+        help="print the counts of fast-rejected terms to stderr, by reason: odd, "
+        "size (above ((2v+1)!)^v, v = nu_2) and rough (an odd prime factor above 2v+1)",
     )
     s.add_argument("--json", metavar="PATH", help="write the hits and coverage as JSON here")
     s.add_argument("--csv", metavar="PATH", help="write the hits as CSV here")
@@ -72,31 +74,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _output(path, newline=None):
+    """An output file opened now, before the work, so that an unwritable path
+    fails at once; a null context when no path was given."""
+    return open(path, "w", newline=newline) if path else contextlib.nullcontext()
+
+
 def _cmd_bounds(args) -> int:
     if args.workers < 1:
         raise DomainError("workers must be positive")
     kind = SeqKind(args.kind)
-    if args.case == "general":
-        result = run_general_cascade(kind, workers=args.workers)
-    elif args.case == "real":
-        result = run_real_cascade(kind, workers=args.workers)
-    else:
-        params = validate_params(args.r, args.s)
-        result = run_unit_case(params, kind)
-    report = emit_report(result)
-    print(f"case={report['case']} kind={report['kind']}")
-    for stage in report["stages"]:
-        flag = "ok" if stage["decisive"] else "NOT DECISIVE"
-        print(
-            f"  {stage['name']:<22} computed={stage['computed']:<10}"
-            f" paper={stage['paper']:<10} [{flag}]"
-        )
-    print(f"final bound: n <= {report['finalBound']}"
-          f" (stated envelope {report['paperFinal']})")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+    params = validate_params(args.r, args.s) if args.case == "unit" else None
+    with _output(args.json) as json_fh:
+        if args.case == "general":
+            result = run_general_cascade(kind, workers=args.workers)
+        elif args.case == "real":
+            result = run_real_cascade(kind, workers=args.workers)
+        else:
+            result = run_unit_case(params, kind)
+        report = emit_report(result)
+        print(f"case={report['case']} kind={report['kind']}")
+        for stage in report["stages"]:
+            flag = "ok" if stage["decisive"] else "NOT DECISIVE"
+            print(
+                f"  {stage['name']:<22} computed={stage['computed']:<10}"
+                f" paper={stage['paper']:<10} [{flag}]"
+            )
+        print(f"final bound: n <= {report['finalBound']}"
+              f" (stated envelope {report['paperFinal']})")
+        if json_fh:
+            json.dump(report, json_fh, indent=2)
+            json_fh.write("\n")
     return 0 if report["decisive"] else 1
 
 
@@ -119,45 +127,44 @@ def _cmd_search(args) -> int:
         workers=args.workers,
         reject_log=args.reject_log,
     )
-    hits = search_pf_terms(cfg)
-    coverage = _coverage(cfg)
-    print(f"search (r,s)=({cfg.r},{cfg.s}) kind={cfg.kind.value}"
-          f" n in [{cfg.n_min},{cfg.n_max}] -- {coverage}")
-    print("index  kind  digits  witness          trivial")
-    for h in hits:
-        witness = "*".join(f"{m}!" for m in h.witness.args) or "1"
-        if h.witness.sign < 0:
-            witness = "-" + witness
-        print(f"{h.index:<6} {h.kind.value:<5} {h.value_digits:<7} {witness:<16} "
-              f"{'yes' if h.trivial else 'no'}")
-    print(f"{len(hits)} hit(s)")
-    payload = {
-        "search": {
-            "r": cfg.r,
-            "s": cfg.s,
-            "kind": cfg.kind.value,
-            "nMin": cfg.n_min,
-            "nMax": cfg.n_max,
-            "coverage": coverage,
-            "hits": [
-                {
-                    "index": h.index,
-                    "kind": h.kind.value,
-                    "digits": h.value_digits,
-                    "witness": {"sign": h.witness.sign, "args": list(h.witness.args)},
-                    "trivial": h.trivial,
+    with _output(args.json) as json_fh, _output(args.csv, newline="") as csv_fh:
+        hits = search_pf_terms(cfg)
+        coverage = _coverage(cfg)
+        print(f"search (r,s)=({cfg.r},{cfg.s}) kind={cfg.kind.value}"
+              f" n in [{cfg.n_min},{cfg.n_max}] -- {coverage}")
+        print("index  kind  digits  witness          trivial")
+        for h in hits:
+            witness = "*".join(f"{m}!" for m in h.witness.args) or "1"
+            if h.witness.sign < 0:
+                witness = "-" + witness
+            print(f"{h.index:<6} {h.kind.value:<5} {h.value_digits:<7} {witness:<16} "
+                  f"{'yes' if h.trivial else 'no'}")
+        print(f"{len(hits)} hit(s)")
+        if json_fh:
+            payload = {
+                "search": {
+                    "r": cfg.r,
+                    "s": cfg.s,
+                    "kind": cfg.kind.value,
+                    "nMin": cfg.n_min,
+                    "nMax": cfg.n_max,
+                    "coverage": coverage,
+                    "hits": [
+                        {
+                            "index": h.index,
+                            "kind": h.kind.value,
+                            "digits": h.value_digits,
+                            "witness": {"sign": h.witness.sign, "args": list(h.witness.args)},
+                            "trivial": h.trivial,
+                        }
+                        for h in hits
+                    ],
                 }
-                for h in hits
-            ],
-        }
-    }
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            }
+            json.dump(payload, json_fh, indent=2)
+            json_fh.write("\n")
+        if csv_fh:
+            writer = csv.writer(csv_fh)
             writer.writerow(["index", "kind", "digits", "witness", "trivial"])
             for h in hits:
                 writer.writerow(

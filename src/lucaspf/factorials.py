@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, ZeroInput
 
@@ -109,12 +110,52 @@ def pf_decompose(n: int, limit: int = 16) -> list[PFWitness]:
     return out
 
 
+# keyed by 2 nu_2 + 1, which stays small on the terms a search meets
+@lru_cache(maxsize=64)
+def _odd_primorial(k: int) -> int:
+    """Product of the odd primes <= k (Eratosthenes)."""
+    composite = bytearray(k + 1)
+    out = 1
+    for p in range(3, k + 1, 2):
+        if not composite[p]:
+            out *= p
+            composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, k + 1, 2 * p))
+    return out
+
+
+def _strip(odd: int, g: int) -> int:
+    """``odd`` with every prime factor of the squarefree ``g | odd`` divided out.
+
+    Each round divides by g, g^2, g^4, ... while they divide, then by the same
+    powers in descending order, so a prime power p^e costs O(log e) divisions;
+    the next round keeps the primes of g that still divide.
+    """
+    while g > 1:
+        powers = []
+        while True:
+            quo, rem = divmod(odd, g)
+            if rem:
+                break
+            odd = quo
+            powers.append(g)
+            g *= g
+        for q in reversed(powers):
+            quo, rem = divmod(odd, q)
+            if not rem:
+                odd = quo
+        g = math.gcd(odd, powers[0])
+    return odd
+
+
 def pf_fast_reject(n: int):
     """Cheap certificate that |n| cannot be a factorial product, or None.
 
     Any witness for N with v = nu_2(N) has at most v factors (each m! with
     m >= 2 is even) and every argument m satisfies nu_2(m!) >= (m - 1) / 2,
-    hence m <= 2v + 1; so N > ((2v+1)!)^v is impossible.
+    hence m <= 2v + 1. So the reasons are "odd" (v = 0), "size"
+    (N > ((2v+1)!)^v) and "rough" (an odd prime factor above 2v + 1, which
+    no member has: every prime factor of m_1! ... m_k! is at most the largest
+    m_i <= 2v + 1).
     """
     # abs copies a negative n once; a bitwise op on a negative int would copy
     # all of it every time (two's complement), and abs of a positive n is free
@@ -133,6 +174,10 @@ def pf_fast_reject(n: int):
         # exact comparison is affordable here
         if m > cap**v:
             return "size"
+    # an odd part <= 2v + 1 has no prime factor above it
+    odd = m >> v
+    if odd > 2 * v + 1 and _strip(odd, math.gcd(odd, _odd_primorial(2 * v + 1))) > 1:
+        return "rough"
     return None
 
 

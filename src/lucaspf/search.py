@@ -15,6 +15,8 @@ from .lucas import LucasParams, SeqKind, iter_terms, validate_params, u_at
 _BLOCK = 1024
 _LOG10_2 = math.log10(2)
 DEFAULT_MAX_N = 5000
+# the certificates of pf_fast_reject, in the order it tries them
+REJECT_REASONS = ("odd", "size", "rough")
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ def _digit_count(n: int) -> int:
 def _search_block(args: tuple[LucasParams, SeqKind, int, int]):
     p, kind, lo, hi = args
     hits = []
-    rejects = {"odd": 0, "size": 0}
+    rejects = dict.fromkeys(REJECT_REASONS, 0)
     for n, value in zip(range(lo, hi + 1), iter_terms(p, kind, lo)):
         if value == 0:
             continue  # cannot occur for nondegenerate parameters; belt and braces
@@ -101,16 +103,14 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     else:
         raw = [_search_block(b) for b in blocks]
     hits: list[SearchHit] = []
-    rejects = {"odd": 0, "size": 0}
+    rejects = dict.fromkeys(REJECT_REASONS, 0)
     for block_hits, block_rejects in raw:
         hits += block_hits
         for k, v in block_rejects.items():
             rejects[k] += v
     if cfg.reject_log:
-        print(
-            f"fast-reject: odd={rejects['odd']} size={rejects['size']}",
-            file=sys.stderr,
-        )
+        counts = " ".join(f"{k}={v}" for k, v in rejects.items())
+        print(f"fast-reject: {counts}", file=sys.stderr)
     return hits
 
 

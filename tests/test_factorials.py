@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import factorint, multiplicity, nextprime, primerange
 
 from lucaspf import factorials
 from lucaspf.errors import DomainError, ZeroInput
@@ -112,6 +113,16 @@ def test_fast_reject_reasons():
     assert pf_fast_reject(2 * (3**40)) == "size"
 
 
+def test_fast_reject_rough():
+    # 103424 = 2^10 * 101: any witness has arguments <= 21, so no factor 101
+    assert pf_fast_reject(103424) == "rough"
+    assert pf_fast_reject(-103424) == "rough"
+    assert not pf_member(103424)
+    # 19 <= 21 passes the rough test; membership is left to pf_member
+    assert pf_fast_reject(2**10 * 19**3) is None
+    assert not pf_member(2**10 * 19**3)
+
+
 def _fast_reject_mod2(n):
     # the parity test as a remainder, the form pf_fast_reject used to take
     m = abs(n)
@@ -123,6 +134,12 @@ def _fast_reject_mod2(n):
         return "size"
     if v * cap.bit_length() <= 4 * m.bit_length() + 64 and m > cap**v:
         return "size"
+    # the rough step, computed independently: strip every odd prime <= 2v + 1
+    odd = m // 2**v
+    for p in primerange(3, 2 * v + 2):
+        odd //= p ** multiplicity(p, odd)
+    if odd > 1:
+        return "rough"
     return None
 
 
@@ -162,3 +179,36 @@ def test_fast_reject_parity_on_huge_terms():
 def test_fast_reject_soundness_random(n):
     if pf_fast_reject(n) is not None:
         assert not pf_member(n)
+
+
+_SMALL_ODD_PRIMES = list(primerange(3, 2000))
+# products of known primes up to about 2^128, with at most one factor above
+# 2000, so that factorint is fast; the ones with 2^k and a prime near 2k + 1
+# sit on both sides of the bound
+rough_candidates = st.one_of(
+    st.integers(1, 2**63).map(lambda x: 2 * x),
+    st.builds(
+        lambda k, ps, big: (1 << k) * math.prod(ps) * big,
+        st.integers(4, 30),
+        st.lists(st.sampled_from(_SMALL_ODD_PRIMES), max_size=6),
+        st.one_of(st.just(1), st.integers(2, 2**32).map(nextprime)),
+    ),
+    st.integers(1, 60).flatmap(
+        lambda k: st.builds(
+            lambda p, e: (1 << k) * p**e,
+            st.sampled_from(list(primerange(3, 4 * k + 8))),
+            st.integers(1, 3),
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rough_candidates, st.sampled_from([1, -1]))
+def test_fast_reject_rough_iff_an_odd_prime_factor_exceeds_2_nu2_plus_1(m, sign):
+    reason = pf_fast_reject(sign * m)
+    if reason in ("odd", "size"):
+        return
+    factors = factorint(m)
+    v = factors.pop(2, 0)
+    assert (reason == "rough") == (max(factors, default=1) > 2 * v + 1)

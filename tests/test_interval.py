@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, libmp, mp, mpf
 
-from lucaspf import bounds, cyclotomic, interval, pipeline, primes
+from lucaspf import bounds, cyclotomic, factorials, interval, lucas, pipeline, primes
 from lucaspf.errors import DomainError
 from lucaspf.lucas import validate_params
 from lucaspf.interval import (
@@ -123,10 +123,11 @@ def test_cached_values_come_back_unchanged(make):
 
 
 def test_caches_are_bounded():
-    caches = [f for mod in (interval, bounds, cyclotomic, primes) for f in vars(mod).values()
-              if hasattr(f, "cache_info")]
-    assert len(caches) >= 6
+    modules = (interval, bounds, cyclotomic, primes, lucas, factorials)
+    caches = [f for mod in modules for f in vars(mod).values() if hasattr(f, "cache_info")]
+    assert len(caches) >= 8
     assert cyclotomic.arithmetic_profile in caches and primes.primorial in caches
+    assert lucas.validate_params in caches and factorials._odd_primorial in caches
     for f in caches:
         assert f.cache_info().maxsize is not None, f.__name__
 

@@ -279,22 +279,34 @@ def test_cli_search_reject_log(capsys):
     assert cli_dispatch(argv + ["--reject-log"]) == 0
     logged = capsys.readouterr()
     assert plain.err == ""
-    assert logged.err == "fast-reject: odd=98 size=33\n"
+    assert logged.err == "fast-reject: odd=98 size=33 rough=14\n"
     assert logged.out == plain.out
 
 
-def test_cli_unwritable_output_path_is_exit_2(tmp_path):
+def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing"
     runs = [
-        ("bounds", "--case", "unit", "--r", "1", "--s", "1", "--json", str(missing / "x.json")),
-        ("search", "--r", "1", "--s", "1", "--max-n", "20", "--json", str(missing / "x.json")),
-        ("search", "--r", "1", "--s", "1", "--max-n", "20", "--csv", str(missing / "x.csv")),
+        ("run_unit_case",
+         ("bounds", "--case", "unit", "--r", "1", "--s", "1", "--json", str(missing / "x.json"))),
+        ("search_pf_terms",
+         ("search", "--r", "1", "--s", "1", "--max-n", "20", "--json", str(missing / "x.json"))),
+        ("search_pf_terms",
+         ("search", "--r", "1", "--s", "1", "--max-n", "20", "--csv", str(missing / "x.csv"))),
     ]
-    for argv in runs:
+    for _, argv in runs:
         out = run_cli(*argv)
         assert out.returncode == 2, argv
         assert out.stderr.startswith(b"error: ") and b"Traceback" not in out.stderr, argv
         assert str(missing).encode() in out.stderr, argv
+        assert out.stdout == b"", argv
+    # the path is opened before the work: no cascade or search runs
+    runs.append(("run_general_cascade", ("bounds", "--json", str(missing / "x.json"))))
+    for work, argv in runs:
+        with mock.patch(f"lucaspf.cli.{work}") as spy:
+            assert cli_dispatch(list(argv)) == 2, argv
+        spy.assert_not_called()
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: "), argv
 
 
 def test_cli_bounds_unit_json(tmp_path):
