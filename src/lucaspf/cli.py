@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 
 from .bounds import unit_product_constant
@@ -74,10 +75,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@contextlib.contextmanager
 def _output(path, newline=None):
-    """An output file opened now, before the work, so that an unwritable path
-    fails at once; a null context when no path was given."""
-    return open(path, "w", newline=newline) if path else contextlib.nullcontext()
+    """An output file opened before the work, so that an unwritable path fails
+    at once, but cut to what was written only when the work succeeds: a failed
+    run keeps a file that was there and removes one it made. None, no path."""
+    if not path:
+        yield None
+        return
+    made = not os.path.exists(path)
+    # O_CREAT without O_TRUNC: the old contents stay until truncate() below
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        try:
+            yield fh
+        except BaseException:
+            if made:
+                os.remove(path)
+            raise
+        fh.truncate()
 
 
 def _cmd_bounds(args) -> int:

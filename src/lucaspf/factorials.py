@@ -126,25 +126,18 @@ def _odd_primorial(k: int) -> int:
 def _strip(odd: int, g: int) -> int:
     """``odd`` with every prime factor of the squarefree ``g | odd`` divided out.
 
-    Each round divides by g, g^2, g^4, ... while they divide, then by the same
-    powers in descending order, so a prime power p^e costs O(log e) divisions;
-    the next round keeps the primes of g that still divide.
+    Round i divides by each prime of g to the power min(2^i, what is left), so
+    a prime power p^e goes in O(log e) rounds; g reaches 1 exactly when no
+    prime of the first g divides ``odd`` any more.
     """
     while g > 1:
-        powers = []
-        while True:
-            quo, rem = divmod(odd, g)
-            if rem:
-                break
-            odd = quo
-            powers.append(g)
-            g *= g
-        for q in reversed(powers):
-            quo, rem = divmod(odd, q)
-            if not rem:
-                odd = quo
-        g = math.gcd(odd, powers[0])
+        odd //= g
+        g = math.gcd(odd, g * g)
     return odd
+
+
+# the certificates of pf_fast_reject, in the order it tries them
+REJECT_REASONS = ("odd", "size", "rough")
 
 
 def pf_fast_reject(n: int):

@@ -16,7 +16,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 from .interval import DEFAULT_PREC, Interval, log_2pi
@@ -53,10 +52,6 @@ def _alpha_log_raw(r: int, s: int, delta: int, prec: int) -> Interval:
     return Interval.from_int(abs(s), prec).log() / 2
 
 
-# a search split into many calls builds one SearchConfig per call; LucasParams
-# is frozen, so all the configs of a pair share one. An invalid pair raises on
-# every call (lru_cache does not keep exceptions).
-@lru_cache(maxsize=256)
 def validate_params(r: int, s: int) -> LucasParams:
     """Check the standing hypotheses on (r, s) and build a LucasParams."""
     if r == 0 or s == 0:

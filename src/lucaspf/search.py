@@ -8,15 +8,13 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .factorials import PFWitness, pf_decompose, pf_fast_reject, pf_member
+from .factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject, pf_member
 from .lucas import LucasParams, SeqKind, iter_terms, validate_params, u_at
 
 # one fast-doubling seed per block of indices, stepped from there
 _BLOCK = 1024
 _LOG10_2 = math.log10(2)
 DEFAULT_MAX_N = 5000
-# the certificates of pf_fast_reject, in the order it tries them
-REJECT_REASONS = ("odd", "size", "rough")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, libmp, mp, mpf
 
-from lucaspf import bounds, cyclotomic, factorials, interval, lucas, pipeline, primes
+from lucaspf import bounds, cyclotomic, factorials, interval, pipeline, primes
 from lucaspf.errors import DomainError
 from lucaspf.lucas import validate_params
 from lucaspf.interval import (
@@ -123,11 +123,11 @@ def test_cached_values_come_back_unchanged(make):
 
 
 def test_caches_are_bounded():
-    modules = (interval, bounds, cyclotomic, primes, lucas, factorials)
+    modules = (interval, bounds, cyclotomic, primes, factorials)
     caches = [f for mod in modules for f in vars(mod).values() if hasattr(f, "cache_info")]
-    assert len(caches) >= 8
+    assert len(caches) >= 7
     assert cyclotomic.arithmetic_profile in caches and primes.primorial in caches
-    assert lucas.validate_params in caches and factorials._odd_primorial in caches
+    assert factorials._odd_primorial in caches
     for f in caches:
         assert f.cache_info().maxsize is not None, f.__name__
 

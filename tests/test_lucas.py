@@ -80,13 +80,6 @@ def test_validation_errors():
         validate_params(1, -1)  # sixth root of unity ratio
 
 
-def test_validated_parameters_are_shared_and_failures_are_not_cached():
-    assert validate_params(3, -2) is validate_params(3, -2)
-    for _ in range(2):
-        with pytest.raises(NotCoprime):
-            validate_params(2, 4)
-
-
 def test_term_kinds_and_values():
     p = validate_params(1, 1)
     t = u_at(p, 12)

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 
 from lucaspf.cli import cli_dispatch
-from lucaspf.errors import DomainError, NotCoprime
+from lucaspf.errors import DomainError, NotCoprime, Undecidable
 from lucaspf.factorials import pf_fast_reject, pf_member
 from lucaspf.lucas import SeqKind, validate_params
 from lucaspf import search
@@ -307,6 +307,38 @@ def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys):
         spy.assert_not_called()
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: "), argv
+
+
+def test_cli_failed_run_leaves_outputs_as_they_were(tmp_path, capsys):
+    # a path opened before the work is cut only when the work succeeds
+    made, kept = tmp_path / "made.json", tmp_path / "kept.csv"
+    kept.write_text("an earlier report\n")
+    search_argv = ("search", "--r", "1", "--s", "1", "--max-n", "20",
+                   "--json", str(made), "--csv", str(kept))
+    runs = [
+        ("run_general_cascade", Undecidable("stalled"), 3, ("bounds", "--json", str(made))),
+        ("run_unit_case", Undecidable("stalled"), 3,
+         ("bounds", "--case", "unit", "--r", "1", "--s", "1", "--json", str(kept))),
+        ("search_pf_terms", DomainError("bad block"), 2, search_argv),
+        ("search_pf_terms", KeyboardInterrupt(), None, search_argv),
+    ]
+    for work, exc, code, argv in runs:
+        with mock.patch(f"lucaspf.cli.{work}", side_effect=exc):
+            if code is None:
+                with pytest.raises(KeyboardInterrupt):
+                    cli_dispatch(list(argv))
+            else:
+                assert cli_dispatch(list(argv)) == code, argv
+        assert capsys.readouterr().out == "", argv
+        assert not made.exists(), argv
+        assert kept.read_text() == "an earlier report\n", argv
+    # a successful run replaces a longer file whole
+    kept.write_text("x" * 10_000)
+    assert cli_dispatch(list(search_argv)) == 0
+    capsys.readouterr()
+    rows = kept.read_text().splitlines()
+    assert rows[0] == "index,kind,digits,witness,trivial" and len(rows) == 6
+    assert json.loads(made.read_text())["search"]["nMax"] == 20
 
 
 def test_cli_bounds_unit_json(tmp_path):
