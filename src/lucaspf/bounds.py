@@ -25,8 +25,9 @@ from typing import Optional
 
 from mpmath import mpf
 
+from .cyclotomic import arithmetic_profile
 from .errors import DomainError
-from .interval import DEFAULT_PREC, Interval, exp_euler_gamma, log2, log_int
+from .interval import DEFAULT_PREC, Interval, exp_euler_gamma, log2, log_2pi, log_int
 from .primes import nth_primes, primorial
 
 
@@ -129,8 +130,6 @@ def pi_ap_upper(x: int, n: int, prec: int = DEFAULT_PREC) -> Interval:
     """Brun-Titchmarsh: pi(x; n, +-1) <= 2x / (phi(n) log(x/n)) for x > n."""
     if x <= n:
         raise DomainError("Brun-Titchmarsh needs x > n")
-    from .cyclotomic import arithmetic_profile
-
     phi_exact = arithmetic_profile(n).phi
     logq = (Interval.from_int(x, prec) / n).log()
     return Interval.from_int(2 * x, prec) / (Interval.from_int(phi_exact, prec) * logq)
@@ -150,8 +149,6 @@ def logp_sum_upper(
         raise DomainError("valid for n >= 150")
     if m < n - 1:
         raise DomainError("m must be >= n - 1")
-    from .cyclotomic import arithmetic_profile
-
     phi_exact = Interval.from_int(arithmetic_profile(n).phi, prec)
     logm = log_int(m, prec)
     loglogn = log_int(n, prec).log()
@@ -335,6 +332,17 @@ def mn_upper_sieve_affine(ctx: BoundContext) -> tuple[Interval, Interval]:
 # -- worst-case growth bounds for log|alpha| ----------------------------------
 
 
+def stirling_log_factorial_sqrt(m, logm: Interval) -> Interval:
+    """Enclosure of 0.5 log(2 pi m) + m (log m - 1) <= log m! (Robbins), at
+    the precision of the enclosure m, as 0.5 log 2 pi + (m + 0.5) log m - m
+    from the enclosure ``logm`` of log m and the cached log 2 pi: no log taken."""
+    mi = Interval.coerce(m)
+    if not mi.certainly_ge(1):
+        raise DomainError("m must be at least 1")
+    half = Interval.from_str("0.5", mi.prec)
+    return half * log_2pi(mi.prec) + (mi + half) * logm - mi
+
+
 def growth_log_alpha_lower(n, logn: Interval, parity: Parity,
                            m_log: Optional[tuple[Interval, Interval]]) -> Interval:
     """Minimum permitted log|alpha| when U_n is a factorial product.
@@ -347,8 +355,6 @@ def growth_log_alpha_lower(n, logn: Interval, parity: Parity,
     ni = Interval.coerce(n)
     if m_log is None:
         return logn / 2
-    from .lucas import stirling_log_factorial_sqrt
-
     direct = (stirling_log_factorial_sqrt(*m_log) - log2(ni.prec)) / ni
     floor = Interval.from_str("0.75" if parity is Parity.EVEN else "1.75", ni.prec) * logn
     return direct if direct.lower_at_least(floor) else floor

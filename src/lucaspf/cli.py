@@ -33,8 +33,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="run a bound cascade and report thresholds")
-    b.add_argument("--case", choices=("general", "real", "unit"), default="general")
-    b.add_argument("--kind", choices=("U", "V"), default="U")
+    b.add_argument(
+        "--case", choices=("general", "real", "unit"), default="general",
+        help="which cascade: general (complex roots), real roots, or the unit case |s| = 1",
+    )
+    b.add_argument(
+        "--kind", choices=("U", "V"), default="U",
+        help="sequence bounded; V's bounds are half of U's",
+    )
     b.add_argument("--r", type=int, default=1, help="r of the pair; only --case unit reads it")
     b.add_argument("--s", type=int, default=1, help="s of the pair; only --case unit reads it")
     b.add_argument("--json", metavar="PATH", help="write the JSON report here")
@@ -61,17 +67,20 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", metavar="PATH", help="write the hits as CSV here")
 
     f = sub.add_parser("pf", help="factorial-product membership of one integer")
-    f.add_argument("n", type=int)
-    f.add_argument("--decompose", action="store_true")
-    f.add_argument("--limit", type=int, default=16)
+    f.add_argument("n", type=int, help="the integer; membership is of |n|, and 0 is an error")
+    f.add_argument("--decompose", action="store_true", help="also print a member's witnesses")
+    f.add_argument("--limit", type=int, default=16, help="most witnesses --decompose prints")
 
     c = sub.add_parser("cyclotomic", help="exact Phi_n(alpha, beta)")
-    c.add_argument("--r", type=int, required=True)
-    c.add_argument("--s", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--r", type=int, required=True, help="r of the pair")
+    c.add_argument("--s", type=int, required=True, help="s of the pair")
+    c.add_argument("--n", type=int, required=True, help="the index n, at least 2")
 
     v = sub.add_parser("verify", help="self-checks of identities and constants")
-    v.add_argument("--suite", choices=("identities", "bounds", "all"), default="all")
+    v.add_argument(
+        "--suite", choices=("identities", "bounds", "all"), default="all",
+        help="identities (Fibonacci), bounds (unit constant and unit case) or both",
+    )
     return top
 
 
@@ -195,12 +204,13 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_pf(args) -> int:
-    member = pf_member(args.n)
+    # the fast reject first: it rejects no member, and decides at once values
+    # on which pf_member can run for a long time
+    reason = pf_fast_reject(args.n) if abs(args.n) > 1 else None
+    member = reason is None and pf_member(args.n)
     print(f"{args.n}: {'member' if member else 'not a member'}")
-    if not member and abs(args.n) > 1:
-        reason = pf_fast_reject(args.n)
-        if reason:
-            print(f"fast reject: {reason}")
+    if reason:
+        print(f"fast reject: {reason}")
     if args.decompose and member:
         for w in pf_decompose(args.n, limit=args.limit):
             body = "*".join(f"{m}!" for m in w.args) or "1"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
-from .interval import DEFAULT_PREC, Interval, log_2pi
+from .interval import DEFAULT_PREC, Interval
 
 
 class SeqKind(str, Enum):
@@ -39,17 +39,23 @@ class LucasParams:
     s: int
     delta: int
     roots_real: bool
-    alpha_abs_log: Interval
     unit_norm: bool
 
-
-def _alpha_log_raw(r: int, s: int, delta: int, prec: int) -> Interval:
-    if delta > 0:
-        # |alpha| = (|r| + sqrt(delta)) / 2
-        root = Interval.from_int(delta, prec).sqrt()
-        return ((Interval.from_int(abs(r), prec) + root) / 2).log()
-    # complex conjugate roots: |alpha|^2 = |s|
-    return Interval.from_int(abs(s), prec).log() / 2
+    @property
+    def alpha_abs_log(self) -> Interval:
+        """Enclosure of log|alpha| at DEFAULT_PREC, computed on each read."""
+        prec = DEFAULT_PREC
+        if self.roots_real:
+            # |alpha| = (|r| + sqrt(delta)) / 2
+            root = Interval.from_int(self.delta, prec).sqrt()
+            log_a = ((Interval.from_int(abs(self.r), prec) + root) / 2).log()
+        else:
+            # complex conjugate roots: |alpha|^2 = |s|
+            log_a = Interval.from_int(abs(self.s), prec).log() / 2
+        if log_a.lo <= 0:
+            # cannot happen for integral non-degenerate (r, s); guards rigor
+            raise Degenerate(f"|alpha| <= 1 for (r, s) = ({self.r}, {self.s})")
+        return log_a
 
 
 def validate_params(r: int, s: int) -> LucasParams:
@@ -68,18 +74,7 @@ def validate_params(r: int, s: int) -> LucasParams:
             f"r^2 = {r * r} lies in {{0, -s, -2s, -3s, -4s}}: "
             "alpha/beta is a root of unity"
         )
-    log_a = _alpha_log_raw(r, s, delta, DEFAULT_PREC)
-    if log_a.lo <= 0:
-        # cannot happen for integral non-degenerate (r, s); guards rigor
-        raise Degenerate(f"|alpha| <= 1 for (r, s) = ({r}, {s})")
-    return LucasParams(
-        r=r,
-        s=s,
-        delta=delta,
-        roots_real=delta > 0,
-        alpha_abs_log=log_a,
-        unit_norm=abs(s) == 1,
-    )
+    return LucasParams(r=r, s=s, delta=delta, roots_real=delta > 0, unit_norm=abs(s) == 1)
 
 
 def _uv_pair(p: LucasParams, n: int) -> tuple[int, int]:
@@ -125,14 +120,3 @@ def iter_terms(p: LucasParams, kind: SeqKind, lo: int) -> Iterator[int]:
     while True:
         yield x
         x, y = y, r * y + s * x
-
-
-def stirling_log_factorial_sqrt(m, logm: Interval) -> Interval:
-    """Enclosure of 0.5 log(2 pi m) + m (log m - 1) <= log m! (Robbins), at
-    the precision of the enclosure m, as 0.5 log 2 pi + (m + 0.5) log m - m
-    from the enclosure ``logm`` of log m and the cached log 2 pi: no log taken."""
-    mi = Interval.coerce(m)
-    if not mi.certainly_ge(1):
-        raise DomainError("m must be at least 1")
-    half = Interval.from_str("0.5", mi.prec)
-    return half * log_2pi(mi.prec) + (mi + half) * logm - mi

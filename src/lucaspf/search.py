@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject, pf_member
+from .factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
 from .lucas import LucasParams, SeqKind, iter_terms, validate_params, u_at
 
 # one fast-doubling seed per block of indices, stepped from there
@@ -72,10 +72,9 @@ def _search_block(args: tuple[LucasParams, SeqKind, int, int]):
         if reason is not None:
             rejects[reason] += 1
             continue
-        if not pf_member(value):
-            continue
-        w = pf_decompose(value, limit=1)[0]
-        hits.append(SearchHit(n, kind, _digit_count(value), w, trivial=False))
+        witnesses = pf_decompose(value, limit=1)  # empty: not a member
+        if witnesses:
+            hits.append(SearchHit(n, kind, _digit_count(value), witnesses[0], trivial=False))
     return hits, rejects
 
 

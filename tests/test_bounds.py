@@ -18,13 +18,14 @@ from lucaspf.bounds import (
     phi_lower_rs,
     pi_ap_upper,
     primitive_divisor_log_bound,
+    stirling_log_factorial_sqrt,
     unit_product_constant,
     voutier_pair_lower,
 )
 from lucaspf.cyclotomic import arithmetic_profile, cyclotomic_value
 from lucaspf.errors import DomainError
 from lucaspf.interval import Interval, log2, log_int
-from lucaspf.lucas import stirling_log_factorial_sqrt, validate_params
+from lucaspf.lucas import validate_params
 from lucaspf.pipeline import StageConfig, _context
 from lucaspf.primes import primorial
 from oracles import sieve_upto

@@ -101,9 +101,12 @@ def test_eleven_factorial():
 
 
 def test_fast_reject_never_rejects_members():
-    for n in range(2, 30_000):
+    for n in range(2, 30_001):
+        member = pf_member(n)
+        # the search reads an empty witness list as a non-member
+        assert bool(pf_decompose(n, limit=1)) == member, n
         if pf_fast_reject(n) is not None:
-            assert not pf_member(n), n
+            assert not member, n
 
 
 def test_fast_reject_reasons():

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from lucaspf.bounds import stirling_log_factorial_sqrt
 from lucaspf.errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import (
     SeqKind,
     iter_terms,
-    stirling_log_factorial_sqrt,
     u_at,
     v_at,
     validate_params,
@@ -124,3 +124,42 @@ def test_stirling_bounds_are_lower_bounds():
         exact = log_int(math.factorial(m), 128)
         bound = stirling_log_factorial_sqrt(Interval.from_int(m, 128), log_int(m, 128))
         assert bound.hi <= exact.lo
+
+
+def _expected_error(r, s):
+    # the standing hypotheses as exact integer rules, for nonzero r and s
+    if math.gcd(r, s) != 1:
+        return NotCoprime
+    if r * r + 4 * s == 0:
+        return ZeroDiscriminant
+    if r * r in (-s, -2 * s, -3 * s):  # alpha/beta a root of unity
+        return Degenerate
+    return None
+
+
+def test_validate_params_makes_no_interval_operation(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate_params made an Interval operation")
+
+    for name in ("from_int", "sqrt", "log"):
+        monkeypatch.setattr(Interval, name, forbidden)
+    accepted = 0
+    for r in [x for k in range(1, 6) for x in (k, -k)]:
+        for s in [x for k in range(1, 11) for x in (k, -k)]:
+            expected = _expected_error(r, s)
+            if expected is None:
+                p = validate_params(r, s)
+                assert (p.r, p.s, p.delta) == (r, s, r * r + 4 * s)
+                assert (p.roots_real, p.unit_norm) == (r * r + 4 * s > 0, abs(s) == 1)
+                accepted += 1
+            else:
+                with pytest.raises(expected):
+                    validate_params(r, s)
+    assert accepted > 100
+
+
+def test_validated_pairs_compare_as_data():
+    for rs in ((1, 1), (1, -3), (-3, 5)):
+        a, b = validate_params(*rs), validate_params(*rs)
+        assert a == b and hash(a) == hash(b)
+    assert validate_params(1, 1) != validate_params(-1, 1)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import random
 import subprocess
 import sys
@@ -7,11 +9,11 @@ from unittest import mock
 
 import pytest
 
-from lucaspf.cli import cli_dispatch
+from lucaspf.cli import _build_parser, cli_dispatch
 from lucaspf.errors import DomainError, NotCoprime, Undecidable
 from lucaspf.factorials import pf_fast_reject, pf_member
 from lucaspf.lucas import SeqKind, validate_params
-from lucaspf import search
+from lucaspf import factorials, search
 from lucaspf.search import (
     SearchConfig,
     _digit_count,
@@ -155,6 +157,25 @@ def test_search_validates_the_parameters_once_per_call():
     assert [h.index for h in hits] == [1, 2, 3, 5, 13]
 
 
+def test_search_decomposes_each_candidate_once(monkeypatch):
+    # pf_decompose alone decides membership: an empty list is a non-member
+    def forbidden(n):
+        raise AssertionError("the search called pf_member")
+
+    monkeypatch.setattr(search, "pf_member", forbidden, raising=False)
+    monkeypatch.setattr(factorials, "pf_member", forbidden)
+    # (index, digits, sign, args, trivial), frozen from the two-pass search
+    expected = {
+        (1, 1, 150): [(1, 1, 1, (), True), (2, 1, 1, (), True), (3, 1, 1, (2,), False),
+                      (6, 1, 1, (2, 2, 2), False), (12, 3, 1, (2, 2, 3, 3), False)],
+        (1, -2, 2000): [(n, 1, 1, (), True) for n in (1, 2, 3, 5, 13)],
+    }
+    for (r, s, n_max), want in expected.items():
+        hits = search_pf_terms(SearchConfig(r, s, n_max=n_max))
+        got = [(h.index, h.value_digits, h.witness.sign, h.witness.args, h.trivial) for h in hits]
+        assert got == want, (r, s)
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(1, 1, SeqKind.U, 0, 10)
@@ -248,6 +269,52 @@ def test_cli_pf_and_cyclotomic():
     assert out.returncode == 0 and b"not a member" in out.stdout
     out = run_cli("cyclotomic", "--r", "1", "--s", "1", "--n", "12")
     assert out.returncode == 0 and b"= 6 " in out.stdout
+
+
+# stdout of `lucaspf pf N`, frozen from the version that asked pf_member first
+_PF_STDOUT = {
+    "1": "1: member\n",
+    "-1": "-1: member\n",
+    "2": "2: member\n",
+    "24": "24: member\n",
+    "-720": "-720: member\n",
+    "30": "30: not a member\nfast reject: size\n",
+    "1440": "1440: member\n",
+    "103424": "103424: not a member\nfast reject: rough\n",
+    "7": "7: not a member\nfast reject: odd\n",
+    "7023616": "7023616: not a member\n",  # 2^10 * 19^3 passes the fast reject
+}
+
+
+def test_cli_pf_stdout_is_frozen(capsys):
+    assert cli_dispatch(["pf", "0"]) == 2
+    assert capsys.readouterr().out == ""
+    for n, want in _PF_STDOUT.items():
+        assert cli_dispatch(["pf", n]) == 0
+        assert capsys.readouterr().out == want, n
+    assert cli_dispatch(["pf", "-720", "--decompose"]) == 0
+    assert capsys.readouterr().out == (
+        "-720: member\n  -3!*5!  args=[3, 5]\n  -6!  args=[6]\n"
+    )
+
+
+def test_cli_pf_asks_the_fast_reject_first():
+    # 26! * 53: pf_member's search runs for long on it; the rough reason is instant
+    n = str(math.factorial(26) * 53)
+    out = subprocess.run(
+        [sys.executable, "-m", "lucaspf.cli", "pf", n], capture_output=True, timeout=10
+    )
+    assert out.returncode == 0
+    assert out.stdout.decode().splitlines() == [f"{n}: not a member", "fast reject: rough"]
+
+
+def test_every_cli_option_has_help():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.help, (name, action.dest)
 
 
 def test_cli_verify_identities():
