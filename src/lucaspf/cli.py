@@ -45,7 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--s", type=int, default=1, help="s of the pair; only --case unit reads it")
     b.add_argument("--json", metavar="PATH", help="write the JSON report here")
     b.add_argument(
-        "--workers", type=int, default=1, help="scan a stage's rows in parallel (general, real)"
+        "--workers", type=int, default=1,
+        help="accepted and changes nothing: every cascade runs in one process, "
+        "and the tables are the same for any count",
     )
 
     s = sub.add_parser("search", help="search a concrete sequence for factorial products")
@@ -69,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("pf", help="factorial-product membership of one integer")
     f.add_argument("n", type=int, help="the integer; membership is of |n|, and 0 is an error")
     f.add_argument("--decompose", action="store_true", help="also print a member's witnesses")
-    f.add_argument("--limit", type=int, default=16, help="most witnesses --decompose prints")
+    f.add_argument(
+        "--limit", type=int, default=16, help="most witnesses --decompose prints, at least 1"
+    )
 
     c = sub.add_parser("cyclotomic", help="exact Phi_n(alpha, beta)")
     c.add_argument("--r", type=int, required=True, help="r of the pair")
@@ -111,9 +115,9 @@ def _cmd_bounds(args) -> int:
     params = validate_params(args.r, args.s) if args.case == "unit" else None
     with _output(args.json) as json_fh:
         if args.case == "general":
-            result = run_general_cascade(kind, workers=args.workers)
+            result = run_general_cascade(kind)
         elif args.case == "real":
-            result = run_real_cascade(kind, workers=args.workers)
+            result = run_real_cascade(kind)
         else:
             result = run_unit_case(params, kind)
         report = emit_report(result)
@@ -204,6 +208,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_pf(args) -> int:
+    if args.limit < 1:
+        raise DomainError("limit must be positive")
     # the fast reject first: it rejects no member, and decides at once values
     # on which pf_member can run for a long time
     reason = pf_fast_reject(args.n) if abs(args.n) > 1 else None

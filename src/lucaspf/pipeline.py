@@ -365,16 +365,11 @@ def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
     The whole range is covered: every admissible index above the answer lies
     in a range certified violated at 64 bits or was point-checked on its own.
     The float hints that guide the scan come from the row's own point margins
-    and only choose the cells; they never stand in for a verdict.  One row is
-    scanned sequentially; ``workers`` is accepted for call compatibility, and
-    the cascade drivers run the rows of a stage in parallel instead.
+    and only choose the cells; they never stand in for a verdict.  The row is
+    scanned in this process; ``workers`` is ignored, and kept only because
+    perfbench's replay hook calls the original as ``scan(cfg, workers)``.
     """
     return _scan(cfg, _admissible(cfg, max(151, cfg.n_floor), cfg.n_cap))
-
-
-def _threshold_job(cfg: StageConfig) -> int:
-    # pickled by name, so a pool still works while find_threshold is wrapped
-    return find_threshold(cfg)
 
 
 def _check_coverage(rows: list[StageConfig]) -> None:
@@ -398,19 +393,19 @@ def _verdict_key(cfg: StageConfig) -> tuple:
     return cfg.variant, cfg.parity, cfg.omega, cfg.n_floor
 
 
-def _run_rows(rows: list[StageConfig], workers: int,
+def _run_rows(rows: list[StageConfig],
               earlier: dict[StageConfig, int]) -> dict[StageConfig, int]:
-    """Scan independent rows and return {row: threshold} in row order.  With
-    workers > 1 the rows share a pool of processes.
+    """Scan independent rows one after another in this process and return
+    {row: threshold} in row order.
 
     ``earlier`` holds the thresholds the cascade found before these rows.  A
     row takes the threshold t of the earlier row with its verdict key and the
     largest cap C when t <= n_cap <= C: the verdicts are the same at every
     index, that scan certified every admissible index in (t, C] violated and
-    point-checked t, so t is also the largest survivor up to n_cap.
+    point-checked t, so t is also the largest survivor up to n_cap.  Every
+    other row is scanned through the module's ``find_threshold``, so a patch
+    of that name sees each scan.
     """
-    if workers < 1:
-        raise DomainError("workers must be positive")
     _check_coverage(rows)
     # the last of the rows with a key, sorted by cap, has its largest cap
     widest = {_verdict_key(cfg): cfg for cfg in sorted(earlier, key=lambda cfg: cfg.n_cap)}
@@ -419,17 +414,9 @@ def _run_rows(rows: list[StageConfig], workers: int,
         prior = widest.get(_verdict_key(cfg))
         if prior is not None and earlier[prior] <= cfg.n_cap <= prior.n_cap:
             found[cfg] = earlier[prior]
-    todo = [cfg for cfg in rows if cfg not in found]
-    if workers > 1 and len(todo) > 1:
-        # imported here: a run without a pool does not load multiprocessing
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(min(workers, len(todo))) as pool:
-            thresholds = pool.map(_threshold_job, todo, chunksize=1)
-    else:
-        thresholds = [find_threshold(cfg, workers) for cfg in todo]
-    found.update(zip(todo, thresholds))
-    return {cfg: found[cfg] for cfg in rows}
+        else:
+            found[cfg] = find_threshold(cfg)
+    return found
 
 
 def _finish(case: str, kind: SeqKind, found: dict[StageConfig, int],
@@ -528,9 +515,7 @@ _GENERAL_STAGES: tuple[Callable[[int], list[StageConfig]], ...] = (
 # -- cascade drivers -----------------------------------------------------------
 
 
-def run_general_cascade(
-    kind: SeqKind = SeqKind.U, workers: int = 1
-) -> CascadeResult:
+def run_general_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     """The five-stage reduction for arbitrary nondegenerate parameters.
 
     A row whose verdict key (variant, parity, omega, n_floor) an earlier stage
@@ -544,19 +529,19 @@ def run_general_cascade(
     found: dict[StageConfig, int] = {}
     cap = _SCAN_CEILING
     for stage in _GENERAL_STAGES:
-        thresholds = _run_rows(stage(cap), workers, found)
+        thresholds = _run_rows(stage(cap), found)
         found.update(thresholds)
         cap = max(thresholds.values(), default=NO_SURVIVOR)
     return _finish("general", kind, found, None, cap, 300_000)
 
 
-def run_real_cascade(kind: SeqKind = SeqKind.U, workers: int = 1) -> CascadeResult:
+def run_real_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     """Per-(parity, omega) rows for real quadratic alpha, then a sweep checks
     the indices no row certified against the row of their true parity and
     omega.  An index above its own row's threshold is skipped: it lies in that
     row's scanned range (at least primorial(omega), at most the cap), which
     certified it violated."""
-    found = _run_rows(_real_rows(300_000), workers, {})
+    found = _run_rows(_real_rows(300_000), {})
     row_of = {n: _row_for(found, _parity(n), arithmetic_profile(n).omega)
               for n in range(151, max(found.values(), default=NO_SURVIVOR) + 1)}
     final = _sweep([n for n, cfg in row_of.items() if n <= found[cfg]], row_of.__getitem__)

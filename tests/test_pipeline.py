@@ -621,7 +621,7 @@ def test_general_cascade_scans_16_of_its_29_rows():
 
 
 def test_a_row_reuses_an_earlier_scan_only_up_to_its_cap():
-    earlier = _run_rows(_real_rows(1000), 1, {})
+    earlier = _run_rows(_real_rows(1000), {})
     before = dict(earlier)
     all_rows = [cfg.name for cfg in _real_rows(2000)]
     # real-even-w4 survives at 248: a cap of 240 lies below that threshold,
@@ -630,7 +630,7 @@ def test_a_row_reuses_an_earlier_scan_only_up_to_its_cap():
         rows = _real_rows(cap)
         names, patch = _recorded_scans()
         with patch:
-            found = _run_rows(rows, 1, earlier)
+            found = _run_rows(rows, earlier)
         assert names == rescanned, cap
         assert list(found) == rows, cap
         assert list(found.values()) == [find_threshold(cfg) for cfg in rows], cap
@@ -640,11 +640,11 @@ def test_a_row_reuses_an_earlier_scan_only_up_to_its_cap():
 def test_reuse_reads_the_earlier_row_with_the_largest_cap():
     # real-even-w4 at cap 240 comes last, but the row with cap 1000 and
     # threshold 248 is the one a cap of 600 reuses, whatever the order
-    wide, narrow = _run_rows(_real_rows(1000), 1, {}), _run_rows(_real_rows(240), 1, {})
+    wide, narrow = _run_rows(_real_rows(1000), {}), _run_rows(_real_rows(240), {})
     for earlier in ({**wide, **narrow}, {**narrow, **wide}):
         names, patch = _recorded_scans()
         with patch:
-            found = _run_rows(_real_rows(600), 1, earlier)
+            found = _run_rows(_real_rows(600), earlier)
         assert names == [] and max(found.values()) == 248
 
 
@@ -706,13 +706,6 @@ def test_unit_case_closes(unit_u):
 def test_unit_case_requires_unit_norm():
     with pytest.raises(DomainError):
         run_unit_case(validate_params(2, 3))
-
-
-def test_cascade_drivers_refuse_workers_below_one():
-    for workers in (0, -3):
-        for driver in (run_general_cascade, run_real_cascade):
-            with pytest.raises(DomainError, match="workers must be positive"):
-                driver(workers=workers)
 
 
 def test_v_kind_halves_everything(general_u, general_v, fib_params):

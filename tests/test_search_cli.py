@@ -1,18 +1,21 @@
 import argparse
 import json
 import math
+import multiprocessing
 import random
 import subprocess
 import sys
+from itertools import islice
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
 from lucaspf.cli import _build_parser, cli_dispatch
-from lucaspf.errors import DomainError, NotCoprime, Undecidable
+from lucaspf.errors import DomainError, LucasPFError, NotCoprime, Undecidable
 from lucaspf.factorials import pf_fast_reject, pf_member
-from lucaspf.lucas import SeqKind, validate_params
+from lucaspf.lucas import SeqKind, iter_terms, validate_params
 from lucaspf import factorials, search
 from lucaspf.search import (
     SearchConfig,
@@ -176,6 +179,30 @@ def test_search_decomposes_each_candidate_once(monkeypatch):
         assert got == want, (r, s)
 
 
+def test_the_sign_of_r_flips_only_the_signs_of_terms():
+    # U_n(-r, s) = (-1)^(n-1) U_n(r, s) and V_n(-r, s) = (-1)^n V_n(r, s), so
+    # a search finds the same indices, witness arguments and digit counts
+    pairs = []
+    for r in range(1, 6):
+        for s in [x for k in range(1, 11) for x in (k, -k)]:
+            try:
+                pairs.append((validate_params(r, s), validate_params(-r, s)))
+            except LucasPFError:
+                pass
+    assert len(pairs) == 68
+    for kind, shift in ((SeqKind.U, 1), (SeqKind.V, 0)):
+        for plus, minus in pairs:
+            terms = zip(islice(iter_terms(plus, kind, 0), 60), iter_terms(minus, kind, 0))
+            for n, (x, y) in enumerate(terms):
+                assert y == (-1) ** ((n - shift) % 2) * x, (plus.r, plus.s, kind, n)
+            found = [
+                [(h.index, h.witness.args, h.value_digits)
+                 for h in search_pf_terms(SearchConfig(p.r, p.s, kind, 1, 400))]
+                for p in (plus, minus)
+            ]
+            assert found[0] == found[1], (plus.r, plus.s, kind)
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(1, 1, SeqKind.U, 0, 10)
@@ -218,6 +245,18 @@ def test_importing_the_cli_loads_no_multiprocessing():
     assert out.stdout.decode().strip() == "[]"
 
 
+def test_no_bounds_run_starts_a_pool(capsys, monkeypatch):
+    # every cascade runs its rows in one process, whatever --workers says
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bounds run asked for a process pool")
+
+    monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+    oracle = Path(__file__).parent.parent / "perfbench" / "oracle"
+    for case in ("general", "real"):
+        assert cli_dispatch(["bounds", "--case", case, "--workers", "8"]) == 0
+        assert capsys.readouterr().out == (oracle / f"bounds-{case}.txt").read_text(), case
+
+
 def test_cli_search_deterministic_bytes():
     first = run_cli("search", "--r", "1", "--s", "1", "--max-n", "150")
     second = run_cli("search", "--r", "1", "--s", "1", "--max-n", "150")
@@ -254,6 +293,9 @@ def test_cli_exit_codes():
     assert run_cli("pf", "0").returncode == 2
     assert run_cli("cyclotomic", "--r", "1", "--s", "-1", "--n", "5").returncode == 2
     assert run_cli("bogus").returncode == 2
+    # --limit is checked before the membership line is printed
+    out = run_cli("pf", "24", "--decompose", "--limit", "0")
+    assert out.returncode == 2 and out.stdout == b""
     for workers in ("0", "-3"):
         for case in (("--case", "unit", "--r", "1", "--s", "1"), ("--case", "general")):
             out = run_cli("bounds", *case, "--workers", workers)
