@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--min-n", type=int, default=1, help="first index searched (at least 1)")
     s.add_argument(
         "--workers", type=int, default=1,
-        help="map index blocks over a fork pool; the result is the same for any count",
+        help="cut the range into up to this many contiguous runs, at most one per 1 024 "
+        "indices, for a fork pool; the result is the same for any count",
     )
     s.add_argument(
         "--reject-log", action="store_true",

@@ -11,8 +11,8 @@ from .errors import DomainError
 from .factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
 from .lucas import LucasParams, SeqKind, iter_terms, validate_params, u_at
 
-# one fast-doubling seed per block of indices, stepped from there
-_BLOCK = 1024
+# at most one pool run per this many indices: fewer cost more to fork than they share
+_RUN_INDICES = 1024
 _LOG10_2 = math.log10(2)
 DEFAULT_MAX_N = 5000
 
@@ -58,7 +58,7 @@ def _digit_count(n: int) -> int:
     return max(digits, 1)
 
 
-def _search_block(args: tuple[LucasParams, SeqKind, int, int]):
+def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
     p, kind, lo, hi = args
     hits = []
     rejects = dict.fromkeys(REJECT_REASONS, 0)
@@ -78,32 +78,35 @@ def _search_block(args: tuple[LucasParams, SeqKind, int, int]):
     return hits, rejects
 
 
+def _runs(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    """[lo, hi] cut into min(workers, (hi - lo + 1) // _RUN_INDICES) contiguous
+    runs, at least one, of about equal cost: a step to index n costs about n,
+    so run k starts at isqrt(lo² + k(hi² - lo²)/runs)."""
+    runs = max(1, min(workers, (hi - lo + 1) // _RUN_INDICES))
+    starts = [math.isqrt(lo * lo + k * (hi * hi - lo * lo) // runs) for k in range(runs)]
+    return list(zip(starts, [a - 1 for a in starts[1:]] + [hi]))
+
+
 def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     """All indices n in [n_min, n_max] whose term is a product of factorials.
 
-    Work is split into fixed index blocks; the merge is an ordered reduction,
-    so the result is identical for any worker count.
+    Each run is seeded once and stepped to its end; the merge is in index
+    order, so the result is identical for any worker count.
     """
-    p = cfg.params
-    blocks = []
-    lo = cfg.n_min
-    while lo <= cfg.n_max:
-        hi = min(cfg.n_max, lo + _BLOCK - 1)
-        blocks.append((p, cfg.kind, lo, hi))
-        lo = hi + 1
-    if cfg.workers > 1 and len(blocks) > 1:
+    runs = [(cfg.params, cfg.kind, a, b) for a, b in _runs(cfg.n_min, cfg.n_max, cfg.workers)]
+    if len(runs) > 1:
         # imported here: a run without a pool does not load multiprocessing
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(min(cfg.workers, len(blocks))) as pool:
-            raw = pool.map(_search_block, blocks)
+        with get_context("fork").Pool(len(runs)) as pool:
+            raw = pool.map(_search_run, runs)
     else:
-        raw = [_search_block(b) for b in blocks]
+        raw = [_search_run(runs[0])]
     hits: list[SearchHit] = []
     rejects = dict.fromkeys(REJECT_REASONS, 0)
-    for block_hits, block_rejects in raw:
-        hits += block_hits
-        for k, v in block_rejects.items():
+    for run_hits, run_rejects in raw:
+        hits += run_hits
+        for k, v in run_rejects.items():
             rejects[k] += v
     if cfg.reject_log:
         counts = " ".join(f"{k}={v}" for k, v in rejects.items())
@@ -120,7 +123,4 @@ def verify_fibonacci_identity(indices=_FIBONACCI_FACTORIAL_INDICES) -> bool:
     prod = 1
     for i in indices:
         prod *= u_at(p, i).value
-    eleven_fact = 1
-    for k in range(2, 12):
-        eleven_fact *= k
-    return prod == eleven_fact
+    return prod == math.factorial(11)

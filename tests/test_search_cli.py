@@ -16,7 +16,7 @@ from lucaspf.cli import _build_parser, cli_dispatch
 from lucaspf.errors import DomainError, LucasPFError, NotCoprime, Undecidable
 from lucaspf.factorials import pf_fast_reject, pf_member
 from lucaspf.lucas import SeqKind, iter_terms, validate_params
-from lucaspf import factorials, search
+from lucaspf import factorials, lucas, search
 from lucaspf.search import (
     SearchConfig,
     _digit_count,
@@ -94,23 +94,10 @@ def test_worker_count_does_not_change_results():
         assert again == base
 
 
-def test_small_blocks_match_the_oracle_for_any_worker_count(monkeypatch):
-    # an odd block size puts many block boundaries, and so many stepping
-    # seeds, below 300 and gives the pool more than one block to map
-    monkeypatch.setattr(search, "_BLOCK", 7)
-    for r, s in ((1, 1), (1, -2), (-2, 3), (3, -2)):
-        for kind in SeqKind:
-            hits = search_pf_terms(SearchConfig(r, s, kind, 1, 300))
-            assert [h.index for h in hits] == brute_force_hits(r, s, kind, 300), (r, s, kind)
-            again = search_pf_terms(SearchConfig(r, s, kind, 1, 300, workers=2))
-            assert again == hits, (r, s, kind)
-
-
-def test_search_pool_has_at_most_one_process_per_block(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
     # a fake fork context records the pool size and maps in process, so no
     # process is started
-    import multiprocessing
-
     sizes = []
 
     class Pool:
@@ -127,10 +114,45 @@ def test_search_pool_has_at_most_one_process_per_block(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
-    monkeypatch.setattr(search, "_BLOCK", 7)
-    hits = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 21, workers=64))
-    assert sizes == [3]
-    assert hits == search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 21))
+    return sizes
+
+
+def test_runs_tile_the_range_with_at_most_one_run_per_worker():
+    for lo in (1, 2, 7, 1000, 5000, 123_457):
+        for length in (1, 2, 1023, 1024, 2047, 2048, 3071, 5000, 10_240, 267_212):
+            hi = lo + length - 1
+            for workers in (1, 2, 3, 7, 8, 64):
+                runs = search._runs(lo, hi, workers)
+                assert 1 <= len(runs) <= max(1, min(workers, length // 1024)), (lo, hi, workers)
+                assert runs[0][0] == lo and runs[-1][1] == hi, (lo, hi, workers)
+                assert all(a <= b for a, b in runs), (lo, hi, workers, runs)
+                assert all(c == b + 1 for (_, b), (c, _) in zip(runs, runs[1:])), (lo, hi, workers)
+
+
+def test_pooled_runs_give_the_hits_of_one_run(pool_sizes):
+    for r, s in ((1, 1), (1, -2), (-2, 3), (3, -2)):
+        for kind in SeqKind:
+            hits = search_pf_terms(SearchConfig(r, s, kind, 1, 5000))
+            short = [h.index for h in hits if h.index <= 300]
+            assert short == brute_force_hits(r, s, kind, 300), (r, s, kind)
+            for w in (2, 3, 8):
+                pool_sizes.clear()
+                again = search_pf_terms(SearchConfig(r, s, kind, 1, 5000, workers=w))
+                assert pool_sizes == [len(search._runs(1, 5000, w))] == [min(w, 4)], (r, s, kind, w)
+                assert again == hits, (r, s, kind, w)
+
+
+def test_a_search_seeds_once_per_run(pool_sizes):
+    # one fast doubling per run; the rest of the run is stepped
+    with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as seed:
+        hits = search_pf_terms(SearchConfig(1, -2, n_max=20_000))
+    assert seed.call_count == 1
+    assert pool_sizes == []
+    with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as seed:
+        again = search_pf_terms(SearchConfig(1, -2, n_max=20_000, workers=3))
+    assert seed.call_count == 3
+    assert pool_sizes == [3]
+    assert again == hits and [h.index for h in hits] == [1, 2, 3, 5, 13]
 
 
 def test_fast_reject_differential_over_random_params():
@@ -153,7 +175,7 @@ def test_fast_reject_differential_over_random_params():
 
 def test_search_validates_the_parameters_once_per_call():
     # SearchConfig checks (r, s) on construction; the search and the CLI's
-    # coverage label read the parameters it keeps (this call spans 2 blocks)
+    # coverage label read the parameters it keeps
     with mock.patch.object(search, "validate_params", wraps=search.validate_params) as spy:
         hits = search_pf_terms(SearchConfig(1, -2, n_max=1280))
     assert spy.call_count == 1
@@ -390,6 +412,17 @@ def test_cli_search_reject_log(capsys):
     assert plain.err == ""
     assert logged.err == "fast-reject: odd=98 size=33 rough=14\n"
     assert logged.out == plain.out
+
+
+def test_cli_search_reject_log_merges_the_runs_of_a_pool():
+    # at --workers 2 the 5 000 indices are searched as 2 runs in 2 processes;
+    # their counts and hits merge to the bytes of one run
+    argv = ("search", "--r", "1", "--s", "1", "--max-n", "5000", "--reject-log")
+    one, two = run_cli(*argv, "--workers", "1"), run_cli(*argv, "--workers", "2")
+    assert one.returncode == two.returncode == 0
+    assert one.stderr.startswith(b"fast-reject: odd=") and one.stderr.count(b"\n") == 1
+    assert two.stderr == one.stderr
+    assert two.stdout == one.stdout
 
 
 def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys):
