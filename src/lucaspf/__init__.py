@@ -1,4 +1,8 @@
-"""Lucas sequences, products of factorials, and the certified bound cascade."""
+"""Lucas sequences, products of factorials, and the certified bound cascade.
+
+The root exports the exact layer, which loads no mpmath. The interval layer
+and the cascade are imported from ``lucaspf.interval`` and ``lucaspf.pipeline``.
+"""
 
 from .errors import (
     Degenerate,
@@ -10,35 +14,17 @@ from .errors import (
     ZeroDiscriminant,
     ZeroInput,
 )
-from .interval import Interval, log_int
 from .lucas import LucasParams, SeqKind, SeqTerm, u_at, v_at, validate_params
 from .factorials import PFWitness, pf_decompose, pf_fast_reject, pf_member
-from .pipeline import (
-    CascadeResult,
-    StageConfig,
-    emit_report,
-    run_general_cascade,
-    run_real_cascade,
-    run_unit_case,
-    stage_violated,
-)
 from .search import SearchConfig, SearchHit, search_pf_terms, verify_fibonacci_identity
 
 __all__ = [
-    "CascadeResult",
     "SearchConfig",
     "SearchHit",
-    "StageConfig",
-    "emit_report",
-    "run_general_cascade",
-    "run_real_cascade",
-    "run_unit_case",
     "search_pf_terms",
-    "stage_violated",
     "verify_fibonacci_identity",
     "Degenerate",
     "DomainError",
-    "Interval",
     "LucasPFError",
     "LucasParams",
     "NonIntegerResult",
@@ -49,7 +35,6 @@ __all__ = [
     "Undecidable",
     "ZeroDiscriminant",
     "ZeroInput",
-    "log_int",
     "pf_decompose",
     "pf_fast_reject",
     "pf_member",

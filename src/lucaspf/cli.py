@@ -9,20 +9,20 @@ import json
 import os
 import sys
 
-from .bounds import unit_product_constant
 from .cyclotomic import cyclotomic_value
 from .errors import DomainError, LucasPFError, Undecidable
-from .factorials import pf_decompose, pf_fast_reject, pf_member
-from .interval import Interval
+from .factorials import PFWitness, pf_decompose, pf_fast_reject, pf_member
 from .lucas import SeqKind, validate_params
-from .pipeline import (
+from .search import (
     CERTIFIED_BOUNDS,
-    emit_report,
-    run_general_cascade,
-    run_real_cascade,
-    run_unit_case,
+    DEFAULT_MAX_N,
+    SearchConfig,
+    search_pf_terms,
+    verify_fibonacci_identity,
 )
-from .search import DEFAULT_MAX_N, SearchConfig, search_pf_terms, verify_fibonacci_identity
+
+# `bounds` and `verify` import the cascade inside their handlers: it loads
+# mpmath, which `pf`, `search` and `cyclotomic` do not need.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,6 +110,8 @@ def _output(path, newline=None):
 
 
 def _cmd_bounds(args) -> int:
+    from .pipeline import emit_report, run_general_cascade, run_real_cascade, run_unit_case
+
     if args.workers < 1:
         raise DomainError("workers must be positive")
     kind = SeqKind(args.kind)
@@ -146,6 +148,11 @@ def _coverage(cfg: SearchConfig) -> str:
     return f"partial up to nMax={cfg.n_max}"
 
 
+def _witness_text(w: PFWitness) -> str:
+    """m1!*m2!*..., 1 for the empty product, with a leading - for sign -1."""
+    return ("-" if w.sign < 0 else "") + ("*".join(f"{m}!" for m in w.args) or "1")
+
+
 def _cmd_search(args) -> int:
     cfg = SearchConfig(
         r=args.r,
@@ -163,11 +170,8 @@ def _cmd_search(args) -> int:
               f" n in [{cfg.n_min},{cfg.n_max}] -- {coverage}")
         print("index  kind  digits  witness          trivial")
         for h in hits:
-            witness = "*".join(f"{m}!" for m in h.witness.args) or "1"
-            if h.witness.sign < 0:
-                witness = "-" + witness
-            print(f"{h.index:<6} {h.kind.value:<5} {h.value_digits:<7} {witness:<16} "
-                  f"{'yes' if h.trivial else 'no'}")
+            print(f"{h.index:<6} {h.kind.value:<5} {h.value_digits:<7} "
+                  f"{_witness_text(h.witness):<16} {'yes' if h.trivial else 'no'}")
         print(f"{len(hits)} hit(s)")
         if json_fh:
             payload = {
@@ -220,8 +224,7 @@ def _cmd_pf(args) -> int:
         print(f"fast reject: {reason}")
     if args.decompose and member:
         for w in pf_decompose(args.n, limit=args.limit):
-            body = "*".join(f"{m}!" for m in w.args) or "1"
-            print(f"  {'-' if w.sign < 0 else ''}{body}  args={list(w.args)}")
+            print(f"  {_witness_text(w)}  args={list(w.args)}")
     return 0
 
 
@@ -241,6 +244,10 @@ def _cmd_verify(args) -> int:
             ("fibonacci hits {1,2,3,6,12}", [h.index for h in hits] == [1, 2, 3, 6, 12])
         )
     if args.suite in ("bounds", "all"):
+        from .bounds import unit_product_constant
+        from .interval import Interval
+        from .pipeline import run_unit_case
+
         const = unit_product_constant()
         checks.append(
             ("unit product constant > 0.278293",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
-from .interval import DEFAULT_PREC, Interval
 
 
 class SeqKind(str, Enum):
@@ -42,8 +41,11 @@ class LucasParams:
     unit_norm: bool
 
     @property
-    def alpha_abs_log(self) -> Interval:
-        """Enclosure of log|alpha| at DEFAULT_PREC, computed on each read."""
+    def alpha_abs_log(self):
+        """Interval enclosure of log|alpha| at DEFAULT_PREC, computed on each
+        read. The interval layer is imported here: no exact path loads mpmath."""
+        from .interval import DEFAULT_PREC, Interval
+
         prec = DEFAULT_PREC
         if self.roots_real:
             # |alpha| = (|r| + sqrt(delta)) / 2

@@ -63,10 +63,6 @@ from .primes import primorial
 # sentinel "no surviving index": the cascade's standing assumption is n > 150
 NO_SURVIVOR = 150
 
-# The certified bound on n for kind U, by case; kind V halves it.  The
-# cascades reproduce these values, and `lucaspf search` labels its coverage
-# by them.
-CERTIFIED_BOUNDS = {"general": 267_212, "real": 210, "unit": 150}
 
 @dataclass(frozen=True)
 class StageConfig:

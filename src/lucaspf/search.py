@@ -15,6 +15,10 @@ from .lucas import LucasParams, SeqKind, iter_terms, validate_params, u_at
 _RUN_INDICES = 1024
 _LOG10_2 = math.log10(2)
 DEFAULT_MAX_N = 5000
+# The certified bound on n for kind U, by case; kind V halves it.  The
+# cascades in `pipeline` reproduce these values, and `lucaspf search` labels
+# its coverage by them.
+CERTIFIED_BOUNDS = {"general": 267_212, "real": 210, "unit": 150}
 
 
 @dataclass(frozen=True)
@@ -117,10 +121,10 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
 _FIBONACCI_FACTORIAL_INDICES = (1, 2, 3, 4, 5, 6, 8, 10, 12)
 
 
-def verify_fibonacci_identity(indices=_FIBONACCI_FACTORIAL_INDICES) -> bool:
+def verify_fibonacci_identity() -> bool:
     """Exact check of F_1 F_2 F_3 F_4 F_5 F_6 F_8 F_10 F_12 = 11!."""
     p = validate_params(1, 1)
     prod = 1
-    for i in indices:
+    for i in _FIBONACCI_FACTORIAL_INDICES:
         prod *= u_at(p, i).value
     return prod == math.factorial(11)

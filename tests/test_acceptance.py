@@ -40,7 +40,7 @@ from lucaspf.pipeline import (
     stage_violated,
 )
 from lucaspf.primes import primorial
-from lucaspf.search import SearchConfig, search_pf_terms, verify_fibonacci_identity
+from lucaspf.search import SearchConfig, _runs, search_pf_terms, verify_fibonacci_identity
 from oracles import sieve_upto
 
 # frozen ground truth: indices whose Fibonacci / Lucas-companion terms are
@@ -328,11 +328,13 @@ def _run_cli(*args):
 
 def test_criterion_10_determinism_and_parallelism(tmp_path, verdict):
     ok = True
-    # criterion 5 workload: byte-identical and worker independent
-    search_args = ("search", "--r", "1", "--s", "1", "--max-n", "150")
+    # criterion 5 workload over 5 000 indices: byte-identical and worker
+    # independent, with --workers 2 and 8 cutting it into 2 and 4 pool runs
+    search_args = ("search", "--r", "1", "--s", "1", "--max-n", "5000")
     base = _run_cli(*search_args)
     ok = ok and _run_cli(*search_args) == base
-    for w in ("2", "8"):
+    for w, runs in (("2", 2), ("8", 4)):
+        ok = ok and len(_runs(1, 5000, int(w))) == runs
         ok = ok and _run_cli(*search_args, "--workers", w) == base
 
     # criterion 1 workload: full general cascade across worker counts

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from lucaspf import cyclotomic, pipeline, primes
+from lucaspf import cyclotomic, pipeline, primes, search
 from lucaspf.bounds import MnBoundVariant, mn_lower_affine, mn_upper_sieve_affine
 from lucaspf.cyclotomic import arithmetic_profile
 from lucaspf.cli import cli_dispatch
@@ -124,7 +124,7 @@ def test_computed_thresholds_are_pinned(general_u, real_u, unit_u):
     assert real_u.final_bound == 210
     assert [(s.name, s.computed) for s in unit_u.stages] == [("unit-151-210", 150)]
     # the constant `lucaspf search` labels its coverage by
-    assert pipeline.CERTIFIED_BOUNDS == {
+    assert search.CERTIFIED_BOUNDS == {
         "general": general_u.final_bound,
         "real": real_u.final_bound,
         "unit": unit_u.final_bound,
@@ -549,7 +549,7 @@ def test_scan_work_is_pinned(fib_params):
     for case, run in cascades.items():
         calls, patch = _recorded_margins()
         with patch:
-            assert run().final_bound == pipeline.CERTIFIED_BOUNDS[case]
+            assert run().final_bound == search.CERTIFIED_BOUNDS[case]
         assert len(calls) == CASCADE_WORK[case], case
 
 

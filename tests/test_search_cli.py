@@ -87,11 +87,18 @@ def test_witnesses_remultiply_to_terms():
             assert h.trivial == (abs(term) == 1)
 
 
-def test_worker_count_does_not_change_results():
-    base = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 200, workers=1))
-    for w in (2, 8):
-        again = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 200, workers=w))
+def test_worker_count_does_not_change_results(capsys):
+    # 5 000 indices: --workers 2 and 8 start real pools of 2 and 4 runs; every
+    # hit lies in the first run, so the reject counts check the later ones
+    base = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 5000, reject_log=True))
+    counts = capsys.readouterr().err
+    assert [h.index for h in base] == [1, 2, 3, 6, 12]
+    for w, runs in ((2, 2), (8, 4)):
+        assert len(search._runs(1, 5000, w)) == runs
+        cfg = SearchConfig(1, 1, SeqKind.U, 1, 5000, workers=w, reject_log=True)
+        again = search_pf_terms(cfg)
         assert again == base
+        assert capsys.readouterr().err == counts, w
 
 
 @pytest.fixture
@@ -246,9 +253,10 @@ def test_digit_count_leaves_the_str_limit_alone():
         assert _digit_count(n) == len(str(n)), n
 
 
-def test_fibonacci_identity():
+def test_fibonacci_identity(monkeypatch):
     assert verify_fibonacci_identity()
-    assert not verify_fibonacci_identity((1, 2, 3, 4, 5, 6, 8, 10, 11))
+    monkeypatch.setattr(search, "_FIBONACCI_FACTORIAL_INDICES", (1, 2, 3, 4, 5, 6, 8, 10, 11))
+    assert not verify_fibonacci_identity()
 
 
 def run_cli(*args):
@@ -265,6 +273,30 @@ def test_importing_the_cli_loads_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.decode().strip() == "[]"
+
+
+def test_exact_commands_run_without_mpmath():
+    # pf, search and cyclotomic never load the interval layer: with mpmath made
+    # unimportable they exit 0 with the bytes of a normal run
+    probe = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import lucaspf.cli\n"
+        "sys.exit(lucaspf.cli.cli_dispatch(json.loads(sys.argv[1])))\n"
+    )
+    for argv in (
+        ["pf", "24", "--decompose"],
+        ["search", "--r", "1", "--s", "-2", "--max-n", "3000", "--workers", "2"],
+        ["cyclotomic", "--r", "1", "--s", "1", "--n", "12"],
+    ):
+        blocked = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                                 capture_output=True, timeout=120)
+        normal = run_cli(*argv)
+        assert blocked.returncode == normal.returncode == 0, blocked.stderr
+        assert blocked.stdout == normal.stdout, argv
+    probe = "import sys, lucaspf; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.decode().strip() == "False", out.stderr
 
 
 def test_no_bounds_run_starts_a_pool(capsys, monkeypatch):
@@ -425,6 +457,11 @@ def test_cli_search_reject_log_merges_the_runs_of_a_pool():
     assert two.stdout == one.stdout
 
 
+def _home(work):
+    # the cascades are imported by the bounds handler when it runs, the search at cli import
+    return f"lucaspf.pipeline.{work}" if work.startswith("run_") else f"lucaspf.cli.{work}"
+
+
 def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing"
     runs = [
@@ -444,7 +481,7 @@ def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys):
     # the path is opened before the work: no cascade or search runs
     runs.append(("run_general_cascade", ("bounds", "--json", str(missing / "x.json"))))
     for work, argv in runs:
-        with mock.patch(f"lucaspf.cli.{work}") as spy:
+        with mock.patch(_home(work)) as spy:
             assert cli_dispatch(list(argv)) == 2, argv
         spy.assert_not_called()
         out = capsys.readouterr()
@@ -465,7 +502,7 @@ def test_cli_failed_run_leaves_outputs_as_they_were(tmp_path, capsys):
         ("search_pf_terms", KeyboardInterrupt(), None, search_argv),
     ]
     for work, exc, code, argv in runs:
-        with mock.patch(f"lucaspf.cli.{work}", side_effect=exc):
+        with mock.patch(_home(work), side_effect=exc):
             if code is None:
                 with pytest.raises(KeyboardInterrupt):
                     cli_dispatch(list(argv))
