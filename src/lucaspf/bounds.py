@@ -4,7 +4,9 @@ Everything here returns Interval enclosures; inequality decisions are made by
 the pipeline on interval endpoints, never on floats.  Totient and
 prime-counting estimates are the classical explicit ones (Rosser-Schoenfeld
 style); the cyclotomic lower bounds come in several variants selected by
-MnBoundVariant.
+MnBoundVariant.  A cascade row is its variant, parity and omega: bound_context
+picks the estimates those fix, and row_margin is the row's whole margin, so
+this module alone decides which estimates a margin combines.
 
 Every n-dependent estimate takes the index as one enclosure, [n, n] at a point
 or [a, b] over a range of indices, and works at that enclosure's precision; an
@@ -394,3 +396,74 @@ def primitive_divisor_log_bound(logn: Interval, omega: int, parity: Parity) -> I
     prec = logn.prec
     denom = primorial(omega - 1, skip_two=parity is Parity.ODD)
     return (logn - log_int(denom, prec)).max(log_int(3, prec))
+
+
+# -- the margin of a cascade row ----------------------------------------------
+
+
+def phi_estimate(variant: MnBoundVariant, omega: Optional[int]) -> str:
+    """The totient estimate a row uses, as its report names it: "exact" phi(n)
+    on the unit rows; else "rs", the Rosser-Schoenfeld bound, when omega is
+    None (the row takes omega_upper), and "product" over the first omega
+    admissible primes otherwise."""
+    if variant is MnBoundVariant.UNIT_EQ55:
+        return "exact"
+    return "rs" if omega is None else "product"
+
+
+def bound_context(variant: MnBoundVariant, parity: str, omega: Optional[int],
+                  n_lo: int, n_hi: int, prec: int) -> BoundContext:
+    """The estimates of a row over [n_lo, n_hi], at prec, chosen by its variant.
+
+    ``parity`` is "even", "odd" or "both"; ``omega`` None takes omega_upper.
+    REAL_EQ5: the omega-prime totient product, the sharp growth bound, the
+    radical divisor bound and the refined sieve.  UNIT_EQ55: exact phi(n) and
+    P(n) with the sharp growth bound.  Every complex and lemma variant: the
+    totient bound phi_estimate names; the half-log growth bound; divisor n.
+    The sharp rows take log(rn - 1) once (r = 1 even, r = 2 odd), which on
+    even rows is also the sieve's log(n - 1).
+    """
+    par = Parity.EVEN if parity == "both" else Parity(parity)
+    n = Interval.from_int_range(n_lo, n_hi, prec)
+    logn = n.log()
+    loglogn = logn.log()
+    w = omega if omega is not None else omega_upper(n, logn, loglogn)
+
+    divisor = logn
+    phi_kind = phi_estimate(variant, omega)
+    if phi_kind == "exact":
+        if n_hi > n_lo:
+            raise DomainError("exact phi(n) and P(n) are pointwise only")
+        profile = arithmetic_profile(n_lo)
+        phi = Interval.from_int(profile.phi, prec)
+        divisor = log_int(max(3, profile.largest_prime_factor), prec)
+    elif phi_kind == "rs":
+        phi = phi_lower_rs(n, loglogn)
+    else:
+        phi = phi_lower_omega(n, w, par)
+
+    m_log = sieve_log = None
+    if variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55):
+        if parity == "both":
+            raise DomainError("the sharp growth bound is parity specific")
+        m = n - 1 if par is Parity.EVEN else 2 * n - 1
+        m_log = (m, m.log())
+    alpha = growth_log_alpha_lower(n, logn, par, m_log)
+
+    if variant is MnBoundVariant.REAL_EQ5:
+        divisor = primitive_divisor_log_bound(logn, w, par)
+        sieve_log = m_log[1] if par is Parity.EVEN else (n - 1).log()
+
+    return BoundContext(n, logn, loglogn, w, par, alpha, phi, divisor, sieve_log)
+
+
+def row_margin(variant: MnBoundVariant, parity: str, omega: Optional[int],
+               n_lo: int, n_hi: int, prec: int) -> tuple[Interval, Interval]:
+    """(slope, margin) of mn_lower - mn_upper as an affine function of
+    log|alpha|, evaluated at the minimal permitted log|alpha|: the margin of
+    the row (variant, parity, omega) over [n_lo, n_hi] at prec."""
+    ctx = bound_context(variant, parity, omega, n_lo, n_hi, prec)
+    a, b = mn_lower_affine(variant, ctx)
+    c, d = mn_upper_sieve_affine(ctx)
+    slope = a - c
+    return slope, slope * ctx.log_alpha_lower + (b - d)

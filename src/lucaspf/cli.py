@@ -11,7 +11,7 @@ import sys
 
 from .cyclotomic import cyclotomic_value
 from .errors import DomainError, LucasPFError, Undecidable
-from .factorials import PFWitness, pf_decompose, pf_fast_reject, pf_member
+from .factorials import PFWitness, pf_decompose, pf_fast_reject
 from .lucas import SeqKind, validate_params
 from .search import (
     CERTIFIED_BOUNDS,
@@ -44,11 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--r", type=int, default=1, help="r of the pair; only --case unit reads it")
     b.add_argument("--s", type=int, default=1, help="s of the pair; only --case unit reads it")
     b.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    b.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted and changes nothing: every cascade runs in one process, "
-        "and the tables are the same for any count",
-    )
 
     s = sub.add_parser("search", help="search a concrete sequence for factorial products")
     s.add_argument("--r", type=int, required=True, help="r of the pair")
@@ -112,8 +107,6 @@ def _output(path, newline=None):
 def _cmd_bounds(args) -> int:
     from .pipeline import emit_report, run_general_cascade, run_real_cascade, run_unit_case
 
-    if args.workers < 1:
-        raise DomainError("workers must be positive")
     kind = SeqKind(args.kind)
     params = validate_params(args.r, args.s) if args.case == "unit" else None
     with _output(args.json) as json_fh:
@@ -216,14 +209,15 @@ def _cmd_pf(args) -> int:
     if args.limit < 1:
         raise DomainError("limit must be positive")
     # the fast reject first: it rejects no member, and decides at once values
-    # on which pf_member can run for a long time
+    # on which the membership search can run for a long time
     reason = pf_fast_reject(args.n) if abs(args.n) > 1 else None
-    member = reason is None and pf_member(args.n)
-    print(f"{args.n}: {'member' if member else 'not a member'}")
+    # one search: a member has a witness, and --decompose prints up to --limit
+    witnesses = [] if reason else pf_decompose(args.n, args.limit if args.decompose else 1)
+    print(f"{args.n}: {'member' if witnesses else 'not a member'}")
     if reason:
         print(f"fast reject: {reason}")
-    if args.decompose and member:
-        for w in pf_decompose(args.n, limit=args.limit):
+    if args.decompose:
+        for w in witnesses:
             print(f"  {_witness_text(w)}  args={list(w.args)}")
     return 0
 

@@ -228,11 +228,6 @@ class Interval:
 
     # -- queries ----------------------------------------------------------
 
-    def width(self):
-        """hi - lo, rounded up at the interval's precision."""
-        lo, hi = self._mpi
-        return _mpf(libmp.mpf_sub(hi, lo, self._prec, libmp.round_ceiling))
-
     def signs(self) -> tuple[int, int]:
         """The signs (-1, 0 or 1) of lo and hi, read without building an mpf.
 
@@ -266,10 +261,6 @@ class Interval:
         (a, b), (c, d) = self._mpi, other._mpi
         return _wrap((a if libmp.mpf_ge(a, c) else c, b if libmp.mpf_ge(b, d) else d),
                      max(self._prec, other._prec))
-
-    def certainly_lt(self, other) -> bool:
-        other = Interval.coerce(other, self._prec)
-        return libmp.mpf_lt(self._mpi[1], other._mpi[0])
 
     def __repr__(self):
         return f"Interval({self.lo!s}, {self.hi!s}, prec={self.prec})"

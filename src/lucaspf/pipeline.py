@@ -2,11 +2,13 @@
 
 A stage is a list of StageConfig rows: an M_n lower-bound variant, the parity
 and number of distinct primes (omega) a row assumes, a feasibility floor and a
-cap inherited from the previous stage.  The variant fixes the estimates a row
-uses (see _context).  A row "violates" an index n when the certified lower
-bound for log M_n exceeds the certified sieve upper bound for every permitted
-log|alpha|; since both sides are affine in log|alpha|, positivity of the margin
-at the minimal permitted log|alpha| together with a nonnegative slope
+cap inherited from the previous stage.  This module keeps the rows, scans them
+and reports; bounds builds every margin, from the variant, parity and omega
+alone (bounds.row_margin), so a verdict never reads a row's name, cap, floor
+or paper value.  A row "violates" an index n when the certified lower bound
+for log M_n exceeds the certified sieve upper bound for every permitted
+log|alpha|; since both sides are affine in log|alpha|, positivity of the
+margin at the minimal permitted log|alpha| together with a nonnegative slope
 certifies the whole ray.
 
 Coverage of a stage's range is exhaustive: a margin is evaluated on one
@@ -42,21 +44,10 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .bounds import (
-    BoundContext,
-    MnBoundVariant,
-    Parity,
-    growth_log_alpha_lower,
-    mn_lower_affine,
-    mn_upper_sieve_affine,
-    omega_upper,
-    phi_lower_omega,
-    phi_lower_rs,
-    primitive_divisor_log_bound,
-)
+from .bounds import MnBoundVariant, phi_estimate, row_margin
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
-from .interval import PREC_LADDER, Interval, log_int
+from .interval import PREC_LADDER
 from .lucas import SeqKind
 from .primes import primorial
 
@@ -74,20 +65,13 @@ class StageConfig:
     n_cap: int
     paper_threshold: int
 
-    @property
-    def phi_bound(self) -> str:
-        """The totient estimate the row uses, as named in the report."""
-        if self.variant is MnBoundVariant.UNIT_EQ55:
-            return "exact"
-        return "rs" if self.omega is None else "product"
-
 
 @dataclass(frozen=True)
 class BoundStageReport:
     name: str
     parity: str
     omega: Optional[int]
-    phi_bound: str
+    phi_estimate: str  # see bounds.phi_estimate
     variant: str
     computed: int
     paper: int
@@ -110,58 +94,9 @@ class CascadeResult:
 # -- margin evaluation ---------------------------------------------------------
 
 
-def _context(cfg: StageConfig, n_lo: int, n_hi: int, prec: int) -> BoundContext:
-    """The estimates of cfg over [n_lo, n_hi], chosen by its variant.
-
-    REAL_EQ5: the omega-prime totient product, the sharp growth bound, the
-    radical divisor bound and the refined sieve.  UNIT_EQ55: exact phi(n) and
-    P(n) with the sharp growth bound.  Every complex and lemma variant: the
-    Rosser-Schoenfeld totient bound when omega is None, else the product; the
-    half-log growth bound; divisor n.  The sharp rows take log(rn - 1) once
-    (r = 1 even, r = 2 odd), which on even rows is also the sieve's log(n - 1).
-    """
-    parity = Parity.EVEN if cfg.parity == "both" else Parity(cfg.parity)
-    n = Interval.from_int_range(n_lo, n_hi, prec)
-    logn = n.log()
-    loglogn = logn.log()
-    omega = cfg.omega if cfg.omega is not None else omega_upper(n, logn, loglogn)
-
-    divisor = logn
-    if cfg.variant is MnBoundVariant.UNIT_EQ55:
-        if n_hi > n_lo:
-            raise DomainError("exact phi(n) and P(n) are pointwise only")
-        profile = arithmetic_profile(n_lo)
-        phi = Interval.from_int(profile.phi, prec)
-        divisor = log_int(max(3, profile.largest_prime_factor), prec)
-    elif cfg.omega is None:
-        phi = phi_lower_rs(n, loglogn)
-    else:
-        phi = phi_lower_omega(n, omega, parity)
-
-    m_log = sieve_log = None
-    if cfg.variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55):
-        if cfg.parity == "both":
-            raise DomainError("the sharp growth bound is parity specific")
-        m = n - 1 if parity is Parity.EVEN else 2 * n - 1
-        m_log = (m, m.log())
-    alpha = growth_log_alpha_lower(n, logn, parity, m_log)
-
-    if cfg.variant is MnBoundVariant.REAL_EQ5:
-        divisor = primitive_divisor_log_bound(logn, omega, parity)
-        sieve_log = m_log[1] if parity is Parity.EVEN else (n - 1).log()
-
-    return BoundContext(n, logn, loglogn, omega, parity, alpha, phi, divisor, sieve_log)
-
-
 def _margin_parts(cfg: StageConfig, n_lo: int, n_hi: int, prec: int):
-    """(slope, margin) of mn_lower - mn_upper as an affine function of log|alpha|,
-    evaluated at the minimal permitted log|alpha|."""
-    ctx = _context(cfg, n_lo, n_hi, prec)
-    a, b = mn_lower_affine(cfg.variant, ctx)
-    c, d = mn_upper_sieve_affine(ctx)
-    slope = a - c
-    margin = slope * ctx.log_alpha_lower + (b - d)
-    return slope, margin
+    """(slope, margin) of cfg over [n_lo, n_hi] at prec (see bounds.row_margin)."""
+    return row_margin(cfg.variant, cfg.parity, cfg.omega, n_lo, n_hi, prec)
 
 
 def _verdict(cfg: StageConfig, a: int, b: int, precs: tuple[int, ...]) -> Optional[bool]:
@@ -384,8 +319,8 @@ def _check_coverage(rows: list[StageConfig]) -> None:
 
 
 def _verdict_key(cfg: StageConfig) -> tuple:
-    # what a row's scan reads besides its cap: the fields of the verdict and
-    # the floor the scan starts from
+    # what a row's scan reads besides its cap: the row fields bounds.row_margin
+    # takes, and the floor the scan starts from
     return cfg.variant, cfg.parity, cfg.omega, cfg.n_floor
 
 
@@ -418,22 +353,25 @@ def _run_rows(rows: list[StageConfig],
 def _finish(case: str, kind: SeqKind, found: dict[StageConfig, int],
             sweep_report: Optional[tuple], final: int, paper_final: int) -> CascadeResult:
     """The cascade's report: a stage per row of ``found``, in order, then the
-    survivor sweep (name, variant, computed, paper) if there is one.
+    survivor sweep (name, rows, computed, paper) if there is one, whose rows
+    are those it checks indices against.  They share one variant, so the
+    sweep's totient estimate is theirs.
 
     Kind V maps the level-2n cascade onto V-sequence indices: primitive
     divisors of V_n live at level 2n, so every threshold halves, and a stage
     stays decisive as it was at level 2n.
     """
-    stages = [(cfg.name, cfg.parity, cfg.omega, cfg.phi_bound, cfg.variant, t,
-               cfg.paper_threshold) for cfg, t in found.items()]
+    stages = [(cfg.name, cfg.parity, cfg.omega, phi_estimate(cfg.variant, cfg.omega),
+               cfg.variant, t, cfg.paper_threshold) for cfg, t in found.items()]
     if sweep_report is not None:
-        name, variant, computed, paper = sweep_report
-        stages.append((name, "both", None, "exact", variant, computed, paper))
+        name, rows, computed, paper = sweep_report
+        (variant, phi), = {(cfg.variant, phi_estimate(cfg.variant, cfg.omega)) for cfg in rows}
+        stages.append((name, "both", None, phi, variant, computed, paper))
     level = 2 if kind is SeqKind.V else 1
     reports = tuple(
-        BoundStageReport(name, parity, omega, phi_bound, variant.value,
+        BoundStageReport(name, parity, omega, phi, variant.value,
                          computed // level, paper // level, computed <= paper)
-        for name, parity, omega, phi_bound, variant, computed, paper in stages
+        for name, parity, omega, phi, variant, computed, paper in stages
     )
     return CascadeResult(case, kind, reports, final // level, paper_final // level)
 
@@ -441,37 +379,36 @@ def _finish(case: str, kind: SeqKind, found: dict[StageConfig, int],
 # -- stage tables --------------------------------------------------------------
 
 
-def _omega_rows(prefix: str, cap: int, paper: Callable[[str, int], int]) -> list[StageConfig]:
+def _omega_rows(prefix: str, cap: int, variant: dict[str, MnBoundVariant],
+                paper: Callable[[str, int], int]) -> list[StageConfig]:
     """One row per (parity, omega) that some index below cap can have; even n
     is taken up to omega 7 and odd n up to 6, which _check_coverage confirms.
-    Rows named "real" use the real-root bound, the others the lemma of their
-    parity; paper(parity, omega) is a row's stated threshold."""
+    variant[parity] is the bound of a parity's rows and paper(parity, omega) a
+    row's stated threshold."""
     rows = []
     for parity, max_w in (("even", 7), ("odd", 6)):
-        variant = MnBoundVariant.REAL_EQ5 if prefix == "real" else _LEMMA_VARIANT[parity]
         for w in range(1, max_w + 1):
             floor = primorial(w, skip_two=parity == "odd")
             if floor <= cap:
                 rows.append(
-                    StageConfig(f"{prefix}-{parity}-w{w}", variant, parity, w,
+                    StageConfig(f"{prefix}-{parity}-w{w}", variant[parity], parity, w,
                                 max(150, floor), cap, paper(parity, w))
                 )
     return rows
 
 
 _LEMMA_VARIANT = {"even": MnBoundVariant.LEMMA_HW, "odd": MnBoundVariant.LEMMA_GW}
+_REAL_VARIANT = dict.fromkeys(("even", "odd"), MnBoundVariant.REAL_EQ5)
 _REAL_PAPER = {1: 167, 2: 167, 3: 167, 4: 252, 5: 1000, 6: 1000, 7: 1000}
 
 
-def _lemma_rows(cap: int, paper, prefix: str) -> list[StageConfig]:
-    """Lemma rows below cap; paper is one threshold or one per parity."""
-    return _omega_rows(
-        prefix, cap, lambda parity, w: paper[parity] if isinstance(paper, dict) else paper
-    )
+def _lemma_rows(cap: int, paper: dict[str, int], prefix: str) -> list[StageConfig]:
+    """Lemma rows below cap; paper[parity] is the stated threshold of a parity."""
+    return _omega_rows(prefix, cap, _LEMMA_VARIANT, lambda parity, w: paper[parity])
 
 
 def _real_rows(cap: int) -> list[StageConfig]:
-    return _omega_rows("real", cap, lambda parity, w: _REAL_PAPER[w])
+    return _omega_rows("real", cap, _REAL_VARIANT, lambda parity, w: _REAL_PAPER[w])
 
 
 def _row_for(rows: Iterable[StageConfig], parity: str, omega: int) -> StageConfig:
@@ -503,7 +440,7 @@ _GENERAL_STAGES: tuple[Callable[[int], list[StageConfig]], ...] = (
         StageConfig("stage3-even-w7", MnBoundVariant.LEMMA_HW, "even", 7,
                     primorial(7), cap, 1_852_000),
     ],
-    lambda cap: _lemma_rows(cap, 500_000, "stage4"),
+    lambda cap: _lemma_rows(cap, {"even": 500_000, "odd": 500_000}, "stage4"),
     lambda cap: _lemma_rows(cap, {"even": 270_000, "odd": 150_000}, "stage5"),
 )
 
@@ -517,8 +454,9 @@ def run_general_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     A row whose verdict key (variant, parity, omega, n_floor) an earlier stage
     already scanned up to a cap C, with threshold t, takes t without a scan
     when t <= its own cap <= C (see _run_rows).  This is sound because a
-    verdict never reads a row's cap: the earlier scan certified the same
-    inequality at every admissible index in (t, C].  Every stage-5 row, and
+    verdict never reads a row's cap, as bounds.row_margin takes only the
+    variant, parity and omega: the earlier scan certified the same inequality
+    at every admissible index in (t, C].  Every stage-5 row, and
     stage4-even-w7 after stage3-even-w7, is settled this way, so 16 of the 29
     rows are scanned.
     """
@@ -541,7 +479,7 @@ def run_real_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     row_of = {n: _row_for(found, _parity(n), arithmetic_profile(n).omega)
               for n in range(151, max(found.values(), default=NO_SURVIVOR) + 1)}
     final = _sweep([n for n, cfg in row_of.items() if n <= found[cfg]], row_of.__getitem__)
-    sweep_report = ("real-survivors", MnBoundVariant.REAL_EQ5, final, 210)
+    sweep_report = ("real-survivors", found, final, 210)
     return _finish("real", kind, found, sweep_report, final, 210)
 
 
@@ -554,12 +492,11 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
     """
     if not p.unit_norm:
         raise DomainError("run_unit_case needs |s| = 1")
-    worst = _sweep(
-        range(151, 211),
-        lambda n: StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, _parity(n),
-                              arithmetic_profile(n).omega, 150, n, 150),
-    )
-    sweep_report = ("unit-151-210", MnBoundVariant.UNIT_EQ55, worst, 150)
+    row_of = {n: StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, _parity(n),
+                             arithmetic_profile(n).omega, 150, n, 150)
+              for n in range(151, 211)}
+    worst = _sweep(range(151, 211), row_of.__getitem__)
+    sweep_report = ("unit-151-210", row_of.values(), worst, 150)
     return _finish("unit", kind, {}, sweep_report, worst, 150)
 
 
@@ -573,7 +510,7 @@ def emit_report(result: CascadeResult) -> dict:
         "finalBound": result.final_bound,
         "paperFinal": result.paper_final,
         "decisive": result.decisive,
-        # the fields of BoundStageReport in order, phi_bound as phiBound
-        "stages": [{"phiBound" if k == "phi_bound" else k: v for k, v in asdict(s).items()}
+        # the fields of BoundStageReport in order, phi_estimate as phiBound
+        "stages": [{"phiBound" if k == "phi_estimate" else k: v for k, v in asdict(s).items()}
                    for s in result.stages],
     }

@@ -1,4 +1,7 @@
-"""Independent reference implementations the tests compare the library with."""
+"""Independent reference implementations the tests compare the library with,
+and the interval queries only the tests read."""
+
+from mpmath import libmp, mp
 
 
 def u_naive(p, n: int) -> int:
@@ -31,3 +34,13 @@ def sieve_upto(limit: int) -> bytearray:
             t[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
         p += 1
     return t
+
+
+def width(x):
+    """hi - lo of an Interval, rounded up at the interval's precision."""
+    return mp.make_mpf(libmp.mpf_sub(x.hi._mpf_, x.lo._mpf_, x.prec, libmp.round_ceiling))
+
+
+def certainly_lt(x, y) -> bool:
+    """Whether every point of the Interval x lies below every point of y."""
+    return x.hi < y.lo

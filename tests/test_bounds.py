@@ -8,12 +8,14 @@ from lucaspf.bounds import (
     BoundContext,
     MnBoundVariant,
     Parity,
+    bound_context,
     growth_log_alpha_lower,
     lemma_coefficient,
     logp_sum_upper,
     mn_lower_affine,
     mn_upper_sieve_affine,
     omega_upper,
+    phi_estimate,
     phi_lower_omega,
     phi_lower_rs,
     pi_ap_upper,
@@ -26,9 +28,8 @@ from lucaspf.cyclotomic import arithmetic_profile, cyclotomic_value
 from lucaspf.errors import DomainError
 from lucaspf.interval import Interval, log2, log_int
 from lucaspf.lucas import validate_params
-from lucaspf.pipeline import StageConfig, _context
 from lucaspf.primes import primorial
-from oracles import sieve_upto
+from oracles import certainly_lt, sieve_upto, width
 
 
 def phi_omega_tables(limit):
@@ -50,14 +51,14 @@ PHI, OMEGA, LARGEST = phi_omega_tables(100_000)
 
 def _logs(n):
     # log n and log log n of the index enclosure, which the estimates take as
-    # arguments (pipeline._context takes each once per margin evaluation)
+    # arguments (bound_context takes each once per margin evaluation)
     logn = Interval.coerce(n).log()
     return logn, logn.log()
 
 
 def _sharp_growth(n, parity):
     # the sharp growth bound takes m = rn - 1, r = 1 even and 2 odd, and log m as an
-    # argument (pipeline._context takes it once per margin evaluation)
+    # argument (bound_context takes it once per margin evaluation)
     m = Interval.coerce(n) * (1 if parity is Parity.EVEN else 2) - 1
     return growth_log_alpha_lower(n, _logs(n)[0], parity, (m, m.log()))
 
@@ -188,7 +189,7 @@ def test_lemma_tables_domains():
 
 
 def _ctx(n, omega, parity, phi=None):
-    # the context _context builds for a product-totient row, divisor log n
+    # the context bound_context builds for a product-totient row, divisor log n
     n = Interval.coerce(n)
     logn, loglogn = _logs(n)
     if phi is None:
@@ -273,7 +274,7 @@ _ESTIMATES = {
 def test_estimates_work_at_the_precision_of_the_enclosure(name, n):
     result = _ESTIMATES[name](Interval.from_int(n, 256))
     assert result.prec == 256
-    assert result.width() < math.ldexp(max(1, abs(result.hi)), -180), result
+    assert width(result) < math.ldexp(max(1, abs(result.hi)), -180), result
     # an int is enclosed at the default 64 bits
     assert _ESTIMATES[name](n).prec == 64
 
@@ -309,6 +310,21 @@ def test_context_requires_cascade_floor():
         _ctx(149, 2, Parity.ODD)
 
 
+def test_the_reported_totient_estimate_is_the_one_the_margin_uses():
+    n = 30_030
+    logn, loglogn = _logs(n)
+    used = {
+        "exact": Interval.from_int(PHI[n]),
+        "rs": phi_lower_rs(n, loglogn),
+        "product": phi_lower_omega(n, 4, Parity.EVEN),
+    }
+    for variant in MnBoundVariant:
+        for omega in (None, 4):
+            ctx = bound_context(variant, "even", omega, n, n, 64)
+            want = used[phi_estimate(variant, omega)]
+            assert (ctx.phi_lower.lo, ctx.phi_lower.hi) == (want.lo, want.hi), (variant, omega)
+
+
 def test_growth_bound_is_below_true_requirement():
     # the growth bound must not exceed (log((rn-1)!) - log 2) / n
     for n in (150, 151, 500, 2001, 30000):
@@ -342,7 +358,7 @@ def test_radical_divisor_bound():
 def test_unit_product_constant_certified():
     const = unit_product_constant()
     assert const.certainly_gt(Interval.from_str("0.278293", 256))
-    assert const.certainly_lt(Interval.from_str("0.278295", 256))
+    assert certainly_lt(const, Interval.from_str("0.278295", 256))
 
 
 # Lower-bound audit: each M_n lower-bound variant, evaluated at a concrete pair's
@@ -354,9 +370,8 @@ _AUDIT_PAIRS = [(1, 1), (2, 1), (3, -1), (1, 2), (3, -2), (1, -2), (1, -3), (2, 
 def _audit_slack(p, n, variant, log_phi_n):
     """log|Phi_n| - divisor minus the variant's bound; negative only if the
     variant claims more than the exact value allows."""
-    cfg = StageConfig("audit", variant, "odd" if n % 2 else "even",
-                      arithmetic_profile(n).omega, 150, n, n)
-    ctx = _context(cfg, n, n, 64)
+    parity = "odd" if n % 2 else "even"
+    ctx = bound_context(variant, parity, arithmetic_profile(n).omega, n, n, 64)
     a, b = mn_lower_affine(variant, ctx)
     return log_phi_n - ctx.primitive_divisor_log - (a * p.alpha_abs_log + b)
 

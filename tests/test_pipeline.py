@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from lucaspf import cyclotomic, pipeline, primes, search
-from lucaspf.bounds import MnBoundVariant, mn_lower_affine, mn_upper_sieve_affine
+from lucaspf.bounds import MnBoundVariant, bound_context, mn_lower_affine, mn_upper_sieve_affine
 from lucaspf.cyclotomic import arithmetic_profile
 from lucaspf.cli import cli_dispatch
 from lucaspf.errors import DomainError, Undecidable
@@ -23,7 +23,6 @@ from lucaspf.pipeline import (
     NO_SURVIVOR,
     StageConfig,
     _check_coverage,
-    _context,
     _lemma_rows,
     _real_rows,
     _row_for,
@@ -218,7 +217,7 @@ def test_scan_matches_point_checks_on_a_real_row():
 def test_certified_ranges_hold_only_violated_indices():
     # a range certified violated as a whole holds no index that its own
     # point check spares; sampled around the thresholds, widths up to 2 000
-    lemma = _lemma_rows(1_851_039, 500_000, "stage4")
+    lemma = _lemma_rows(1_851_039, {"even": 500_000, "odd": 500_000}, "stage4")
     real = _real_rows(300_000)
     rows = [
         (STAGE1, 15_028_725),
@@ -318,7 +317,7 @@ def test_violation_is_monotone_in_log_alpha():
         paper_threshold=3_900_000,
     )
     assert stage_violated(n, cfg)
-    base = _context(cfg, n, n, 64)
+    base = bound_context(cfg.variant, cfg.parity, cfg.omega, n, n, 64)
     (a, b), (c, d) = mn_lower_affine(cfg.variant, base), mn_upper_sieve_affine(base)
     for k in range(1, 11):
         log_alpha = base.log_alpha_lower * k
@@ -326,15 +325,14 @@ def test_violation_is_monotone_in_log_alpha():
 
 
 def test_context_refuses_estimates_outside_their_hypotheses():
-    unit = StageConfig("unit-n200", MnBoundVariant.UNIT_EQ55, "even", 2, 150, 210, 150)
-    _context(unit, 200, 200, 64)
+    unit = MnBoundVariant.UNIT_EQ55
+    bound_context(unit, "even", 2, 200, 200, 64)
     # exact phi(n) and P(n) hold at one index, not over a range
     with pytest.raises(DomainError):
-        _context(unit, 200, 210, 64)
+        bound_context(unit, "even", 2, 200, 210, 64)
     # the sharp growth bound needs one parity
-    both = dataclasses.replace(_row_for(_real_rows(1000), "even", 4), parity="both")
     with pytest.raises(DomainError):
-        _context(both, 300, 300, 64)
+        bound_context(MnBoundVariant.REAL_EQ5, "both", 4, 300, 300, 64)
 
 
 def test_coverage_check_refuses_caps_with_too_many_primes():
@@ -391,7 +389,7 @@ def test_ranges_are_decided_at_the_first_precision():
 
 
 def test_one_margin_evaluation_takes_log_n_and_log_log_n_once():
-    lemma = _lemma_rows(1_851_039, 500_000, "stage4")
+    lemma = _lemma_rows(1_851_039, {"even": 500_000, "odd": 500_000}, "stage4")
     rows = [
         (STAGE1, 1_000_000),
         (pipeline._GENERAL_STAGES[1](15_028_725)[0], 3_700_002),
@@ -525,7 +523,7 @@ CASCADE_WORK = {"general": 376, "real": 210, "unit": 60}
 
 
 def _work_rows():
-    lemma = _lemma_rows(1_851_039, 500_000, "stage4")
+    lemma = _lemma_rows(1_851_039, {"even": 500_000, "odd": 500_000}, "stage4")
     return {
         "stage1-baker": STAGE1,
         "stage4-even-w6": _row_for(lemma, "even", 6),
@@ -558,7 +556,8 @@ def test_stage1_finds_its_top_survivor_above_a_lower_one():
     # steps from 7 to 8 at 9 245 844, and then survives again through a
     # negative slope up to 15 028 725: not one interval of survivors
     assert not stage_violated(6_715_930, STAGE1) and stage_violated(6_715_931, STAGE1)
-    omega = [_context(STAGE1, n, n, 64).omega_assumed for n in (9_245_843, 9_245_844)]
+    omega = [bound_context(STAGE1.variant, STAGE1.parity, STAGE1.omega, n, n, 64).omega_assumed
+             for n in (9_245_843, 9_245_844)]
     assert omega == [7, 8]
     slope, _ = pipeline._margin_parts(STAGE1, 10**7, 10**7, 64)
     assert slope.signs() == (-1, -1)

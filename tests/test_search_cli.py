@@ -149,6 +149,26 @@ def test_pooled_runs_give_the_hits_of_one_run(pool_sizes):
                 assert again == hits, (r, s, kind, w)
 
 
+def _tagged_run(args):
+    # stands in for search._search_run: one hit, at the first index of its run.
+    # Module level, so that a fork pool pickles it by name
+    _, kind, lo, _ = args
+    hit = search.SearchHit(lo, kind, 1, factorials.PFWitness(1, ()), trivial=True)
+    return [hit], dict.fromkeys(factorials.REJECT_REASONS, 0)
+
+
+@pytest.mark.parametrize("pool", ["fork", "in process"])
+def test_pool_runs_merge_in_index_order(pool, monkeypatch, request):
+    # every real hit of the pooled searches above lies in the first run, so
+    # only tagged runs show a merge out of index order
+    if pool == "in process":
+        request.getfixturevalue("pool_sizes")
+    monkeypatch.setattr(search, "_search_run", _tagged_run)
+    for w in (2, 3):
+        hits = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 5000, workers=w))
+        assert [h.index for h in hits] == [a for a, _ in search._runs(1, 5000, w)], (pool, w)
+
+
 def test_a_search_seeds_once_per_run(pool_sizes):
     # one fast doubling per run; the rest of the run is stepped
     with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as seed:
@@ -300,14 +320,14 @@ def test_exact_commands_run_without_mpmath():
 
 
 def test_no_bounds_run_starts_a_pool(capsys, monkeypatch):
-    # every cascade runs its rows in one process, whatever --workers says
+    # every cascade runs its rows in one process
     def forbidden(*args, **kwargs):
         raise AssertionError("a bounds run asked for a process pool")
 
     monkeypatch.setattr(multiprocessing, "get_context", forbidden)
     oracle = Path(__file__).parent.parent / "perfbench" / "oracle"
     for case in ("general", "real"):
-        assert cli_dispatch(["bounds", "--case", case, "--workers", "8"]) == 0
+        assert cli_dispatch(["bounds", "--case", case]) == 0
         assert capsys.readouterr().out == (oracle / f"bounds-{case}.txt").read_text(), case
 
 
@@ -350,10 +370,6 @@ def test_cli_exit_codes():
     # --limit is checked before the membership line is printed
     out = run_cli("pf", "24", "--decompose", "--limit", "0")
     assert out.returncode == 2 and out.stdout == b""
-    for workers in ("0", "-3"):
-        for case in (("--case", "unit", "--r", "1", "--s", "1"), ("--case", "general")):
-            out = run_cli("bounds", *case, "--workers", workers)
-            assert out.returncode == 2 and b"workers must be positive" in out.stderr
     # the starting precision is not a flag: the ladder escalates on its own
     assert run_cli("--precision-bits", "128", "pf", "6").returncode == 2
 
@@ -395,7 +411,7 @@ def test_cli_pf_stdout_is_frozen(capsys):
 
 
 def test_cli_pf_asks_the_fast_reject_first():
-    # 26! * 53: pf_member's search runs for long on it; the rough reason is instant
+    # 26! * 53: the membership search runs for long on it; the rough reason is instant
     n = str(math.factorial(26) * 53)
     out = subprocess.run(
         [sys.executable, "-m", "lucaspf.cli", "pf", n], capture_output=True, timeout=10
