@@ -13,7 +13,6 @@ with characteristic roots alpha, beta of x^2 - r x - s, ordered so that
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -106,19 +105,26 @@ def v_at(p: LucasParams, n: int) -> SeqTerm:
     return SeqTerm(index=n, value=v, kind=SeqKind.V)
 
 
-def iter_terms(p: LucasParams, kind: SeqKind, lo: int) -> Iterator[int]:
-    """The terms x_lo, x_lo+1, ... of U or V, without end.
-
-    One fast-doubling seed at lo, then the three-term recurrence: a run of k
-    terms costs k big-integer additions instead of k fast doublings.
-    """
-    r, s = p.r, p.s
-    u, v = _uv_pair(p, lo)
-    # the odd step of fast doubling gives x_{lo+1}; both sums are even
+def term_pair(p: LucasParams, kind: SeqKind, n: int) -> tuple[int, int]:
+    """(x_n, x_{n+1}) of U or V from one fast doubling at n."""
+    u, v = _uv_pair(p, n)
+    # the odd step of fast doubling gives x_{n+1}; both sums are even
     if kind is SeqKind.U:
-        x, y = u, (r * u + v) // 2
-    else:
-        x, y = v, (p.delta * u + r * v) // 2
-    while True:
-        yield x
-        x, y = y, r * y + s * x
+        return u, (p.r * u + v) // 2
+    return v, (p.delta * u + p.r * v) // 2
+
+
+def parity_period(p: LucasParams, kind: SeqKind) -> int | None:
+    """The tau >= 1 with x_n even exactly when tau | n (n >= 1), or None when
+    every such term is odd.
+
+    Coprime (r, s) are not both even, and modulo 2 the recurrence reads:
+    - s even, r odd: x_{n+2} = x_{n+1}, and U_1 = 1, V_1 = r are odd;
+    - r even, s odd: x_{n+2} = x_n, so U = 0, 1, 0, 1, ... and V = 0, 0, ...;
+    - both odd: x_{n+2} = x_{n+1} + x_n, so U and V are 0, 1, 1, 0, 1, 1, ...
+    """
+    if p.s % 2 == 0:
+        return None
+    if p.r % 2 == 0:
+        return 2 if kind is SeqKind.U else 1
+    return 3

@@ -3,6 +3,22 @@ and the interval queries only the tests read."""
 
 from mpmath import libmp, mp
 
+from lucaspf.lucas import SeqKind, _uv_pair
+
+
+def iter_terms(p, kind, lo: int):
+    """The terms x_lo, x_lo+1, ... of U or V, without end: one fast-doubling
+    seed at lo, then the three-term recurrence at every index."""
+    u, v = _uv_pair(p, lo)
+    # the odd step of fast doubling gives x_{lo+1}; both sums are even
+    if kind is SeqKind.U:
+        x, y = u, (p.r * u + v) // 2
+    else:
+        x, y = v, (p.delta * u + p.r * v) // 2
+    while True:
+        yield x
+        x, y = y, p.r * y + p.s * x
+
 
 def u_naive(p, n: int) -> int:
     """U_n by the three-term recurrence."""

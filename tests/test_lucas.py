@@ -10,12 +10,12 @@ from lucaspf.errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import (
     SeqKind,
-    iter_terms,
+    term_pair,
     u_at,
     v_at,
     validate_params,
 )
-from oracles import u_naive, v_naive
+from oracles import iter_terms, u_naive, v_naive
 
 
 def valid_pairs():
@@ -49,6 +49,7 @@ def test_stepped_terms_match_fast_doubling(rs, lo, length):
     for kind, term in ((SeqKind.U, u_at), (SeqKind.V, v_at)):
         got = list(islice(iter_terms(p, kind, lo), length))
         assert got == [term(p, n).value for n in range(lo, lo + length)], kind
+        assert term_pair(p, kind, lo) == (term(p, lo).value, term(p, lo + 1).value), kind
 
 
 @settings(max_examples=60, deadline=None)

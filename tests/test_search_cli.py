@@ -15,7 +15,7 @@ import pytest
 from lucaspf.cli import _build_parser, cli_dispatch
 from lucaspf.errors import DomainError, LucasPFError, NotCoprime, Undecidable
 from lucaspf.factorials import pf_fast_reject, pf_member
-from lucaspf.lucas import SeqKind, iter_terms, validate_params
+from lucaspf.lucas import SeqKind, validate_params
 from lucaspf import factorials, lucas, search
 from lucaspf.search import (
     SearchConfig,
@@ -23,7 +23,7 @@ from lucaspf.search import (
     search_pf_terms,
     verify_fibonacci_identity,
 )
-from oracles import u_naive, v_naive
+from oracles import iter_terms, u_naive, v_naive
 
 
 def brute_force_hits(r, s, kind, n_max):
@@ -170,16 +170,21 @@ def test_pool_runs_merge_in_index_order(pool, monkeypatch, request):
 
 
 def test_a_search_seeds_once_per_run(pool_sizes):
-    # one fast doubling per run; the rest of the run is stepped
-    with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as seed:
-        hits = search_pf_terms(SearchConfig(1, -2, n_max=20_000))
-    assert seed.call_count == 1
-    assert pool_sizes == []
-    with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as seed:
-        again = search_pf_terms(SearchConfig(1, -2, n_max=20_000, workers=3))
-    assert seed.call_count == 3
-    assert pool_sizes == [3]
-    assert again == hits and [h.index for h in hits] == [1, 2, 3, 5, 13]
+    # one fast doubling per run, plus one per +-1 candidate of the residue
+    # pass; the rest of a run is stepped. Every exact term goes through
+    # lucas._uv_pair, so the patch sees them all. (1, -2) has even s, so every
+    # term is odd, and its only candidates are its 5 trivial hits
+    trivial = [1, 2, 3, 5, 13]
+    found = []
+    for w, pool in ((1, []), (3, [3])):
+        pool_sizes.clear()
+        with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
+            found.append(search_pf_terms(SearchConfig(1, -2, n_max=20_000, workers=w)))
+        seeds = [a for a, _ in search._runs(1, 20_000, w)]
+        assert len(seeds) == w and pool_sizes == pool, w
+        assert sorted(c.args[1] for c in exact.call_args_list) == sorted(seeds + trivial), w
+    assert found[0] == found[1]
+    assert [h.index for h in found[0]] == trivial and all(h.trivial for h in found[0])
 
 
 def test_fast_reject_differential_over_random_params():
