@@ -140,6 +140,17 @@ def _strip(odd: int, g: int) -> int:
 REJECT_REASONS = ("odd", "size", "rough")
 
 
+def _size_bits(v: int) -> int:
+    """The bit length from which an N with nu_2(N) = v >= 1 is too large to be
+    a member: ((2v+1)!)^v < 2^(v bl((2v+1)!)) <= N once bl(N) >= this."""
+    return v * math.factorial(2 * v + 1).bit_length() + 1
+
+
+# _size_bits for every nu_2 that the low 64 bits of an even integer show; the
+# search settles most of its even terms by this table alone
+_SIZE_BITS = {v: _size_bits(v) for v in range(1, 64)}
+
+
 def pf_fast_reject(n: int):
     """Cheap certificate that |n| cannot be a factorial product, or None.
 
@@ -149,6 +160,10 @@ def pf_fast_reject(n: int):
     (N > ((2v+1)!)^v) and "rough" (an odd prime factor above 2v + 1, which
     no member has: every prime factor of m_1! ... m_k! is at most the largest
     m_i <= 2v + 1).
+
+    The first "size" test reads only bit lengths: bl(N) >= `_SIZE_BITS[v]`
+    (`_size_bits(v)` for v >= 64), the table that `search` applies in line
+    before it calls this function.
     """
     # abs copies a negative n once; a bitwise op on a negative int would copy
     # all of it every time (two's complement), and abs of a positive n is free
@@ -159,13 +174,12 @@ def pf_fast_reject(n: int):
         return "odd"
     low = m & 0xFFFF_FFFF_FFFF_FFFF  # nu_2 from the low 64 bits; m & -m copies m
     v = ((low & -low) if low else (m & -m)).bit_length() - 1
-    cap = math.factorial(2 * v + 1)
-    # sufficient bit-length test: bl(m) >= v * bl(cap) + 1 implies m > cap**v
-    if m.bit_length() >= v * cap.bit_length() + 1:
+    bits = _SIZE_BITS[v] if low else _size_bits(v)
+    if m.bit_length() >= bits:
         return "size"
-    if v * cap.bit_length() <= 4 * m.bit_length() + 64:
+    if bits - 1 <= 4 * m.bit_length() + 64:
         # exact comparison is affordable here
-        if m > cap**v:
+        if m > math.factorial(2 * v + 1) ** v:
             return "size"
     # an odd part <= 2v + 1 has no prime factor above it
     odd = m >> v

@@ -114,6 +114,27 @@ def term_pair(p: LucasParams, kind: SeqKind, n: int) -> tuple[int, int]:
     return v, (p.delta * u + p.r * v) // 2
 
 
+def term_pair_mod(p: LucasParams, kind: SeqKind, n: int, m: int) -> tuple[int, int]:
+    """(x_n mod m, x_{n+1} mod m) of U or V, by fast doubling on (U_k, U_{k+1})
+    modulo m:
+
+        U_2k = U_k (2 U_{k+1} - r U_k),  U_2k+1 = U_{k+1}^2 + s U_k^2,
+
+    and V_n = 2 U_{n+1} - r U_n.  No step halves, so m may be even."""
+    if n < 0:
+        raise DomainError("index must be nonnegative")
+    r, s = p.r, p.s
+    a, b = 0, 1  # U_0, U_1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - r * a) % m, (b * b + s * a * a) % m
+        if bit == "1":
+            a, b = b, (r * b + s * a) % m
+    if kind is SeqKind.U:
+        return a, b
+    # V_{n+1} = 2 U_{n+2} - r U_{n+1} = r U_{n+1} + 2 s U_n
+    return (2 * b - r * a) % m, (r * b + 2 * s * a) % m
+
+
 def parity_period(p: LucasParams, kind: SeqKind) -> int | None:
     """The tau >= 1 with x_n even exactly when tau | n (n >= 1), or None when
     every such term is odd.

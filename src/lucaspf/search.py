@@ -4,7 +4,10 @@ plus an exact check of the Fibonacci factorial identity.
 A factorial product other than 1 is even, and the terms of a sequence are even
 exactly at the multiples of its parity period (`lucas.parity_period`).  So a
 search builds exact terms only at those indices, and at the few odd ones whose
-residue modulo 2P (P an odd prime) says they could be +-1.
+residue modulo 2P (P an odd prime) says they could be +-1.  Most even terms
+are rejected by a bit-length table (`factorials._SIZE_BITS`) without a call
+into `factorials`, and a run whose terms are all odd (s even) is seeded modulo
+2P, so it builds no exact term but those of its +-1 candidates.
 """
 
 from __future__ import annotations
@@ -14,8 +17,16 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
-from .lucas import LucasParams, SeqKind, parity_period, term_pair, u_at, validate_params
+from .factorials import _SIZE_BITS, REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
+from .lucas import (
+    LucasParams,
+    SeqKind,
+    parity_period,
+    term_pair,
+    term_pair_mod,
+    u_at,
+    validate_params,
+)
 
 # at most one pool run per this many indices: fewer cost more to fork than they share
 _RUN_INDICES = 1024
@@ -82,29 +93,36 @@ def _stride(p: LucasParams, tau: int) -> tuple[int, int]:
 
 
 def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
-    """Hits and reject counts of [lo, hi], in two exact passes from one seed
-    at lo.
+    """Hits and reject counts of [lo, hi], in two passes from one seed at lo.
 
     - Residue pass, over every index: x_n mod 2P.  An odd term is rejected as
       `odd`, unless its residue is 1 or 2P - 1; that candidate's exact term
       decides whether it is a trivial hit.  A false candidate costs one exact
       term and decides nothing.
     - Exact pass, over the multiples of the parity period tau, where the terms
-      are even: steps x_{k tau} by `_stride` and sends each term through
-      `pf_fast_reject` and then `pf_decompose`.
+      are even: steps x_{k tau} by `_stride`.  A term whose nu_2, read from its
+      low 64 bits, and bit length meet `factorials._SIZE_BITS` is rejected as
+      `size` in line; every other term goes through `pf_fast_reject` and then
+      `pf_decompose`.
 
-    When tau = 1 every term is even and there is no residue pass; when s is
-    even every term is odd and there is no exact pass.
+    When tau = 1 every term is even and there is no residue pass.  When s is
+    even every term is odd and there is no exact pass, so the run is seeded by
+    `term_pair_mod` alone and builds exact terms only for its candidates;
+    otherwise one exact `term_pair` seeds both passes.
     """
     p, kind, lo, hi = args
     r, s = p.r, p.s
     tau = parity_period(p, kind)
-    x, y = term_pair(p, kind, lo)
+    m = _M
+    if tau:
+        x, y = term_pair(p, kind, lo)
+        a, b = x % m, y % m
+    else:
+        a, b = term_pair_mod(p, kind, lo, m)
     hits = []
     rejects = dict.fromkeys(REJECT_REASONS, 0)
     if tau != 1:
-        m, top = _M, _M - 1
-        a, b = x % m, y % m
+        top = m - 1
         for n in range(lo, hi + 1):
             # even residues, at the multiples of tau, are neither 1 nor top
             if (a == 1 or a == top) and term_pair(p, kind, n)[0] in (1, -1):
@@ -124,6 +142,13 @@ def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
             value, x, y = x, y, v_tau * y - q_tau * x
             if value == 0:
                 continue  # cannot occur for nondegenerate parameters; belt and braces
+            # the term is even, so a nonzero low word gives 1 <= nu_2 <= 63; abs
+            # copies a negative term, where & would complement all of it digit
+            # by digit, several times slower
+            low = abs(value) & 0xFFFF_FFFF_FFFF_FFFF
+            if low and value.bit_length() >= _SIZE_BITS[(low & -low).bit_length() - 1]:
+                rejects["size"] += 1
+                continue
             reason = pf_fast_reject(value)
             if reason is not None:
                 rejects[reason] += 1
@@ -135,26 +160,34 @@ def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
     return hits, rejects
 
 
-def _runs(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+def _runs(lo: int, hi: int, workers: int, exact_pass: bool) -> list[tuple[int, int]]:
     """[lo, hi] cut into min(workers, (hi - lo + 1) // _RUN_INDICES) contiguous
-    runs, at least one, of about equal cost: an exact step to index n costs
-    about n, so run k starts at isqrt(lo² + k(hi² - lo²)/runs).  That models
-    the exact pass.  A pair with even s has no exact pass, and its residue
-    pass costs the same at every index, so there a run costs in proportion to
-    its length and the first run is the longest."""
+    runs, at least one, of about equal cost.
+
+    With an exact pass, a step to index n costs about n, so run k starts at
+    isqrt(lo² + k(hi² - lo²)/runs).  Without one (s even) the residue pass
+    costs the same at every index, so the runs' lengths differ by at most 1.
+    """
     runs = max(1, min(workers, (hi - lo + 1) // _RUN_INDICES))
-    starts = [math.isqrt(lo * lo + k * (hi * hi - lo * lo) // runs) for k in range(runs)]
+    if exact_pass:
+        starts = [math.isqrt(lo * lo + k * (hi * hi - lo * lo) // runs) for k in range(runs)]
+    else:
+        starts = [lo + k * (hi - lo + 1) // runs for k in range(runs)]
     return list(zip(starts, [a - 1 for a in starts[1:]] + [hi]))
 
 
 def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     """All indices n in [n_min, n_max] whose term is a product of factorials.
 
-    Each run is seeded by one fast doubling and stepped to its end by its two
+    Each run is seeded at its first index and stepped to its end by its two
     passes (`_search_run`); the merge is in index order, so the result is
     identical for any worker count.
     """
-    runs = [(cfg.params, cfg.kind, a, b) for a, b in _runs(cfg.n_min, cfg.n_max, cfg.workers)]
+    exact_pass = parity_period(cfg.params, cfg.kind) is not None
+    runs = [
+        (cfg.params, cfg.kind, a, b)
+        for a, b in _runs(cfg.n_min, cfg.n_max, cfg.workers, exact_pass)
+    ]
     if len(runs) > 1:
         # imported here: a run without a pool does not load multiprocessing
         from multiprocessing import get_context

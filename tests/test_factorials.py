@@ -116,6 +116,18 @@ def test_fast_reject_reasons():
     assert pf_fast_reject(2 * (3**40)) == "size"
 
 
+def test_size_table_is_the_bound_at_its_edge():
+    # 2^(bits - 1) already exceeds ((2v+1)!)^v, and the smallest integer of
+    # that bit length with nu_2 = v is rejected by size; v = 64 is past the
+    # table, where pf_fast_reject computes the same bound
+    assert sorted(factorials._SIZE_BITS) == list(range(1, 64))
+    for v in range(1, 65):
+        bits = factorials._SIZE_BITS[v] if v < 64 else factorials._size_bits(v)
+        assert 2 ** (bits - 1) > math.factorial(2 * v + 1) ** v, v
+        assert pf_fast_reject(2 ** (bits - 1) + 2**v) == "size", v
+        assert pf_fast_reject(-(2 ** (bits - 1) + 2**v)) == "size", v
+
+
 def test_fast_reject_rough():
     # 103424 = 2^10 * 101: any witness has arguments <= 21, so no factor 101
     assert pf_fast_reject(103424) == "rough"

@@ -11,6 +11,7 @@ from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import (
     SeqKind,
     term_pair,
+    term_pair_mod,
     u_at,
     v_at,
     validate_params,
@@ -93,6 +94,8 @@ def test_negative_index_rejected():
     p = validate_params(1, 1)
     with pytest.raises(DomainError):
         u_at(p, -1)
+    with pytest.raises(DomainError):
+        term_pair_mod(p, SeqKind.U, -1, 10)
 
 
 def test_fibonacci_alpha_log_is_golden_ratio():

@@ -76,6 +76,20 @@ def test_stride_recurrence(kind):
                 assert terms[n + tau] == v_tau * terms[n] - q_tau * terms[n - tau], (p.r, p.s, tau, n)
 
 
+def test_modular_seed_matches_the_exact_pair():
+    m = search._M
+    for p, kind in COMBOS:
+        for n in range(301):
+            x, y = lucas.term_pair(p, kind, n)
+            assert lucas.term_pair_mod(p, kind, n, m) == (x % m, y % m), (p.r, p.s, kind, n)
+    for r, s in ((1, -2), (3, -2), (-3, -4), (5, 2), (-1, 6)):
+        p = validate_params(r, s)
+        for kind in SeqKind:
+            for n in (1023, 40_000, 267_212):
+                x, y = lucas.term_pair(p, kind, n)
+                assert lucas.term_pair_mod(p, kind, n, m) == (x % m, y % m), (r, s, kind, n)
+
+
 def test_sieve_matches_plain_stepping():
     # hits, witnesses, digit counts, trivial flags and reject counts are those
     # of stepping every term, and the exact +-1 candidates are exactly the
@@ -94,7 +108,9 @@ def test_sieve_matches_plain_stepping():
                 got = search._search_run((p, kind, lo, hi))
             where = (p.r, p.s, kind, lo, hi)
             assert got == (hits, rejects), where
-            candidates = [c.args[1] for c in exact.call_args_list[1:]]
+            # a run with an exact pass seeds it with one exact term pair first
+            seeded = parity_period(p, kind) is not None
+            candidates = [c.args[1] for c in exact.call_args_list[seeded:]]
             assert candidates == [h.index for h in hits if h.trivial], where
             cases += 1
     assert cases == 1632
@@ -110,5 +126,6 @@ def test_the_modulus_sets_no_trap():
     p = validate_params(3, -2)
     with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
         hits, rejects = search._search_run((p, SeqKind.U, 1, 40_000))
-    assert [c.args[1] for c in exact.call_args_list] == [1, 1]  # the seed, then U_1
+    # s is even, so the run is seeded modulo 2P: its only exact term is U_1
+    assert [c.args[1] for c in exact.call_args_list] == [1]
     assert [h.index for h in hits] == [1] and rejects["odd"] == 39_999
