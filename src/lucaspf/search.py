@@ -160,19 +160,15 @@ def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
     return hits, rejects
 
 
-def _runs(lo: int, hi: int, workers: int, exact_pass: bool) -> list[tuple[int, int]]:
+def _runs(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     """[lo, hi] cut into min(workers, (hi - lo + 1) // _RUN_INDICES) contiguous
-    runs, at least one, of about equal cost.
-
-    With an exact pass, a step to index n costs about n, so run k starts at
-    isqrt(lo² + k(hi² - lo²)/runs).  Without one (s even) the residue pass
-    costs the same at every index, so the runs' lengths differ by at most 1.
-    """
+    runs, at least one, of about equal cost: an exact step to index n costs
+    about n, so run k starts at isqrt(lo² + k(hi² - lo²)/runs).  That models
+    the exact pass.  A pair with even s has no exact pass, and its residue
+    pass costs the same at every index, so there a run costs in proportion to
+    its length and the first run is the longest."""
     runs = max(1, min(workers, (hi - lo + 1) // _RUN_INDICES))
-    if exact_pass:
-        starts = [math.isqrt(lo * lo + k * (hi * hi - lo * lo) // runs) for k in range(runs)]
-    else:
-        starts = [lo + k * (hi - lo + 1) // runs for k in range(runs)]
+    starts = [math.isqrt(lo * lo + k * (hi * hi - lo * lo) // runs) for k in range(runs)]
     return list(zip(starts, [a - 1 for a in starts[1:]] + [hi]))
 
 
@@ -183,11 +179,7 @@ def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     passes (`_search_run`); the merge is in index order, so the result is
     identical for any worker count.
     """
-    exact_pass = parity_period(cfg.params, cfg.kind) is not None
-    runs = [
-        (cfg.params, cfg.kind, a, b)
-        for a, b in _runs(cfg.n_min, cfg.n_max, cfg.workers, exact_pass)
-    ]
+    runs = [(cfg.params, cfg.kind, a, b) for a, b in _runs(cfg.n_min, cfg.n_max, cfg.workers)]
     if len(runs) > 1:
         # imported here: a run without a pool does not load multiprocessing
         from multiprocessing import get_context

@@ -334,7 +334,7 @@ def test_criterion_10_determinism_and_parallelism(tmp_path, verdict):
     base = _run_cli(*search_args)
     ok = ok and _run_cli(*search_args) == base
     for w, runs in (("2", 2), ("8", 4)):
-        ok = ok and len(_runs(1, 5000, int(w), True)) == runs
+        ok = ok and len(_runs(1, 5000, int(w))) == runs
         ok = ok and _run_cli(*search_args, "--workers", w) == base
 
     # criterion 1 workload: repeat runs of the full general cascade give the

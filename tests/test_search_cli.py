@@ -5,7 +5,7 @@ import multiprocessing
 import random
 import subprocess
 import sys
-from itertools import islice, product
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -15,7 +15,7 @@ import pytest
 from lucaspf.cli import _build_parser, cli_dispatch
 from lucaspf.errors import DomainError, LucasPFError, NotCoprime, Undecidable
 from lucaspf.factorials import pf_fast_reject, pf_member
-from lucaspf.lucas import SeqKind, parity_period, validate_params
+from lucaspf.lucas import SeqKind, validate_params
 from lucaspf import factorials, lucas, search
 from lucaspf.search import (
     SearchConfig,
@@ -94,7 +94,7 @@ def test_worker_count_does_not_change_results(capsys):
     counts = capsys.readouterr().err
     assert [h.index for h in base] == [1, 2, 3, 6, 12]
     for w, runs in ((2, 2), (8, 4)):
-        assert len(search._runs(1, 5000, w, True)) == runs
+        assert len(search._runs(1, 5000, w)) == runs
         cfg = SearchConfig(1, 1, SeqKind.U, 1, 5000, workers=w, reject_log=True)
         again = search_pf_terms(cfg)
         assert again == base
@@ -128,13 +128,12 @@ def test_runs_tile_the_range_with_at_most_one_run_per_worker():
     for lo in (1, 2, 7, 1000, 5000, 123_457):
         for length in (1, 2, 1023, 1024, 2047, 2048, 3071, 5000, 10_240, 267_212):
             hi = lo + length - 1
-            for workers, exact_pass in product((1, 2, 3, 7, 8, 64), (True, False)):
-                runs = search._runs(lo, hi, workers, exact_pass)
-                where = (lo, hi, workers, exact_pass)
-                assert 1 <= len(runs) <= max(1, min(workers, length // 1024)), where
-                assert runs[0][0] == lo and runs[-1][1] == hi, where
-                assert all(a <= b for a, b in runs), (where, runs)
-                assert all(c == b + 1 for (_, b), (c, _) in zip(runs, runs[1:])), where
+            for workers in (1, 2, 3, 7, 8, 64):
+                runs = search._runs(lo, hi, workers)
+                assert 1 <= len(runs) <= max(1, min(workers, length // 1024)), (lo, hi, workers)
+                assert runs[0][0] == lo and runs[-1][1] == hi, (lo, hi, workers)
+                assert all(a <= b for a, b in runs), (lo, hi, workers, runs)
+                assert all(c == b + 1 for (_, b), (c, _) in zip(runs, runs[1:])), (lo, hi, workers)
 
 
 def test_pooled_runs_give_the_hits_of_one_run(pool_sizes):
@@ -146,8 +145,7 @@ def test_pooled_runs_give_the_hits_of_one_run(pool_sizes):
             for w in (2, 3, 8):
                 pool_sizes.clear()
                 again = search_pf_terms(SearchConfig(r, s, kind, 1, 5000, workers=w))
-                exact_pass = parity_period(validate_params(r, s), kind) is not None
-                assert pool_sizes == [len(search._runs(1, 5000, w, exact_pass))] == [min(w, 4)], (r, s, kind, w)
+                assert pool_sizes == [len(search._runs(1, 5000, w))] == [min(w, 4)], (r, s, kind, w)
                 assert again == hits, (r, s, kind, w)
 
 
@@ -168,7 +166,7 @@ def test_pool_runs_merge_in_index_order(pool, monkeypatch, request):
     monkeypatch.setattr(search, "_search_run", _tagged_run)
     for w in (2, 3):
         hits = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 5000, workers=w))
-        assert [h.index for h in hits] == [a for a, _ in search._runs(1, 5000, w, True)], (pool, w)
+        assert [h.index for h in hits] == [a for a, _ in search._runs(1, 5000, w)], (pool, w)
 
 
 def test_a_search_seeds_once_per_run(pool_sizes):
@@ -185,31 +183,13 @@ def test_a_search_seeds_once_per_run(pool_sizes):
             pool_sizes.clear()
             with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
                 found.append(search_pf_terms(SearchConfig(r, s, n_max=20_000, workers=w)))
-            starts = [a for a, _ in search._runs(1, 20_000, w, exact_pass)]
+            starts = [a for a, _ in search._runs(1, 20_000, w)]
             assert len(starts) == w and pool_sizes == pool, (r, s, w)
             seeds = starts if exact_pass else []
             assert sorted(c.args[1] for c in exact.call_args_list) == sorted(seeds + trivial), (r, s, w)
         assert found[0] == found[1], (r, s)
         assert [h.index for h in found[0] if h.trivial] == trivial, (r, s)
     assert all(h.trivial for h in found[0])  # (1, -2) has no other hit
-
-
-def test_runs_without_an_exact_pass_split_evenly(pool_sizes, monkeypatch):
-    # s even: no exact pass, and the residue pass costs the same per index,
-    # so the runs of a pool are of equal length, within 1
-    runs = []
-
-    def record(args):
-        runs.append(args[2:])
-        return [], dict.fromkeys(factorials.REJECT_REASONS, 0)
-
-    monkeypatch.setattr(search, "_search_run", record)
-    for (r, s), w in product(((1, -2), (3, -2)), (2, 3)):
-        runs.clear()
-        search_pf_terms(SearchConfig(r, s, n_max=267_212, workers=w))
-        assert len(runs) == w and runs[0][0] == 1 and runs[-1][1] == 267_212, (r, s, w)
-        lengths = [hi - lo + 1 for lo, hi in runs]
-        assert max(lengths) - min(lengths) <= 1, (r, s, w, lengths)
 
 
 def test_fast_reject_differential_over_random_params():
