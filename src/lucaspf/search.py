@@ -2,12 +2,14 @@
 plus an exact check of the Fibonacci factorial identity.
 
 A factorial product other than 1 is even, and the terms of a sequence are even
-exactly at the multiples of its parity period (`lucas.parity_period`).  So a
-search builds exact terms only at those indices, and at the few odd ones whose
-residue modulo 2P (P an odd prime) says they could be +-1.  Most even terms
-are rejected by a bit-length table (`factorials._SIZE_BITS`) without a call
-into `factorials`, and a run whose terms are all odd (s even) is seeded modulo
-2P, so it builds no exact term but those of its +-1 candidates.
+exactly at the multiples of its parity period (`lucas.parity_period`).  A
+search steps every term modulo 2P (P an odd prime) and the even terms modulo
+2^w, both seeded by `lucas.term_pair_mod`, and builds no exact seed.  An even
+term whose residue, read against a bit-length table (`factorials._SIZE_BITS`),
+proves it too large is rejected without an exact term or a call into
+`factorials`.  So a run builds exact terms only at the few odd indices whose
+residue says they could be +-1, and at the even ones whose residue cannot
+settle their size.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ _LOG10_2 = math.log10(2)
 # (2^n - 1 is -1 modulo 2^64 for every n >= 64).
 _P = (1 << 29) - 3
 _M = 2 * _P
+# The even pass steps terms modulo 2^w from w = _W0.  A narrower w rejects
+# fewer terms by residue (cap >= w from nu_2 = 9 on) and widens more often; a
+# wider one costs more per step.
+_W0 = 512
+_LOW64 = 0xFFFF_FFFF_FFFF_FFFF
 DEFAULT_MAX_N = 5000
 # The certified bound on n for kind U, by case; kind V halves it.  The
 # cascades in `pipeline` reproduce these values, and `lucaspf search` labels
@@ -92,37 +99,69 @@ def _stride(p: LucasParams, tau: int) -> tuple[int, int]:
     return (r, r * r + 2 * s, r**3 + 3 * r * s)[tau - 1], (-s) ** tau
 
 
+def _ahead(x: int, y: int, p: LucasParams, tau: int, mask: int) -> tuple[int, int]:
+    """(x_n, x_{n+tau}) mod 2^w from (x_n, x_{n+1}), mask = 2^w - 1."""
+    z = x
+    for _ in range(tau - 1):
+        z, y = y, (p.r * y + p.s * z) & mask
+    return x, y
+
+
+def _windows(w: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+    """The residues t modulo 2^w that certify `size`: those whose symmetric
+    residue has at least cap = _SIZE_BITS[nu] bits, where cap < w.
+
+    - (k, f, c) for every nu at once: t & k != 0 says nu <= nu_max, the
+      largest nu with cap < w, and f <= t <= c meets the cap of nu_max, which
+      is the largest of them;
+    - floor, ceil by nu: floor[j] <= t <= ceil[j] meets the cap of nu = j - 1,
+      j = bitlen(low & -low) for the low 64 bits of t, so j = 0 (nu >= 64),
+      j = 1 (t odd) and every cap >= w get an empty window.
+    """
+    caps = [0, 0] + [_SIZE_BITS[nu] for nu in range(1, 64)]
+    floor = tuple(1 << (cap - 1) if 0 < cap < w else 1 << w for cap in caps)
+    ceil = tuple((1 << w) - f for f in floor)
+    top = max(j for j, cap in enumerate(caps) if cap < w)  # nu_max + 1
+    return (1 << top) - 1, floor[top], ceil[top], floor, ceil
+
+
+_WINDOWS_W0 = _windows(_W0)
+
+
 def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
-    """Hits and reject counts of [lo, hi], in two passes from one seed at lo.
+    """Hits and reject counts of [lo, hi], in two passes.
 
-    - Residue pass, over every index: x_n mod 2P.  An odd term is rejected as
-      `odd`, unless its residue is 1 or 2P - 1; that candidate's exact term
-      decides whether it is a trivial hit.  A false candidate costs one exact
-      term and decides nothing.
-    - Exact pass, over the multiples of the parity period tau, where the terms
-      are even: steps x_{k tau} by `_stride`.  A term whose nu_2, read from its
-      low 64 bits, and bit length meet `factorials._SIZE_BITS` is rejected as
-      `size` in line; every other term goes through `pf_fast_reject` and then
-      `pf_decompose`.
+    - Residue pass, over every index: x_n mod 2P, seeded by `term_pair_mod`
+      at lo.  An odd term is rejected as `odd`, unless its residue is 1 or
+      2P - 1; that candidate's exact term decides whether it is a trivial hit.
+      A false candidate costs one exact term and decides nothing.
+    - Even pass, over the multiples of the parity period tau, where the terms
+      are even: steps x_{k tau} modulo 2^w by `_stride`, reduced by a mask,
+      from a `term_pair_mod` seed at the first of them.  With nu = nu_2 and
+      cap = `factorials._SIZE_BITS[nu]`, a term is rejected as `size` in line
+      when cap < w and its symmetric residue, the smaller of x mod 2^w and
+      2^w - (x mod 2^w), has at least cap bits.  That is exact: a term of
+      fewer than cap < w bits is its own symmetric residue, up to sign.  The
+      test is read off `_windows(w)`, first for every small nu at once, then
+      for the nu of the residue's low 64 bits.  Every other term is built
+      exactly by `term_pair` and goes through the same test on its exact
+      bits, then `pf_fast_reject` and `pf_decompose`.  Where cap >= w, w
+      widens past cap and the stepping is reseeded from that exact pair.
 
-    When tau = 1 every term is even and there is no residue pass.  When s is
-    even every term is odd and there is no exact pass, so the run is seeded by
-    `term_pair_mod` alone and builds exact terms only for its candidates;
-    otherwise one exact `term_pair` seeds both passes.
+    When tau = 1 every term is even and there is no residue pass; when s is
+    even every term is odd and there is no even pass.  So a run builds exact
+    terms only for its +-1 candidates and for the even terms whose residue
+    cannot settle `size`.
     """
     p, kind, lo, hi = args
     r, s = p.r, p.s
     tau = parity_period(p, kind)
-    m = _M
-    if tau:
-        x, y = term_pair(p, kind, lo)
-        a, b = x % m, y % m
-    else:
-        a, b = term_pair_mod(p, kind, lo, m)
     hits = []
     rejects = dict.fromkeys(REJECT_REASONS, 0)
     if tau != 1:
+        m = _M
         top = m - 1
+        a, b = term_pair_mod(p, kind, lo, m)
         for n in range(lo, hi + 1):
             # even residues, at the multiples of tau, are neither 1 nor top
             if (a == 1 or a == top) and term_pair(p, kind, n)[0] in (1, -1):
@@ -132,20 +171,34 @@ def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
         rejects["odd"] = hi - lo + 1 - evens - len(hits)
     if tau:
         e = lo + -lo % tau  # the first multiple of tau at or above lo
-        for _ in range(e - lo):
-            x, y = y, r * y + s * x
-        z = x
-        for _ in range(tau - 1):  # y becomes x_{e+tau}
-            z, y = y, r * y + s * z
         v_tau, q_tau = _stride(p, tau)
-        for n in range(e, hi + 1, tau):
-            value, x, y = x, y, v_tau * y - q_tau * x
+        w = _W0
+        mask = (1 << w) - 1
+        k, f, c, floor, ceil = _WINDOWS_W0
+        a, b = _ahead(*term_pair_mod(p, kind, e, mask + 1), p, tau, mask)
+        evens = range(e, hi + 1, tau)
+        rejects["size"] = len(evens)  # less every term built exactly
+        for n in evens:
+            t, a, b = a, b, (v_tau * b - q_tau * a) & mask
+            if t & k and f <= t <= c:
+                continue
+            low = t & _LOW64
+            j = (low & -low).bit_length()
+            if floor[j] <= t <= ceil[j]:
+                continue
+            rejects["size"] -= 1
+            value, y = term_pair(p, kind, n)
+            if j > 1 and _SIZE_BITS[j - 1] >= w:
+                w = 1 << (_SIZE_BITS[j - 1] + 64).bit_length()
+                mask = (1 << w) - 1
+                k, f, c, floor, ceil = _windows(w)
+                a, b = _ahead(value & mask, y & mask, p, tau, mask)  # at n
+                a, b = b, (v_tau * b - q_tau * a) & mask
             if value == 0:
                 continue  # cannot occur for nondegenerate parameters; belt and braces
-            # the term is even, so a nonzero low word gives 1 <= nu_2 <= 63; abs
-            # copies a negative term, where & would complement all of it digit
-            # by digit, several times slower
-            low = abs(value) & 0xFFFF_FFFF_FFFF_FFFF
+            # abs copies a negative term, where & would complement all of it
+            # digit by digit, several times slower
+            low = abs(value) & _LOW64
             if low and value.bit_length() >= _SIZE_BITS[(low & -low).bit_length() - 1]:
                 rejects["size"] += 1
                 continue
@@ -162,21 +215,18 @@ def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
 
 def _runs(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
     """[lo, hi] cut into min(workers, (hi - lo + 1) // _RUN_INDICES) contiguous
-    runs, at least one, of about equal cost: an exact step to index n costs
-    about n, so run k starts at isqrt(lo² + k(hi² - lo²)/runs).  That models
-    the exact pass.  A pair with even s has no exact pass, and its residue
-    pass costs the same at every index, so there a run costs in proportion to
-    its length and the first run is the longest."""
+    runs, at least one, whose lengths differ by at most one: both passes step
+    residues of bounded width, so every index costs about the same."""
     runs = max(1, min(workers, (hi - lo + 1) // _RUN_INDICES))
-    starts = [math.isqrt(lo * lo + k * (hi * hi - lo * lo) // runs) for k in range(runs)]
+    starts = [lo + k * (hi - lo + 1) // runs for k in range(runs)]
     return list(zip(starts, [a - 1 for a in starts[1:]] + [hi]))
 
 
 def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     """All indices n in [n_min, n_max] whose term is a product of factorials.
 
-    Each run is seeded at its first index and stepped to its end by its two
-    passes (`_search_run`); the merge is in index order, so the result is
+    Each run is seeded modulo 2P and 2^w at its first index and stepped to its
+    end by its two passes (`_search_run`); the merge is in index order, so the result is
     identical for any worker count.
     """
     runs = [(cfg.params, cfg.kind, a, b) for a, b in _runs(cfg.n_min, cfg.n_max, cfg.workers)]

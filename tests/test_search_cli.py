@@ -136,6 +136,15 @@ def test_runs_tile_the_range_with_at_most_one_run_per_worker():
                 assert all(c == b + 1 for (_, b), (c, _) in zip(runs, runs[1:])), (lo, hi, workers)
 
 
+def test_runs_have_equal_lengths():
+    # every index costs about the same, so the runs split the range evenly
+    for lo in (1, 7, 200_000):
+        for length in (2048, 5000, 20_000, 67_213, 267_212):
+            for workers in (2, 3, 7):
+                sizes = [b - a + 1 for a, b in search._runs(lo, lo + length - 1, workers)]
+                assert max(sizes) - min(sizes) <= 1, (lo, length, workers, sizes)
+
+
 def test_pooled_runs_give_the_hits_of_one_run(pool_sizes):
     for r, s in ((1, 1), (1, -2), (-2, 3), (3, -2)):
         for kind in SeqKind:
@@ -169,26 +178,36 @@ def test_pool_runs_merge_in_index_order(pool, monkeypatch, request):
         assert [h.index for h in hits] == [a for a, _ in search._runs(1, 5000, w)], (pool, w)
 
 
-def test_a_search_seeds_once_per_run(pool_sizes):
-    # at most one fast doubling per run, plus one per +-1 candidate of the
-    # residue pass; the rest of a run is stepped. Every exact term goes through
-    # lucas._uv_pair, so the patch sees them all.
-    # - (1, 1) has an exact pass (tau = 3): one exact seed per run, and its
-    #   candidates are its trivial hits U_1 = U_2 = 1;
-    # - (1, -2) has even s, so every term is odd and its runs are seeded modulo
-    #   2P: the only exact terms are those of its 5 trivial hits
-    for (r, s), trivial, exact_pass in (((1, 1), [1, 2], True), ((1, -2), [1, 2, 3, 5, 13], False)):
+def test_a_search_builds_no_exact_seed(pool_sizes):
+    # no run is seeded by an exact term. Every exact term goes through
+    # lucas._uv_pair, so the patch sees them all: each is a +-1 candidate of
+    # the residue pass or an even term whose residue modulo 2^w could not
+    # settle `size`.
+    # - (1, 1) (tau = 3): the candidates are its trivial hits U_1 = U_2 = 1.
+    #   The even terms built are those below their cap, U_3 = 2, U_6 = 8 and
+    #   U_12 = 144 among them, up to U_768 (532 bits, nu_2 = 10, cap 661), and
+    #   in each run the first term with cap >= w, where w widens: U_384
+    #   (nu_2 = 9, cap 514 >= 512) and U_6144 (13) in one run; in three runs,
+    #   which each start from w = 512, also U_6912 (10) and U_12288 (14), and
+    #   U_13440 (9) and U_18432 (13);
+    # - (1, -2) has even s: every term is odd, and the only exact terms are
+    #   its 5 trivial hits
+    small = [1, 2, 3, 6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 72, 84, 96, 108, 120, 144, 168, 192, 240, 288]
+    expected = {
+        ((1, 1), 1): small + [384, 768, 6144],
+        ((1, 1), 3): small + [384, 768, 6144, 6912, 12288, 13440, 18432],
+        ((1, -2), 1): [1, 2, 3, 5, 13],
+        ((1, -2), 3): [1, 2, 3, 5, 13],
+    }
+    for r, s in ((1, 1), (1, -2)):
         found = []
         for w, pool in ((1, []), (3, [3])):
             pool_sizes.clear()
             with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
                 found.append(search_pf_terms(SearchConfig(r, s, n_max=20_000, workers=w)))
-            starts = [a for a, _ in search._runs(1, 20_000, w)]
-            assert len(starts) == w and pool_sizes == pool, (r, s, w)
-            seeds = starts if exact_pass else []
-            assert sorted(c.args[1] for c in exact.call_args_list) == sorted(seeds + trivial), (r, s, w)
+            assert len(search._runs(1, 20_000, w)) == w and pool_sizes == pool, (r, s, w)
+            assert sorted(c.args[1] for c in exact.call_args_list) == expected[(r, s), w], (r, s, w)
         assert found[0] == found[1], (r, s)
-        assert [h.index for h in found[0] if h.trivial] == trivial, (r, s)
     assert all(h.trivial for h in found[0])  # (1, -2) has no other hit
 
 

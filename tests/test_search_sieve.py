@@ -8,7 +8,7 @@ import sympy
 
 from lucaspf import lucas, search
 from lucaspf.errors import LucasPFError
-from lucaspf.factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
+from lucaspf.factorials import _SIZE_BITS, REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
 from lucaspf.lucas import SeqKind, parity_period, validate_params
 from oracles import iter_terms
 
@@ -47,6 +47,15 @@ def _plain_outcomes(p, kind, hi):
             ) if witnesses else None
         out.append(reason)
     return out
+
+
+def _expected(span):
+    """The hits and reject counts of a span of `_plain_outcomes`."""
+    rejects = dict.fromkeys(REJECT_REASONS, 0)
+    for o in span:
+        if isinstance(o, str):
+            rejects[o] += 1
+    return [o for o in span if isinstance(o, search.SearchHit)], rejects
 
 
 def test_box_has_every_parity_period():
@@ -90,30 +99,127 @@ def test_modular_seed_matches_the_exact_pair():
                 assert lucas.term_pair_mod(p, kind, n, m) == (x % m, y % m), (r, s, kind, n)
 
 
+def test_power_of_two_seed_matches_the_exact_pair():
+    # the seeds of the even pass: term_pair_mod reduces by a mask when m is a
+    # power of two. Modulo 2^4096 the residues of negative terms fill 4 096
+    # bits and a doubling costs about 50 times more, so below 300 that modulus
+    # takes every tenth n
+    moduli = (2**512, 2**1024, 2**4096)
+    for p, kind in COMBOS:
+        for n in range(301):
+            x, y = lucas.term_pair(p, kind, n)
+            for m in moduli[: 2 + (n % 10 == 0)]:
+                assert lucas.term_pair_mod(p, kind, n, m) == (x % m, y % m), (p.r, p.s, kind, n, m)
+    for p in BOX:
+        for n in (40_000, 267_212):
+            # one exact doubling for U and V alike, as in lucas.term_pair; the
+            # low 4096 bits of each term, taken by a mask (Python's & and % by
+            # a power of two agree on negative ints too), decide every modulus
+            u, v = lucas._uv_pair(p, n)
+            low = 2**4096 - 1
+            exact = {
+                SeqKind.U: (u & low, (p.r * u + v) // 2 & low),
+                SeqKind.V: (v & low, (p.delta * u + p.r * v) // 2 & low),
+            }
+            for kind, (x, y) in exact.items():
+                for m in moduli:
+                    assert lucas.term_pair_mod(p, kind, n, m) == (x % m, y % m), (p.r, p.s, kind, n, m)
+
+
+def _exact_even_indices(p, kind, hi):
+    """Two sets of even indices n <= hi: `must`, where no residue of x_n can
+    settle `size` (nu_2 >= 64, or fewer bits than cap = _SIZE_BITS[nu_2]), so
+    the even pass builds x_n exactly; and `may`, which adds the indices where
+    a residue modulo 2^w, w >= 512, can fall short: cap >= 512, where w may
+    widen, or a symmetric residue modulo 2^512 of fewer than cap bits (one
+    that falls short modulo a wider 2^w falls short modulo 2^512 too)."""
+    must, may = set(), set()
+    tau = parity_period(p, kind)
+    if tau is None:
+        return must, may
+    w = search._W0
+    mask = 2**w - 1
+    for n, x in zip(range(1, hi + 1), iter_terms(p, kind, 1)):
+        if n % tau:
+            continue
+        size = abs(x)
+        cap = _SIZE_BITS.get((size & -size).bit_length() - 1)
+        if cap is None or size.bit_length() < cap:
+            must.add(n)
+        elif cap >= w or min(x & mask, -x & mask).bit_length() < cap:
+            may.add(n)
+    return must, must | may
+
+
+def _check_exact_terms(p, kind, lo, hi, calls, hits, even):
+    # the +-1 candidates, at odd indices, are exactly the terms that are +-1;
+    # an even index is built exactly where its residue cannot settle `size`,
+    # and where it could fall short of the cap, nowhere else
+    where = (p.r, p.s, kind, lo, hi)
+    tau = parity_period(p, kind)
+    odd = [n for n in calls if tau is None or n % tau]
+    assert odd == [h.index for h in hits if h.trivial], where
+    built = [n for n in calls if tau is not None and n % tau == 0]
+    must, may = even
+    assert len(built) == len(set(built)), where
+    assert {n for n in must if lo <= n <= hi} <= set(built) <= may, where
+
+
 def test_sieve_matches_plain_stepping():
     # hits, witnesses, digit counts, trivial flags and reject counts are those
-    # of stepping every term, and the exact +-1 candidates are exactly the
-    # terms that are +-1
+    # of stepping every term, with no exact seed: every exact term is a +-1
+    # candidate or an even term whose residue could not settle `size`
     cases = 0
     for p, kind in COMBOS:
         plain = _plain_outcomes(p, kind, FAR)
+        even = _exact_even_indices(p, kind, FAR)
         for lo, hi in RANGES:
-            span = plain[lo : hi + 1]
-            hits = [o for o in span if isinstance(o, search.SearchHit)]
-            rejects = dict.fromkeys(REJECT_REASONS, 0)
-            for o in span:
-                if isinstance(o, str):
-                    rejects[o] += 1
+            hits, rejects = _expected(plain[lo : hi + 1])
             with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
                 got = search._search_run((p, kind, lo, hi))
-            where = (p.r, p.s, kind, lo, hi)
-            assert got == (hits, rejects), where
-            # a run with an exact pass seeds it with one exact term pair first
-            seeded = parity_period(p, kind) is not None
-            candidates = [c.args[1] for c in exact.call_args_list[seeded:]]
-            assert candidates == [h.index for h in hits if h.trivial], where
+            assert got == (hits, rejects), (p.r, p.s, kind, lo, hi)
+            _check_exact_terms(p, kind, lo, hi, [c.args[1] for c in exact.call_args_list], hits, even)
             cases += 1
     assert cases == 1632
+
+
+@pytest.mark.parametrize("r, s, kind, lo, hi", [
+    (1, 1, SeqKind.U, 1, 20_000),  # nu_2(U_384) = 9: cap 514 >= 512, then 13 at U_6144
+    (1, 1, SeqKind.U, 6_667, 20_000),  # a mid-range start widens at U_6912 (nu_2 = 10)
+    (1, -3, SeqKind.U, 1, 12_000),  # negative terms, whose residues are near 2^w
+    (2, -3, SeqKind.U, 1, 12_000),  # tau = 2
+    (-4, 3, SeqKind.U, 5_001, 12_000),  # negative r, a mid-range start
+])
+def test_a_widening_run_matches_plain_stepping(r, s, kind, lo, hi):
+    # past a widening the residues are reseeded modulo the wider 2^w; without
+    # that, the terms after it are settled from wrong residues
+    p = validate_params(r, s)
+    hits, rejects = _expected(_plain_outcomes(p, kind, hi)[lo:])
+    with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
+        assert search._search_run((p, kind, lo, hi)) == (hits, rejects)
+    built = [c.args[1] for c in exact.call_args_list]
+    _check_exact_terms(p, kind, lo, hi, built, hits, _exact_even_indices(p, kind, hi))
+    # the run did widen: it built a term whose cap is at least the first w
+    terms = [abs(lucas.term_pair(p, kind, n)[0]) for n in built]
+    assert max(_SIZE_BITS.get((x & -x).bit_length() - 1, 0) for x in terms) >= search._W0
+
+
+def test_windows_hold_the_residues_that_certify_size():
+    # floor[j] <= t <= ceil[j] exactly when the symmetric residue of t modulo
+    # 2^w has at least cap = _SIZE_BITS[j - 1] bits and cap < w; (k, f, c)
+    # is the window of the largest such nu, k masking the bits below nu + 1.
+    # The widths include caps themselves (393 at nu = 8, 514 at nu = 9)
+    for w in (64, 393, 394, 512, 514, 1024, 2048):
+        k, f, c, floor, ceil = search._windows(w)
+        assert len(floor) == len(ceil) == 65
+        for j in range(65):
+            cap = _SIZE_BITS.get(j - 1)
+            if cap is not None and cap < w:
+                assert (floor[j], ceil[j]) == (2 ** (cap - 1), 2**w - 2 ** (cap - 1)), (w, j)
+            else:
+                assert floor[j] > ceil[j] and floor[j] >= 2**w, (w, j)  # empty
+        nu_max = max(nu for nu, cap in _SIZE_BITS.items() if cap < w)
+        assert (k, f, c) == (2 ** (nu_max + 1) - 1, floor[nu_max + 1], ceil[nu_max + 1]), w
 
 
 def test_the_modulus_sets_no_trap():
