@@ -52,11 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="last index searched")
     s.add_argument("--min-n", type=int, default=1, help="first index searched (at least 1)")
     s.add_argument(
-        "--workers", type=int, default=1,
-        help="cut the range into up to this many contiguous runs, at most one per 1 024 "
-        "indices, for a fork pool; the result is the same for any count",
-    )
-    s.add_argument(
         "--reject-log", action="store_true",
         help="print the counts of fast-rejected terms to stderr, by reason: odd, "
         "size (above ((2v+1)!)^v, v = nu_2) and rough (an odd prime factor above 2v+1)",
@@ -153,7 +148,6 @@ def _cmd_search(args) -> int:
         kind=SeqKind(args.kind),
         n_min=args.min_n,
         n_max=args.max_n,
-        workers=args.workers,
         reject_log=args.reject_log,
     )
     with _output(args.json) as json_fh, _output(args.csv, newline="") as csv_fh:

@@ -3,11 +3,12 @@ plus an exact check of the Fibonacci factorial identity.
 
 A factorial product other than 1 is even, and the terms of a sequence are even
 exactly at the multiples of its parity period (`lucas.parity_period`).  A
-search steps every term modulo 2P (P an odd prime) and the even terms modulo
-2^w, both seeded by `lucas.term_pair_mod`, and builds no exact seed.  An even
+search runs in one process over its whole range.  It steps every term modulo
+2P (P an odd prime) and the even terms modulo 2^w, both seeded by
+`lucas.term_pair_mod` at the first index, and builds no exact seed.  An even
 term whose residue, read against a bit-length table (`factorials._SIZE_BITS`),
 proves it too large is rejected without an exact term or a call into
-`factorials`.  So a run builds exact terms only at the few odd indices whose
+`factorials`.  So a search builds exact terms only at the few odd indices whose
 residue says they could be +-1, and at the even ones whose residue cannot
 settle their size.
 """
@@ -30,8 +31,6 @@ from .lucas import (
     validate_params,
 )
 
-# at most one pool run per this many indices: fewer cost more to fork than they share
-_RUN_INDICES = 1024
 _LOG10_2 = math.log10(2)
 # The residue pass steps terms modulo 2P: 2P < 2^30 keeps a residue to one
 # CPython digit, and P prime keeps it off +-1 where a power of two would not
@@ -66,7 +65,6 @@ class SearchConfig:
     kind: SeqKind = SeqKind.U
     n_min: int = 1
     n_max: int = DEFAULT_MAX_N
-    workers: int = 1
     reject_log: bool = False
     params: LucasParams = field(init=False, repr=False, compare=False)
 
@@ -75,8 +73,6 @@ class SearchConfig:
             raise DomainError("n_min must be >= 1 (U_0 = 0 is excluded)")
         if self.n_min > self.n_max:
             raise DomainError("n_min must not exceed n_max")
-        if self.workers < 1:
-            raise DomainError("workers must be positive")
         object.__setattr__(self, "params", validate_params(self.r, self.s))
 
 
@@ -128,7 +124,7 @@ def _windows(w: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
 _WINDOWS_W0 = _windows(_W0)
 
 
-def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
+def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     """Hits and reject counts of [lo, hi], in two passes.
 
     - Residue pass, over every index: x_n mod 2P, seeded by `term_pair_mod`
@@ -153,7 +149,6 @@ def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
     terms only for its +-1 candidates and for the even terms whose residue
     cannot settle `size`.
     """
-    p, kind, lo, hi = args
     r, s = p.r, p.s
     tau = parity_period(p, kind)
     hits = []
@@ -213,37 +208,11 @@ def _search_run(args: tuple[LucasParams, SeqKind, int, int]):
     return hits, rejects
 
 
-def _runs(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    """[lo, hi] cut into min(workers, (hi - lo + 1) // _RUN_INDICES) contiguous
-    runs, at least one, whose lengths differ by at most one: both passes step
-    residues of bounded width, so every index costs about the same."""
-    runs = max(1, min(workers, (hi - lo + 1) // _RUN_INDICES))
-    starts = [lo + k * (hi - lo + 1) // runs for k in range(runs)]
-    return list(zip(starts, [a - 1 for a in starts[1:]] + [hi]))
-
-
 def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
-    """All indices n in [n_min, n_max] whose term is a product of factorials.
-
-    Each run is seeded modulo 2P and 2^w at its first index and stepped to its
-    end by its two passes (`_search_run`); the merge is in index order, so the result is
-    identical for any worker count.
-    """
-    runs = [(cfg.params, cfg.kind, a, b) for a, b in _runs(cfg.n_min, cfg.n_max, cfg.workers)]
-    if len(runs) > 1:
-        # imported here: a run without a pool does not load multiprocessing
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(len(runs)) as pool:
-            raw = pool.map(_search_run, runs)
-    else:
-        raw = [_search_run(runs[0])]
-    hits: list[SearchHit] = []
-    rejects = dict.fromkeys(REJECT_REASONS, 0)
-    for run_hits, run_rejects in raw:
-        hits += run_hits
-        for k, v in run_rejects.items():
-            rejects[k] += v
+    """All indices n in [n_min, n_max] whose term is a product of factorials,
+    in index order, found by the two passes of `_search_run` over the whole
+    range, seeded modulo 2P and 2^w at n_min."""
+    hits, rejects = _search_run(cfg.params, cfg.kind, cfg.n_min, cfg.n_max)
     if cfg.reject_log:
         counts = " ".join(f"{k}={v}" for k, v in rejects.items())
         print(f"fast-reject: {counts}", file=sys.stderr)

@@ -20,6 +20,27 @@ def iter_terms(p, kind, lo: int):
         x, y = y, p.r * y + p.s * x
 
 
+def term_pairs_matrix_mod(p, n: int, m: int) -> dict:
+    """{kind: (x_n mod m, x_{n+1} mod m)} for U and V, by the matrix power
+    [[r, s], [1, 0]]^n mod m applied to (x_1, x_0) of each: no fast doubling,
+    and every product is of two residues below m."""
+
+    def mul(x, y):
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return ((a * e + b * g) % m, (a * f + b * h) % m), ((c * e + d * g) % m, (c * f + d * h) % m)
+
+    power, base = ((1, 0), (0, 1)), ((p.r % m, p.s % m), (1, 0))
+    while n:
+        if n & 1:
+            power = mul(power, base)
+        base = mul(base, base)
+        n >>= 1
+    (a, b), (c, d) = power
+    firsts = {SeqKind.U: (1, 0), SeqKind.V: (p.r, 2)}
+    return {kind: ((c * x1 + d * x0) % m, (a * x1 + b * x0) % m) for kind, (x1, x0) in firsts.items()}
+
+
 def u_naive(p, n: int) -> int:
     """U_n by the three-term recurrence."""
     a, b = 0, 1

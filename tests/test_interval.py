@@ -342,8 +342,8 @@ def test_domain_checks_read_the_sign_of_the_lower_endpoint():
 
 
 def test_intervals_survive_pickling():
-    # an Interval pickles to the same endpoints; the search pool pickles
-    # LucasParams, which holds no Interval and encloses log|alpha| on read
+    # an Interval pickles to the same endpoints; LucasParams holds no
+    # Interval, encloses log|alpha| on read, and pickles whole
     for x in (log_int(10**40 + 1, 128), -Interval.from_fraction(1, 3), Interval.from_int(0)):
         y = pickle.loads(pickle.dumps(x))
         assert type(y) is Interval and _raw(y) == _raw(x)

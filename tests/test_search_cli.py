@@ -7,7 +7,6 @@ import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -87,109 +86,19 @@ def test_witnesses_remultiply_to_terms():
             assert h.trivial == (abs(term) == 1)
 
 
-def test_worker_count_does_not_change_results(capsys):
-    # 5 000 indices: --workers 2 and 8 start real pools of 2 and 4 runs; every
-    # hit lies in the first run, so the reject counts check the later ones
-    base = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 5000, reject_log=True))
-    counts = capsys.readouterr().err
-    assert [h.index for h in base] == [1, 2, 3, 6, 12]
-    for w, runs in ((2, 2), (8, 4)):
-        assert len(search._runs(1, 5000, w)) == runs
-        cfg = SearchConfig(1, 1, SeqKind.U, 1, 5000, workers=w, reject_log=True)
-        again = search_pf_terms(cfg)
-        assert again == base
-        assert capsys.readouterr().err == counts, w
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    # a fake fork context records the pool size and maps in process, so no
-    # process is started
-    sizes = []
-
-    class Pool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
-    return sizes
-
-
-def test_runs_tile_the_range_with_at_most_one_run_per_worker():
-    for lo in (1, 2, 7, 1000, 5000, 123_457):
-        for length in (1, 2, 1023, 1024, 2047, 2048, 3071, 5000, 10_240, 267_212):
-            hi = lo + length - 1
-            for workers in (1, 2, 3, 7, 8, 64):
-                runs = search._runs(lo, hi, workers)
-                assert 1 <= len(runs) <= max(1, min(workers, length // 1024)), (lo, hi, workers)
-                assert runs[0][0] == lo and runs[-1][1] == hi, (lo, hi, workers)
-                assert all(a <= b for a, b in runs), (lo, hi, workers, runs)
-                assert all(c == b + 1 for (_, b), (c, _) in zip(runs, runs[1:])), (lo, hi, workers)
-
-
-def test_runs_have_equal_lengths():
-    # every index costs about the same, so the runs split the range evenly
-    for lo in (1, 7, 200_000):
-        for length in (2048, 5000, 20_000, 67_213, 267_212):
-            for workers in (2, 3, 7):
-                sizes = [b - a + 1 for a, b in search._runs(lo, lo + length - 1, workers)]
-                assert max(sizes) - min(sizes) <= 1, (lo, length, workers, sizes)
-
-
-def test_pooled_runs_give_the_hits_of_one_run(pool_sizes):
-    for r, s in ((1, 1), (1, -2), (-2, 3), (3, -2)):
-        for kind in SeqKind:
-            hits = search_pf_terms(SearchConfig(r, s, kind, 1, 5000))
-            short = [h.index for h in hits if h.index <= 300]
-            assert short == brute_force_hits(r, s, kind, 300), (r, s, kind)
-            for w in (2, 3, 8):
-                pool_sizes.clear()
-                again = search_pf_terms(SearchConfig(r, s, kind, 1, 5000, workers=w))
-                assert pool_sizes == [len(search._runs(1, 5000, w))] == [min(w, 4)], (r, s, kind, w)
-                assert again == hits, (r, s, kind, w)
-
-
-def _tagged_run(args):
-    # stands in for search._search_run: one hit, at the first index of its run.
-    # Module level, so that a fork pool pickles it by name
-    _, kind, lo, _ = args
-    hit = search.SearchHit(lo, kind, 1, factorials.PFWitness(1, ()), trivial=True)
-    return [hit], dict.fromkeys(factorials.REJECT_REASONS, 0)
-
-
-@pytest.mark.parametrize("pool", ["fork", "in process"])
-def test_pool_runs_merge_in_index_order(pool, monkeypatch, request):
-    # every real hit of the pooled searches above lies in the first run, so
-    # only tagged runs show a merge out of index order
-    if pool == "in process":
-        request.getfixturevalue("pool_sizes")
-    monkeypatch.setattr(search, "_search_run", _tagged_run)
-    for w in (2, 3):
-        hits = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 5000, workers=w))
-        assert [h.index for h in hits] == [a for a, _ in search._runs(1, 5000, w)], (pool, w)
-
-
-def test_a_search_builds_no_exact_seed(pool_sizes):
-    # no run is seeded by an exact term. Every exact term goes through
+def test_a_search_builds_no_exact_seed():
+    # no search is seeded by an exact term. Every exact term goes through
     # lucas._uv_pair, so the patch sees them all: each is a +-1 candidate of
     # the residue pass or an even term whose residue modulo 2^w could not
     # settle `size`.
     # - (1, 1) (tau = 3): the candidates are its trivial hits U_1 = U_2 = 1.
     #   The even terms built are those below their cap, U_3 = 2, U_6 = 8 and
     #   U_12 = 144 among them, up to U_768 (532 bits, nu_2 = 10, cap 661), and
-    #   in each run the first term with cap >= w, where w widens: U_384
-    #   (nu_2 = 9, cap 514 >= 512) and U_6144 (13) in one run; in three runs,
-    #   which each start from w = 512, also U_6912 (10) and U_12288 (14), and
-    #   U_13440 (9) and U_18432 (13);
+    #   in each search the first term with cap >= w, where w widens: U_384
+    #   (nu_2 = 9, cap 514 >= 512) and U_6144 (13) in one search; in three
+    #   searches over consecutive thirds of the range, which each start from
+    #   w = 512, also U_6912 (10) and U_12288 (14), and U_13440 (9) and
+    #   U_18432 (13);
     # - (1, -2) has even s: every term is odd, and the only exact terms are
     #   its 5 trivial hits
     small = [1, 2, 3, 6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 72, 84, 96, 108, 120, 144, 168, 192, 240, 288]
@@ -199,14 +108,17 @@ def test_a_search_builds_no_exact_seed(pool_sizes):
         ((1, -2), 1): [1, 2, 3, 5, 13],
         ((1, -2), 3): [1, 2, 3, 5, 13],
     }
+    spans = {1: [(1, 20_000)], 3: [(1, 6_666), (6_667, 13_333), (13_334, 20_000)]}
     for r, s in ((1, 1), (1, -2)):
         found = []
-        for w, pool in ((1, []), (3, [3])):
-            pool_sizes.clear()
+        for parts, ranges in spans.items():
+            hits = []
             with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
-                found.append(search_pf_terms(SearchConfig(r, s, n_max=20_000, workers=w)))
-            assert len(search._runs(1, 20_000, w)) == w and pool_sizes == pool, (r, s, w)
-            assert sorted(c.args[1] for c in exact.call_args_list) == expected[(r, s), w], (r, s, w)
+                for lo, hi in ranges:
+                    hits += search_pf_terms(SearchConfig(r, s, n_min=lo, n_max=hi))
+            built = sorted(c.args[1] for c in exact.call_args_list)
+            assert built == expected[(r, s), parts], (r, s, parts)
+            found.append(hits)
         assert found[0] == found[1], (r, s)
     assert all(h.trivial for h in found[0])  # (1, -2) has no other hit
 
@@ -317,11 +229,19 @@ def run_cli(*args):
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
-    # a pool is made only for --workers > 1, and imports multiprocessing there
-    probe = "import sys, lucaspf.cli; print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.decode().strip() == "[]"
+    # every command runs in one process: neither importing the CLI nor a
+    # search over 5 000 indices loads multiprocessing or pickle
+    probe = (
+        "import contextlib, io, sys, lucaspf.cli\n"
+        "if len(sys.argv) > 1:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert lucaspf.cli.cli_dispatch(sys.argv[1:]) == 0\n"
+        "print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+    )
+    for argv in ([], ["search", "--r", "1", "--s", "1", "--max-n", "5000"]):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.decode().strip() == "[]", argv
 
 
 def test_exact_commands_run_without_mpmath():
@@ -335,7 +255,7 @@ def test_exact_commands_run_without_mpmath():
     )
     for argv in (
         ["pf", "24", "--decompose"],
-        ["search", "--r", "1", "--s", "-2", "--max-n", "3000", "--workers", "2"],
+        ["search", "--r", "1", "--s", "-2", "--max-n", "3000"],
         ["cyclotomic", "--r", "1", "--s", "1", "--n", "12"],
     ):
         blocked = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
@@ -365,11 +285,6 @@ def test_cli_search_deterministic_bytes():
     second = run_cli("search", "--r", "1", "--s", "1", "--max-n", "150")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    for w in ("2", "8"):
-        again = run_cli(
-            "search", "--r", "1", "--s", "1", "--max-n", "150", "--workers", w
-        )
-        assert again.stdout == first.stdout
     assert b"exhaustive" in first.stdout
     for n in (b" 1 ", b"12"):
         assert n in first.stdout
@@ -489,17 +404,6 @@ def test_cli_search_reject_log(capsys):
     assert plain.err == ""
     assert logged.err == "fast-reject: odd=98 size=33 rough=14\n"
     assert logged.out == plain.out
-
-
-def test_cli_search_reject_log_merges_the_runs_of_a_pool():
-    # at --workers 2 the 5 000 indices are searched as 2 runs in 2 processes;
-    # their counts and hits merge to the bytes of one run
-    argv = ("search", "--r", "1", "--s", "1", "--max-n", "5000", "--reject-log")
-    one, two = run_cli(*argv, "--workers", "1"), run_cli(*argv, "--workers", "2")
-    assert one.returncode == two.returncode == 0
-    assert one.stderr.startswith(b"fast-reject: odd=") and one.stderr.count(b"\n") == 1
-    assert two.stderr == one.stderr
-    assert two.stdout == one.stdout
 
 
 def _home(work):

@@ -10,7 +10,7 @@ from lucaspf import lucas, search
 from lucaspf.errors import LucasPFError
 from lucaspf.factorials import _SIZE_BITS, REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
 from lucaspf.lucas import SeqKind, parity_period, validate_params
-from oracles import iter_terms
+from oracles import iter_terms, term_pairs_matrix_mod
 
 
 def _box():
@@ -110,18 +110,11 @@ def test_power_of_two_seed_matches_the_exact_pair():
             x, y = lucas.term_pair(p, kind, n)
             for m in moduli[: 2 + (n % 10 == 0)]:
                 assert lucas.term_pair_mod(p, kind, n, m) == (x % m, y % m), (p.r, p.s, kind, n, m)
+    # far out, where an exact term can have over 10^5 digits, against a matrix
+    # power modulo 2^4096, which every modulus here divides
     for p in BOX:
         for n in (40_000, 267_212):
-            # one exact doubling for U and V alike, as in lucas.term_pair; the
-            # low 4096 bits of each term, taken by a mask (Python's & and % by
-            # a power of two agree on negative ints too), decide every modulus
-            u, v = lucas._uv_pair(p, n)
-            low = 2**4096 - 1
-            exact = {
-                SeqKind.U: (u & low, (p.r * u + v) // 2 & low),
-                SeqKind.V: (v & low, (p.delta * u + p.r * v) // 2 & low),
-            }
-            for kind, (x, y) in exact.items():
+            for kind, (x, y) in term_pairs_matrix_mod(p, n, moduli[-1]).items():
                 for m in moduli:
                     assert lucas.term_pair_mod(p, kind, n, m) == (x % m, y % m), (p.r, p.s, kind, n, m)
 
@@ -176,7 +169,7 @@ def test_sieve_matches_plain_stepping():
         for lo, hi in RANGES:
             hits, rejects = _expected(plain[lo : hi + 1])
             with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
-                got = search._search_run((p, kind, lo, hi))
+                got = search._search_run(p, kind, lo, hi)
             assert got == (hits, rejects), (p.r, p.s, kind, lo, hi)
             _check_exact_terms(p, kind, lo, hi, [c.args[1] for c in exact.call_args_list], hits, even)
             cases += 1
@@ -196,7 +189,7 @@ def test_a_widening_run_matches_plain_stepping(r, s, kind, lo, hi):
     p = validate_params(r, s)
     hits, rejects = _expected(_plain_outcomes(p, kind, hi)[lo:])
     with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
-        assert search._search_run((p, kind, lo, hi)) == (hits, rejects)
+        assert search._search_run(p, kind, lo, hi) == (hits, rejects)
     built = [c.args[1] for c in exact.call_args_list]
     _check_exact_terms(p, kind, lo, hi, built, hits, _exact_even_indices(p, kind, hi))
     # the run did widen: it built a term whose cap is at least the first w
@@ -231,7 +224,7 @@ def test_the_modulus_sets_no_trap():
     assert search._P % 2 == 1 and sympy.isprime(search._P)
     p = validate_params(3, -2)
     with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
-        hits, rejects = search._search_run((p, SeqKind.U, 1, 40_000))
+        hits, rejects = search._search_run(p, SeqKind.U, 1, 40_000)
     # s is even, so the run is seeded modulo 2P: its only exact term is U_1
     assert [c.args[1] for c in exact.call_args_list] == [1]
     assert [h.index for h in hits] == [1] and rejects["odd"] == 39_999
