@@ -17,6 +17,7 @@ from .search import (
     CERTIFIED_BOUNDS,
     DEFAULT_MAX_N,
     SearchConfig,
+    _search_run,
     search_pf_terms,
     verify_fibonacci_identity,
 )
@@ -102,15 +103,14 @@ def _output(path, newline=None):
 def _cmd_bounds(args) -> int:
     from .pipeline import emit_report, run_general_cascade, run_real_cascade, run_unit_case
 
-    kind = SeqKind(args.kind)
     params = validate_params(args.r, args.s) if args.case == "unit" else None
     with _output(args.json) as json_fh:
         if args.case == "general":
-            result = run_general_cascade(kind)
+            result = run_general_cascade(args.kind)
         elif args.case == "real":
-            result = run_real_cascade(kind)
+            result = run_real_cascade(args.kind)
         else:
-            result = run_unit_case(params, kind)
+            result = run_unit_case(params, args.kind)
         report = emit_report(result)
         print(f"case={report['case']} kind={report['kind']}")
         for stage in report["stages"]:
@@ -145,13 +145,15 @@ def _cmd_search(args) -> int:
     cfg = SearchConfig(
         r=args.r,
         s=args.s,
-        kind=SeqKind(args.kind),
+        kind=args.kind,
         n_min=args.min_n,
         n_max=args.max_n,
-        reject_log=args.reject_log,
     )
     with _output(args.json) as json_fh, _output(args.csv, newline="") as csv_fh:
-        hits = search_pf_terms(cfg)
+        hits, rejects = _search_run(cfg.params, cfg.kind, cfg.n_min, cfg.n_max)
+        if args.reject_log:
+            counts = " ".join(f"{k}={v}" for k, v in rejects.items())
+            print(f"fast-reject: {counts}", file=sys.stderr)
         coverage = _coverage(cfg)
         print(f"search (r,s)=({cfg.r},{cfg.s}) kind={cfg.kind.value}"
               f" n in [{cfg.n_min},{cfg.n_max}] -- {coverage}")

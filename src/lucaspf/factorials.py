@@ -162,8 +162,9 @@ def pf_fast_reject(n: int):
     m_i <= 2v + 1).
 
     The first "size" test reads only bit lengths: bl(N) >= `_SIZE_BITS[v]`
-    (`_size_bits(v)` for v >= 64), the table that `search` applies in line
-    before it calls this function.
+    (`_size_bits(v)` for v >= 64), the table that `search` also reads off the
+    residues of its even terms; every exact even term it builds comes here
+    with no test of its own.
     """
     # abs copies a negative n once; a bitwise op on a negative int would copy
     # all of it every time (two's complement), and abs of a positive n is free

@@ -209,7 +209,10 @@ class Interval:
         return _wrap(libmp.mpi_neg(self._mpi), self._prec)
 
     def __pow__(self, k: int):
-        return _wrap(libmp.mpi_pow_int(self._mpi, int(k), self._prec), self._prec)
+        if not isinstance(k, int):
+            # int(k) would truncate: 4 ** 0.5 would come out as [1, 1]
+            raise DomainError(f"cannot raise to {type(k).__name__} {k!r}; use an int")
+        return _wrap(libmp.mpi_pow_int(self._mpi, k, self._prec), self._prec)
 
     # -- elementary functions ------------------------------------------------
 

@@ -24,6 +24,15 @@ class SeqKind(str, Enum):
     V = "V"
 
 
+def seq_kind(kind) -> SeqKind:
+    """``kind`` ("U", "V" or a SeqKind) as a SeqKind: the term code tests
+    ``kind is SeqKind.U``, which the equal string "U" fails."""
+    try:
+        return SeqKind(kind)
+    except ValueError:
+        raise DomainError(f"kind must be U or V, not {kind!r}") from None
+
+
 @dataclass(frozen=True)
 class SeqTerm:
     index: int

@@ -48,7 +48,7 @@ from .bounds import MnBoundVariant, phi_estimate, row_margin
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
 from .interval import PREC_LADDER
-from .lucas import SeqKind
+from .lucas import SeqKind, seq_kind
 from .primes import primorial
 
 # sentinel "no surviving index": the cascade's standing assumption is n > 150
@@ -460,6 +460,7 @@ def run_general_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     stage4-even-w7 after stage3-even-w7, is settled this way, so 16 of the 29
     rows are scanned.
     """
+    kind = seq_kind(kind)
     found: dict[StageConfig, int] = {}
     cap = _SCAN_CEILING
     for stage in _GENERAL_STAGES:
@@ -475,6 +476,7 @@ def run_real_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     omega.  An index above its own row's threshold is skipped: it lies in that
     row's scanned range (at least primorial(omega), at most the cap), which
     certified it violated."""
+    kind = seq_kind(kind)
     found = _run_rows(_real_rows(300_000), {})
     row_of = {n: _row_for(found, _parity(n), arithmetic_profile(n).omega)
               for n in range(151, max(found.values(), default=NO_SURVIVOR) + 1)}
@@ -490,6 +492,7 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
     the range check itself uses the worst-case growth bound, which covers every
     unit-norm pair at once.
     """
+    kind = seq_kind(kind)
     if not p.unit_norm:
         raise DomainError("run_unit_case needs |s| = 1")
     row_of = {n: StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, _parity(n),

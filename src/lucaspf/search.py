@@ -10,14 +10,14 @@ term whose residue, read against a bit-length table (`factorials._SIZE_BITS`),
 proves it too large is rejected without an exact term or a call into
 `factorials`.  So a search builds exact terms only at the few odd indices whose
 residue says they could be +-1, and at the even ones whose residue cannot
-settle their size.
+settle their size; each of the latter goes to `pf_fast_reject` as it is.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DomainError
 from .factorials import _SIZE_BITS, REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
@@ -25,6 +25,7 @@ from .lucas import (
     LucasParams,
     SeqKind,
     parity_period,
+    seq_kind,
     term_pair,
     term_pair_mod,
     u_at,
@@ -65,10 +66,10 @@ class SearchConfig:
     kind: SeqKind = SeqKind.U
     n_min: int = 1
     n_max: int = DEFAULT_MAX_N
-    reject_log: bool = False
     params: LucasParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", seq_kind(self.kind))
         if self.n_min < 1:
             raise DomainError("n_min must be >= 1 (U_0 = 0 is excluded)")
         if self.n_min > self.n_max:
@@ -103,6 +104,9 @@ def _ahead(x: int, y: int, p: LucasParams, tau: int, mask: int) -> tuple[int, in
     return x, y
 
 
+# w is a power of two from _W0 = 2^9 to 2^16 (the cap of nu = 63 is 44 731
+# bits), so the cache holds every width a process can reach
+@lru_cache(maxsize=8)
 def _windows(w: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
     """The residues t modulo 2^w that certify `size`: those whose symmetric
     residue has at least cap = _SIZE_BITS[nu] bits, where cap < w.
@@ -121,9 +125,6 @@ def _windows(w: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
     return (1 << top) - 1, floor[top], ceil[top], floor, ceil
 
 
-_WINDOWS_W0 = _windows(_W0)
-
-
 def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     """Hits and reject counts of [lo, hi], in two passes.
 
@@ -140,9 +141,10 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
       fewer than cap < w bits is its own symmetric residue, up to sign.  The
       test is read off `_windows(w)`, first for every small nu at once, then
       for the nu of the residue's low 64 bits.  Every other term is built
-      exactly by `term_pair` and goes through the same test on its exact
-      bits, then `pf_fast_reject` and `pf_decompose`.  Where cap >= w, w
-      widens past cap and the stepping is reseeded from that exact pair.
+      exactly by `term_pair` and goes to `pf_fast_reject`, whose first test
+      is the same one on its exact bits, then to `pf_decompose`.  Where
+      cap >= w, w widens past cap and the stepping is reseeded from that
+      exact pair.
 
     When tau = 1 every term is even and there is no residue pass; when s is
     even every term is odd and there is no even pass.  So a run builds exact
@@ -169,7 +171,7 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
         v_tau, q_tau = _stride(p, tau)
         w = _W0
         mask = (1 << w) - 1
-        k, f, c, floor, ceil = _WINDOWS_W0
+        k, f, c, floor, ceil = _windows(w)
         a, b = _ahead(*term_pair_mod(p, kind, e, mask + 1), p, tau, mask)
         evens = range(e, hi + 1, tau)
         rejects["size"] = len(evens)  # less every term built exactly
@@ -189,14 +191,6 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
                 k, f, c, floor, ceil = _windows(w)
                 a, b = _ahead(value & mask, y & mask, p, tau, mask)  # at n
                 a, b = b, (v_tau * b - q_tau * a) & mask
-            if value == 0:
-                continue  # cannot occur for nondegenerate parameters; belt and braces
-            # abs copies a negative term, where & would complement all of it
-            # digit by digit, several times slower
-            low = abs(value) & _LOW64
-            if low and value.bit_length() >= _SIZE_BITS[(low & -low).bit_length() - 1]:
-                rejects["size"] += 1
-                continue
             reason = pf_fast_reject(value)
             if reason is not None:
                 rejects[reason] += 1
@@ -211,12 +205,9 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
 def search_pf_terms(cfg: SearchConfig) -> list[SearchHit]:
     """All indices n in [n_min, n_max] whose term is a product of factorials,
     in index order, found by the two passes of `_search_run` over the whole
-    range, seeded modulo 2P and 2^w at n_min."""
-    hits, rejects = _search_run(cfg.params, cfg.kind, cfg.n_min, cfg.n_max)
-    if cfg.reject_log:
-        counts = " ".join(f"{k}={v}" for k, v in rejects.items())
-        print(f"fast-reject: {counts}", file=sys.stderr)
-    return hits
+    range, seeded modulo 2P and 2^w at n_min.  `_search_run` also returns the
+    reject counts, which `lucaspf search --reject-log` prints."""
+    return _search_run(cfg.params, cfg.kind, cfg.n_min, cfg.n_max)[0]
 
 
 _FIBONACCI_FACTORIAL_INDICES = (1, 2, 3, 4, 5, 6, 8, 10, 12)

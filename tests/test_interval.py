@@ -77,6 +77,16 @@ def test_coerce_refuses_floats():
         Interval.from_int(1) * 0.1
 
 
+def test_powers_refuse_non_int_exponents():
+    # int(k) truncated them: 4 ** 0.5 and 4 ** (1/2) came out as [1, 1]
+    four = Interval.from_int(4)
+    for k in (0.5, Fraction(1, 2)):
+        with pytest.raises(DomainError):
+            four**k
+    assert _raw(four**2) == _raw(Interval.from_int(16))
+    assert _raw(four**-1) == _raw(Interval.from_fraction(1, 4))
+
+
 def test_one_third_is_properly_rounded():
     third = Interval.from_fraction(1, 3)
     assert to_fraction(third.lo) < Fraction(1, 3) < to_fraction(third.hi)

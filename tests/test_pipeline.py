@@ -716,6 +716,21 @@ def test_v_kind_halves_everything(general_u, general_v, fib_params):
     assert run_unit_case(fib_params, SeqKind.V).final_bound == 75
 
 
+def test_cascades_store_the_kind_they_are_given_as_a_string(general_v, fib_params):
+    # "V" == SeqKind.V, but _finish tests `kind is SeqKind.V`: stored as a
+    # string, "V" gave U's bounds, and emit_report then failed on kind.value
+    unit = run_unit_case(fib_params, "V")
+    assert unit.kind is SeqKind.V and unit.final_bound == 75
+    assert emit_report(unit) == emit_report(run_unit_case(fib_params, SeqKind.V))
+    real = run_real_cascade("V")
+    assert real.kind is SeqKind.V and real.final_bound == 105
+    assert emit_report(run_general_cascade("V")) == emit_report(general_v)
+    for run in (run_general_cascade, run_real_cascade, lambda k: run_unit_case(fib_params, k)):
+        assert run("U").kind is SeqKind.U
+        with pytest.raises(DomainError):
+            run("W")
+
+
 def test_report_schema(general_u):
     report = emit_report(general_u)
     assert list(report) == [

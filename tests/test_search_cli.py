@@ -202,6 +202,34 @@ def test_search_config_validation():
         SearchConfig(2, 4, SeqKind.U, 1, 10)
 
 
+def test_search_config_stores_the_kind_it_is_given_as_a_string():
+    # "U" == SeqKind.U, but the term code tests `kind is SeqKind.U`: stored as
+    # a string, "U" searched V, and (2, -3) U found V's hits
+    for r, s, kind, want in ((1, 1, "U", [1, 2, 3, 6, 12]), (1, 1, "V", [1, 3]),
+                             (2, -3, "U", [1, 2, 3, 4])):
+        cfg = SearchConfig(r, s, kind, 1, 150)
+        assert cfg.kind is SeqKind(kind)
+        hits = search_pf_terms(cfg)
+        assert [h.index for h in hits] == want, (r, s, kind)
+        assert hits == search_pf_terms(SearchConfig(r, s, SeqKind(kind), 1, 150))
+        assert all(h.kind is SeqKind(kind) for h in hits)
+    for kind in ("W", "u", None, 1):
+        with pytest.raises(DomainError):
+            SearchConfig(1, 1, kind, 1, 150)
+
+
+def test_search_config_has_no_reject_log():
+    # the reject counts are printed by `lucaspf search --reject-log`, not by the library
+    with pytest.raises(TypeError):
+        SearchConfig(1, 1, reject_log=True)
+
+
+def test_search_pf_terms_writes_nothing(capfd):
+    hits = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 150))
+    assert [h.index for h in hits] == [1, 2, 3, 6, 12]
+    assert capfd.readouterr() == ("", "")
+
+
 def test_digit_count_leaves_the_str_limit_alone():
     limit = sys.get_int_max_str_digits()
     assert _digit_count(10**5000 - 1) == 5000
@@ -416,9 +444,9 @@ def test_cli_unwritable_output_path_is_exit_2(tmp_path, capsys):
     runs = [
         ("run_unit_case",
          ("bounds", "--case", "unit", "--r", "1", "--s", "1", "--json", str(missing / "x.json"))),
-        ("search_pf_terms",
+        ("_search_run",
          ("search", "--r", "1", "--s", "1", "--max-n", "20", "--json", str(missing / "x.json"))),
-        ("search_pf_terms",
+        ("_search_run",
          ("search", "--r", "1", "--s", "1", "--max-n", "20", "--csv", str(missing / "x.csv"))),
     ]
     for _, argv in runs:
@@ -447,8 +475,8 @@ def test_cli_failed_run_leaves_outputs_as_they_were(tmp_path, capsys):
         ("run_general_cascade", Undecidable("stalled"), 3, ("bounds", "--json", str(made))),
         ("run_unit_case", Undecidable("stalled"), 3,
          ("bounds", "--case", "unit", "--r", "1", "--s", "1", "--json", str(kept))),
-        ("search_pf_terms", DomainError("bad block"), 2, search_argv),
-        ("search_pf_terms", KeyboardInterrupt(), None, search_argv),
+        ("_search_run", DomainError("bad block"), 2, search_argv),
+        ("_search_run", KeyboardInterrupt(), None, search_argv),
     ]
     for work, exc, code, argv in runs:
         with mock.patch(_home(work), side_effect=exc):

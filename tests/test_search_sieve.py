@@ -204,6 +204,7 @@ def test_windows_hold_the_residues_that_certify_size():
     # The widths include caps themselves (393 at nu = 8, 514 at nu = 9)
     for w in (64, 393, 394, 512, 514, 1024, 2048):
         k, f, c, floor, ceil = search._windows(w)
+        assert search._windows(w) is search._windows(w)  # built once per width
         assert len(floor) == len(ceil) == 65
         for j in range(65):
             cap = _SIZE_BITS.get(j - 1)
