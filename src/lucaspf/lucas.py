@@ -25,8 +25,9 @@ class SeqKind(str, Enum):
 
 
 def seq_kind(kind) -> SeqKind:
-    """``kind`` ("U", "V" or a SeqKind) as a SeqKind: the term code tests
-    ``kind is SeqKind.U``, which the equal string "U" fails."""
+    """``kind`` ("U", "V" or a SeqKind) as a SeqKind, or DomainError.  The
+    term functions test ``kind is SeqKind.U`` and ``kind is SeqKind.V`` first,
+    which the equal strings fail, and call this only when neither holds."""
     try:
         return SeqKind(kind)
     except ValueError:
@@ -116,6 +117,8 @@ def v_at(p: LucasParams, n: int) -> SeqTerm:
 
 def term_pair(p: LucasParams, kind: SeqKind, n: int) -> tuple[int, int]:
     """(x_n, x_{n+1}) of U or V from one fast doubling at n."""
+    if kind is not SeqKind.U and kind is not SeqKind.V:
+        kind = seq_kind(kind)
     u, v = _uv_pair(p, n)
     # the odd step of fast doubling gives x_{n+1}; both sums are even
     if kind is SeqKind.U:
@@ -133,6 +136,8 @@ def term_pair_mod(p: LucasParams, kind: SeqKind, n: int, m: int) -> tuple[int, i
     of two m is reduced by a mask, several times faster than %."""
     if n < 0:
         raise DomainError("index must be nonnegative")
+    if kind is not SeqKind.U and kind is not SeqKind.V:
+        kind = seq_kind(kind)
     r, s = p.r, p.s
     a, b = 0, 1  # U_0, U_1
     k = m - 1
@@ -162,6 +167,8 @@ def parity_period(p: LucasParams, kind: SeqKind) -> int | None:
     - r even, s odd: x_{n+2} = x_n, so U = 0, 1, 0, 1, ... and V = 0, 0, ...;
     - both odd: x_{n+2} = x_{n+1} + x_n, so U and V are 0, 1, 1, 0, 1, 1, ...
     """
+    if kind is not SeqKind.U and kind is not SeqKind.V:
+        kind = seq_kind(kind)
     if p.s % 2 == 0:
         return None
     if p.r % 2 == 0:

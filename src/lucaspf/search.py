@@ -3,14 +3,16 @@ plus an exact check of the Fibonacci factorial identity.
 
 A factorial product other than 1 is even, and the terms of a sequence are even
 exactly at the multiples of its parity period (`lucas.parity_period`).  A
-search runs in one process over its whole range.  It steps every term modulo
-2P (P an odd prime) and the even terms modulo 2^w, both seeded by
-`lucas.term_pair_mod` at the first index, and builds no exact seed.  An even
-term whose residue, read against a bit-length table (`factorials._SIZE_BITS`),
-proves it too large is rejected without an exact term or a call into
-`factorials`.  So a search builds exact terms only at the few odd indices whose
-residue says they could be +-1, and at the even ones whose residue cannot
-settle their size; each of the latter goes to `pf_fast_reject` as it is.
+search runs in one process over its whole range.  It steps the terms modulo 2P
+(P an odd prime) to find those equal to +-1, and the even terms modulo 2^w,
+both seeded by `lucas.term_pair_mod` at the first index, and builds no exact
+seed.  When the roots are real no term past n = 2 is +-1, so the first pass
+stops at n = 2.  An even term whose residue, read against a bit-length table
+(`factorials._SIZE_BITS`), proves it too large is rejected without an exact
+term or a call into `factorials`.  So a search builds exact terms only at the
+few odd indices whose residue says they could be +-1, and at the even ones
+whose residue cannot settle their size; each of the latter goes to
+`pf_fast_reject` as it is.
 """
 
 from __future__ import annotations
@@ -128,10 +130,11 @@ def _windows(w: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
 def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     """Hits and reject counts of [lo, hi], in two passes.
 
-    - Residue pass, over every index: x_n mod 2P, seeded by `term_pair_mod`
-      at lo.  An odd term is rejected as `odd`, unless its residue is 1 or
-      2P - 1; that candidate's exact term decides whether it is a trivial hit.
-      A false candidate costs one exact term and decides nothing.
+    - Residue pass, over every index, or over those up to 2 when the roots
+      are real (below): x_n mod 2P, seeded by `term_pair_mod` at lo.  An odd
+      term is rejected as `odd`, unless its residue is 1 or 2P - 1; that
+      candidate's exact term decides whether it is a trivial hit.  A false
+      candidate costs one exact term and decides nothing.
     - Even pass, over the multiples of the parity period tau, where the terms
       are even: steps x_{k tau} modulo 2^w by `_stride`, reduced by a mask,
       from a `term_pair_mod` seed at the first of them.  With nu = nu_2 and
@@ -150,6 +153,17 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     even every term is odd and there is no even pass.  So a run builds exact
     terms only for its +-1 candidates and for the even terms whose residue
     cannot settle `size`.
+
+    Real roots (delta = r^2 + 4s > 0): |x_n| >= 2 for every n >= 3, so the
+    residue pass stops at n = 2 and every odd term past it counts as `odd`.
+    Take r > 0, since |x_n(-r, s)| = |x_n(r, s)|.
+    - s > 0: from n = 1 on every term is positive and x_{n+2} > x_{n+1}, with
+      U_3 = r^2 + s >= 2 and V_2 = r^2 + 2s >= 3.
+    - s < 0: r^2 > -4s >= 4 gives r >= 3, and the roots satisfy
+      0 < beta < alpha with alpha > r/2 >= 3/2.  Then
+      U_{n+1} = alpha U_n + beta^n > U_n >= U_2 = r >= 3, and
+      V_n = alpha^n + beta^n > alpha^n > 2 for n >= 2.
+    Complex roots give no such bound: (1, -2) has U_13 = -1.
     """
     r, s = p.r, p.s
     tau = parity_period(p, kind)
@@ -158,8 +172,10 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     if tau != 1:
         m = _M
         top = m - 1
-        a, b = term_pair_mod(p, kind, lo, m)
-        for n in range(lo, hi + 1):
+        last = min(hi, 2) if p.roots_real else hi  # |x_n| >= 2 past n = 2
+        if lo <= last:
+            a, b = term_pair_mod(p, kind, lo, m)
+        for n in range(lo, last + 1):
             # even residues, at the multiples of tau, are neither 1 nor top
             if (a == 1 or a == top) and term_pair(p, kind, n)[0] in (1, -1):
                 hits.append(SearchHit(n, kind, 1, PFWitness(1, ()), trivial=True))

@@ -3,7 +3,9 @@ and the interval queries only the tests read."""
 
 from mpmath import libmp, mp
 
+from lucaspf.factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
 from lucaspf.lucas import SeqKind, _uv_pair
+from lucaspf.search import SearchHit, _digit_count
 
 
 def iter_terms(p, kind, lo: int):
@@ -18,6 +20,33 @@ def iter_terms(p, kind, lo: int):
     while True:
         yield x
         x, y = y, p.r * y + p.s * x
+
+
+def plain_outcomes(p, kind, lo: int, hi: int):
+    """Per index lo..hi: the hit or the reject reason of a search that steps
+    every term exactly (`iter_terms`), then tests +-1, `pf_fast_reject` and
+    `pf_decompose` in turn; None for an even term that is not a member."""
+    for n, value in zip(range(lo, hi + 1), iter_terms(p, kind, lo)):
+        if value in (1, -1):
+            yield SearchHit(n, kind, 1, PFWitness(1, ()), trivial=True)
+            continue
+        reason = pf_fast_reject(value)
+        if reason is None:
+            witnesses = pf_decompose(value, limit=1)
+            reason = SearchHit(n, kind, _digit_count(value), witnesses[0], trivial=False) if witnesses else None
+        yield reason
+
+
+def plain_search(outcomes) -> tuple[list, dict]:
+    """The hits and reject counts of a span of `plain_outcomes`, in the form
+    `search._search_run` returns."""
+    hits, rejects = [], dict.fromkeys(REJECT_REASONS, 0)
+    for o in outcomes:
+        if isinstance(o, str):
+            rejects[o] += 1
+        elif o is not None:
+            hits.append(o)
+    return hits, rejects
 
 
 def term_pairs_matrix_mod(p, n: int, m: int) -> dict:

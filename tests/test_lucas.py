@@ -10,6 +10,7 @@ from lucaspf.errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import (
     SeqKind,
+    parity_period,
     term_pair,
     term_pair_mod,
     u_at,
@@ -88,6 +89,31 @@ def test_term_kinds_and_values():
     assert (t.index, t.value, t.kind) == (12, 144, SeqKind.U)
     assert v_at(p, 12).value == 322
     assert u_at(p, 0).value == 0 and v_at(p, 0).value == 2
+
+
+def test_term_functions_read_the_kind_they_are_given():
+    # the strings "U" and "V" are equal to the members but not the same
+    # objects; each must still select its own sequence, and any other kind
+    # must be refused rather than read as V
+    p, q = validate_params(1, 1), validate_params(2, -3)
+    for kind, pair, mod, period in (
+        (SeqKind.U, (5, 8), (5, 8), 2),
+        (SeqKind.V, (11, 18), (11, 18), 1),
+    ):
+        for given in (kind, kind.value):
+            assert term_pair(p, given, 5) == pair, given
+            assert term_pair_mod(p, given, 5, 100) == mod, given
+            assert term_pair_mod(p, given, 5, 64) == mod, given  # the masked path
+            assert parity_period(q, given) == period, given
+    for bad in ("W", "u", None):
+        with pytest.raises(DomainError):
+            term_pair(p, bad, 5)
+        with pytest.raises(DomainError):
+            term_pair_mod(p, bad, 5, 100)
+        with pytest.raises(DomainError):
+            parity_period(q, bad)
+        with pytest.raises(DomainError):
+            parity_period(validate_params(1, 2), bad)  # even s: no period at all
 
 
 def test_negative_index_rejected():

@@ -1,5 +1,5 @@
 """The parity sieve of `search._search_run` against plain stepping, and the
-two identities it rests on."""
+identities and the real-root lemma it rests on."""
 
 from unittest import mock
 
@@ -8,9 +8,9 @@ import sympy
 
 from lucaspf import lucas, search
 from lucaspf.errors import LucasPFError
-from lucaspf.factorials import _SIZE_BITS, REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
+from lucaspf.factorials import _SIZE_BITS
 from lucaspf.lucas import SeqKind, parity_period, validate_params
-from oracles import iter_terms, term_pairs_matrix_mod
+from oracles import iter_terms, plain_outcomes, plain_search, term_pairs_matrix_mod
 
 
 def _box():
@@ -33,29 +33,8 @@ RANGES = ((1, FAR), (1777, 2901), (1, 1), (5, 5), (6, 7), (9, 11))
 
 def _plain_outcomes(p, kind, hi):
     """Per index 1..hi: the hit or the reject reason of the search before the
-    sieve, which stepped every term exactly."""
-    out = [None]  # index 0 is never searched
-    for n, value in zip(range(1, hi + 1), iter_terms(p, kind, 1)):
-        if value in (1, -1):
-            out.append(search.SearchHit(n, kind, 1, PFWitness(1, ()), trivial=True))
-            continue
-        reason = pf_fast_reject(value)
-        if reason is None:
-            witnesses = pf_decompose(value, limit=1)
-            reason = search.SearchHit(
-                n, kind, search._digit_count(value), witnesses[0], trivial=False
-            ) if witnesses else None
-        out.append(reason)
-    return out
-
-
-def _expected(span):
-    """The hits and reject counts of a span of `_plain_outcomes`."""
-    rejects = dict.fromkeys(REJECT_REASONS, 0)
-    for o in span:
-        if isinstance(o, str):
-            rejects[o] += 1
-    return [o for o in span if isinstance(o, search.SearchHit)], rejects
+    sieve, which stepped every term exactly; index 0 is never searched."""
+    return [None, *plain_outcomes(p, kind, 1, hi)]
 
 
 def test_box_has_every_parity_period():
@@ -167,7 +146,7 @@ def test_sieve_matches_plain_stepping():
         plain = _plain_outcomes(p, kind, FAR)
         even = _exact_even_indices(p, kind, FAR)
         for lo, hi in RANGES:
-            hits, rejects = _expected(plain[lo : hi + 1])
+            hits, rejects = plain_search(plain[lo : hi + 1])
             with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
                 got = search._search_run(p, kind, lo, hi)
             assert got == (hits, rejects), (p.r, p.s, kind, lo, hi)
@@ -187,7 +166,7 @@ def test_a_widening_run_matches_plain_stepping(r, s, kind, lo, hi):
     # past a widening the residues are reseeded modulo the wider 2^w; without
     # that, the terms after it are settled from wrong residues
     p = validate_params(r, s)
-    hits, rejects = _expected(_plain_outcomes(p, kind, hi)[lo:])
+    hits, rejects = plain_search(_plain_outcomes(p, kind, hi)[lo:])
     with mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact:
         assert search._search_run(p, kind, lo, hi) == (hits, rejects)
     built = [c.args[1] for c in exact.call_args_list]
@@ -229,3 +208,57 @@ def test_the_modulus_sets_no_trap():
     # s is even, so the run is seeded modulo 2P: its only exact term is U_1
     assert [c.args[1] for c in exact.call_args_list] == [1]
     assert [h.index for h in hits] == [1] and rejects["odd"] == 39_999
+
+
+REAL = [p for p in BOX if p.roots_real]
+
+
+def test_real_roots_give_no_unit_term_past_n_2():
+    # the lemma that stops the residue pass at n = 2 for real roots: from n = 3
+    # on every term of U and of V has |x_n| >= 2
+    assert len(REAL) > 50 and any(p.s < 0 for p in REAL) and any(p.r < 0 for p in REAL)
+    for p in REAL:
+        for kind in SeqKind:
+            for n, x in zip(range(3, FAR + 1), iter_terms(p, kind, 3)):
+                assert abs(x) >= 2, (p.r, p.s, kind, n)
+
+
+def test_complex_roots_can_reach_a_unit_term_late():
+    # why complex roots keep the whole residue pass
+    p = validate_params(1, -2)
+    assert not p.roots_real
+    assert lucas.term_pair(p, SeqKind.U, 13)[0] == -1
+    assert [h.index for h in search._search_run(p, SeqKind.U, 3, 40)[0]] == [3, 5, 13]
+
+
+def test_real_roots_skip_the_residue_pass_past_n_2():
+    # a range from n >= 3 seeds nothing modulo 2P and steps no residue there;
+    # the even pass still runs, seeded modulo 2^w
+    for p in REAL:
+        for kind in SeqKind:
+            with mock.patch.object(search, "term_pair_mod", wraps=lucas.term_pair_mod) as seeds:
+                search._search_run(p, kind, 3, 300)
+            moduli = [c.args[3] for c in seeds.call_args_list]
+            assert search._M not in moduli, (p.r, p.s, kind)
+            tau = parity_period(p, kind)
+            assert len(moduli) == (tau is not None), (p.r, p.s, kind)
+    # complex roots with an odd term keep it
+    with mock.patch.object(search, "term_pair_mod", wraps=lucas.term_pair_mod) as seeds:
+        search._search_run(validate_params(1, -2), SeqKind.U, 3, 300)
+    assert [c.args[3] for c in seeds.call_args_list] == [search._M]
+
+
+@pytest.mark.parametrize("r, s, kind, units", [
+    (1, 1, SeqKind.U, (1, 2)),  # U_1 = U_2 = 1
+    (1, 1, SeqKind.V, (1,)),  # V_1 = 1
+    (-1, 2, SeqKind.U, (1, 2)),  # U_1 = 1, U_2 = -1
+])
+@pytest.mark.parametrize("lo, hi", [(1, 2), (2, 2), (2, 40)])
+def test_real_roots_keep_the_unit_terms_up_to_n_2(r, s, kind, units, lo, hi):
+    # the shortened residue pass still finds every +-1 term, and gives the
+    # hits and reject counts of plain stepping
+    p = validate_params(r, s)
+    assert p.roots_real
+    hits, rejects = plain_search(_plain_outcomes(p, kind, hi)[lo : hi + 1])
+    assert [h.index for h in hits if h.trivial] == [n for n in units if lo <= n]
+    assert search._search_run(p, kind, lo, hi) == (hits, rejects)
