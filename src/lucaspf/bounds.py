@@ -1,12 +1,13 @@
 """Rigorous interval evaluation of the explicit inequalities behind the cascade.
 
-Everything here returns Interval enclosures; inequality decisions are made by
-the pipeline on interval endpoints, never on floats.  Totient and
-prime-counting estimates are the classical explicit ones (Rosser-Schoenfeld
-style); the cyclotomic lower bounds come in several variants selected by
-MnBoundVariant.  A cascade row is its variant, parity and omega: bound_context
-picks the estimates those fix, and row_margin is the row's whole margin, so
-this module alone decides which estimates a margin combines.
+Every public function here takes and returns Interval enclosures; inequality
+decisions are made by the pipeline on interval endpoints, never on floats.
+Totient and prime-counting estimates are the classical explicit ones
+(Rosser-Schoenfeld style); the cyclotomic lower bounds come in several
+variants selected by MnBoundVariant.  A cascade row is its variant, parity and
+omega: bound_context picks the estimates those fix, and row_margin is the
+row's whole margin, so this module alone decides which estimates a margin
+combines.
 
 Every n-dependent estimate takes the index as one enclosure, [n, n] at a point
 or [a, b] over a range of indices, and works at that enclosure's precision; an
@@ -14,6 +15,14 @@ int is enclosed at DEFAULT_PREC.  An estimate over [a, b] holds for every
 integer index inside.  The estimates that read log n or log log n take them as
 arguments, enclosures of the same index at the same precision, so that one
 margin evaluation takes each log once.
+
+The margin formulas are written once, against a small arithmetic: enclose an
+index range, an int, a fraction or a decimal; the logs and constants; max,
+a compare of lower ends, the floor of an upper end and the domain checks.  Its
+interval form, at one precision, is the one every public function and every
+verdict uses.  Its float form evaluates the same formulas at one index in
+plain floats; only margin_estimate selects it, for the scan's hints, which
+choose where a scan cuts and decide nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +57,121 @@ class MnBoundVariant(str, Enum):
     LEMMA_HW = "lemma_hw"
 
 
+# -- the arithmetic of a margin evaluation -------------------------------------
+
+
+class _Intervals:
+    """Outward-rounded enclosures at one precision, on the interval layer's
+    caches: the arithmetic of every public function and every verdict."""
+
+    __slots__ = ("prec",)
+
+    def __init__(self, prec: int):
+        self.prec = prec
+
+    def index(self, a: int, b: int) -> Interval:
+        return Interval.from_int_range(a, b, self.prec)
+
+    def from_int(self, k: int) -> Interval:
+        return Interval.from_int(k, self.prec)
+
+    def from_fraction(self, num: int, den: int) -> Interval:
+        return Interval.from_fraction(num, den, self.prec)
+
+    def from_str(self, s: str) -> Interval:
+        return Interval.from_str(s, self.prec)
+
+    def log_int(self, k: int) -> Interval:
+        return log_int(k, self.prec)
+
+    def log2(self) -> Interval:
+        return log2(self.prec)
+
+    def log_2pi(self) -> Interval:
+        return log_2pi(self.prec)
+
+    def exp_euler_gamma(self) -> Interval:
+        return exp_euler_gamma(self.prec)
+
+    # methods are looked up on each call, so a patched Interval is seen
+    @staticmethod
+    def log(x: Interval) -> Interval:
+        return x.log()
+
+    @staticmethod
+    def max(x: Interval, y: Interval) -> Interval:
+        return x.max(y)
+
+    @staticmethod
+    def lower_at_least(x: Interval, y: Interval) -> bool:
+        return x.lower_at_least(y)
+
+    @staticmethod
+    def floor_hi(x: Interval) -> int:
+        return math.floor(x.hi)
+
+    @staticmethod
+    def at_least(x: Interval, k: int) -> bool:
+        return x.certainly_ge(k)
+
+
+@lru_cache(maxsize=32)
+def _intervals(prec: int) -> _Intervals:
+    # one object per precision: the constant caches below are keyed by it
+    return _Intervals(prec)
+
+
+class _Floats:
+    """Plain floats at one index: the arithmetic of the scan's hints, which
+    only choose where a scan cuts.  An estimate, never an enclosure; only
+    margin_estimate selects it."""
+
+    @staticmethod
+    def index(a: int, b: int) -> float:
+        # margin_estimate takes one index: a == b
+        return float(a)
+
+    from_int = staticmethod(float)
+    log = log_int = staticmethod(math.log)
+    max = staticmethod(max)
+    floor_hi = staticmethod(math.floor)
+
+    @staticmethod
+    def from_fraction(num: int, den: int) -> float:
+        return num / den
+
+    @staticmethod
+    @lru_cache(maxsize=64)  # the decimals of the formulas, a dozen or so
+    def from_str(s: str) -> float:
+        return float(Fraction(s))
+
+    @staticmethod
+    def log2() -> float:
+        return _LOG2
+
+    @staticmethod
+    def log_2pi() -> float:
+        return _LOG_2PI
+
+    @staticmethod
+    def exp_euler_gamma() -> float:
+        return _EXP_EULER_GAMMA
+
+    @staticmethod
+    def lower_at_least(x: float, y: float) -> bool:
+        return x >= y
+
+    @staticmethod
+    def at_least(x: float, k: int) -> bool:
+        return x >= k
+
+
+_LOG2 = math.log(2)
+_LOG_2PI = math.log(2 * math.pi)
+_EXP_EULER_GAMMA = math.exp(0.5772156649015329)
+_FLOATS = _Floats()
+
+
 @dataclass(frozen=True)
 class BoundContext:
     """The estimates one margin evaluation combines.
@@ -56,7 +180,9 @@ class BoundContext:
     precision is the working precision of every term built from it; ``logn``
     and ``loglogn`` enclose log n and log log n at that precision.
     ``sieve_log`` encloses log(n - 1) for the refined sieve, None for the plain
-    one (see mn_upper_sieve_affine).
+    one (see mn_upper_sieve_affine).  A context built by margin_estimate holds
+    floats at one index instead, and ``ar`` is then the float arithmetic;
+    ``prec`` and ``n_range`` read an interval context only.
     """
 
     n: Interval
@@ -70,9 +196,13 @@ class BoundContext:
     # log n is the conservative default, log max(3, P(n)) when justified.
     primitive_divisor_log: Interval
     sieve_log: Optional[Interval]
+    # the arithmetic of the fields; None, intervals at the precision of n
+    ar: object = None
 
     def __post_init__(self):
-        if not self.n.certainly_ge(150):
+        if self.ar is None:
+            object.__setattr__(self, "ar", _intervals(self.n.prec))
+        if not self.ar.at_least(self.n, 150):
             raise DomainError("the cascade's standing assumption is n >= 150")
 
     # prec and n_range are derived from n; perfbench/tracer.py reads both
@@ -86,28 +216,39 @@ class BoundContext:
         return None if self.n.lo == self.n.hi else self.n
 
 
+def _in_intervals(formula):
+    """The public form of a formula written against an arithmetic ``ar``: its
+    first argument, an int or an Interval, is enclosed (an int at
+    DEFAULT_PREC), and the formula runs in intervals at that precision."""
+
+    def public(x, *args):
+        xi = Interval.coerce(x)
+        return formula(_intervals(xi.prec), xi, *args)
+
+    public.__name__ = public.__qualname__ = formula.__name__.lstrip("_")
+    public.__doc__ = formula.__doc__
+    return public
+
+
 # -- explicit prime-theory estimates ----------------------------------------
 
 
-def phi_lower_rs(n, loglogn: Interval) -> Interval:
+def _phi_lower_rs(ar, n, loglogn):
     """n / (e^gamma loglog n + 2.50637 / loglog n), a lower bound of phi(n)."""
-    ni = Interval.coerce(n)
-    if not ni.certainly_ge(3):
+    if not ar.at_least(n, 3):
         raise DomainError("n must be >= 3")
-    denom = exp_euler_gamma(ni.prec) * loglogn + Interval.from_str("2.50637", ni.prec) / loglogn
-    return ni / denom
+    return n / (ar.exp_euler_gamma() * loglogn + ar.from_str("2.50637") / loglogn)
 
 
-def phi_lower_omega(n, omega: int, parity: Parity) -> Interval:
+def _phi_lower_omega(ar, n, omega: int, parity: Parity):
     """n * prod (1 - 1/p_k) over the first omega primes of the allowed set.
 
     The product starts at 2 for even n and at 3 for odd n.
     """
     if omega < 1:
         raise DomainError("omega must be >= 1")
-    ni = Interval.coerce(n)
     frac = _totient_fraction(omega, parity)
-    return ni * Interval.from_fraction(frac.numerator, frac.denominator, ni.prec)
+    return n * ar.from_fraction(frac.numerator, frac.denominator)
 
 
 # the cascade's rows use omega <= 7 at either parity
@@ -119,13 +260,16 @@ def _totient_fraction(omega: int, parity: Parity) -> Fraction:
     return frac
 
 
-def omega_upper(n, logn: Interval, loglogn: Interval) -> int:
+def _omega_upper(ar, n, logn, loglogn) -> int:
     """Certified upper bound for omega(n) via 1.3841 log n / loglog n."""
-    ni = Interval.coerce(n)
-    if not ni.certainly_ge(26):
+    if not ar.at_least(n, 26):
         raise DomainError("the explicit omega bound needs n >= 26")
-    val = Interval.from_str("1.3841", ni.prec) * logn / loglogn
-    return math.floor(val.hi)
+    return ar.floor_hi(ar.from_str("1.3841") * logn / loglogn)
+
+
+phi_lower_rs = _in_intervals(_phi_lower_rs)
+phi_lower_omega = _in_intervals(_phi_lower_omega)
+omega_upper = _in_intervals(_omega_upper)
 
 
 def pi_ap_upper(x: int, n: int, prec: int = DEFAULT_PREC) -> Interval:
@@ -215,45 +359,48 @@ VOUTIER_QUADRATIC = {
 }
 
 
-def _horner(coeffs: tuple[str, str, str], c0: str, prec: int) -> tuple[Interval, ...]:
+def _horner(coeffs: tuple[str, str, str], c0: str, ar) -> tuple:
     # (A, B, C) = (73a, 73b, 73c + c0), each enclosed once from its exact value
     a, b, c = (Fraction(x) for x in coeffs)
-    return tuple(Interval.from_fraction(x.numerator, x.denominator, prec)
+    return tuple(ar.from_fraction(x.numerator, x.denominator)
                  for x in (73 * a, 73 * b, 73 * c + Fraction(c0)))
 
 
-# each cache below holds a few dozen entries at each precision of the ladder
+# each cache below holds a few dozen entries for each arithmetic: the floats,
+# and intervals at each precision of the ladder
 @lru_cache(maxsize=256)
-def _lemma_constants(omega: int, parity: Parity, prec: int) -> tuple[Optional[Interval], ...]:
+def _lemma_constants(omega: int, parity: Parity, ar) -> tuple:
     # (A, B, C, c1) of g_w or h_w; c1 is None where the table has no linear tail
     c1, c0 = LEMMA_TAIL.get((parity, omega), (None, "0"))
-    return (*_horner(LEMMA_QUADRATIC[omega], c0, prec),
-            None if c1 is None else Interval.from_str(c1, prec))
+    return (*_horner(LEMMA_QUADRATIC[omega], c0, ar),
+            None if c1 is None else ar.from_str(c1))
 
 
 @lru_cache(maxsize=64)
-def _voutier_constants(variant: MnBoundVariant, prec: int) -> tuple[Interval, ...]:
+def _voutier_constants(variant: MnBoundVariant, ar) -> tuple:
     # (A, B, C) of 73 f(L) + 1: the 1 is the one that phi(n) - 1 subtracts
-    return _horner(VOUTIER_QUADRATIC[variant], "1", prec)
+    return _horner(VOUTIER_QUADRATIC[variant], "1", ar)
 
 
 @lru_cache(maxsize=256)
-def _log2_times(k: int, prec: int) -> Interval:
-    """2^k log 2 (k may be negative), enclosed once per precision."""
-    return log2(prec) * Fraction(2) ** k
+def _log2_times(k: int, ar):
+    """2^k log 2 (k may be negative), enclosed once per arithmetic."""
+    return ar.log2() * Fraction(2) ** k
 
 
-def lemma_coefficient(n, logn: Interval, omega: int, parity: Parity) -> Interval:
+def _lemma_coefficient(ar, n, logn, omega: int, parity: Parity):
     """g_w(n) for odd n, h_w(n) for even n, w = omega: what the lemma rows
     subtract from phi(n) - 1 in the coefficient of log|alpha|."""
     max_omega = 7 if parity is Parity.EVEN else 6
     if not 1 <= omega <= max_omega:
         raise DomainError(f"{parity.value} n has omega <= {max_omega} in the cascade's regime")
-    ni = Interval.coerce(n)
-    a, b, c, c1 = _lemma_constants(omega, parity, ni.prec)
-    logx = logn if parity is Parity.ODD else logn - log2(ni.prec)
+    a, b, c, c1 = _lemma_constants(omega, parity, ar)
+    logx = logn if parity is Parity.ODD else logn - ar.log2()
     value = (a * logx - b) * logx + c
-    return value if c1 is None else value + c1 * ni
+    return value if c1 is None else value + c1 * n
+
+
+lemma_coefficient = _in_intervals(_lemma_coefficient)
 
 
 # -- certified lower bounds for log M_n ---------------------------------------
@@ -266,41 +413,42 @@ def mn_lower_affine(
 
     The terms that depend on the row alone come from per-precision caches or
     are int and fraction operands, which the interval layer encloses once per
-    precision: no evaluation does Fraction arithmetic."""
+    precision: no evaluation does Fraction arithmetic.  Evaluated in the
+    arithmetic of ``ctx``."""
     ln = ctx.logn
     phi = ctx.phi_lower
     w = ctx.omega_assumed
-    p = ctx.prec
+    ar = ctx.ar
     if variant is MnBoundVariant.REAL_EQ5:
-        return phi - 2 ** (w - 1), -_log2_times(w - 1, p) - ctx.primitive_divisor_log
+        return phi - 2 ** (w - 1), -_log2_times(w - 1, ar) - ctx.primitive_divisor_log
     if variant is MnBoundVariant.UNIT_EQ55:
-        return phi, -Interval.from_str("1.28", p) - ctx.primitive_divisor_log
+        return phi, -ar.from_str("1.28") - ctx.primitive_divisor_log
     if variant is MnBoundVariant.COMPLEX_TRIVIAL_F:
         return (
             phi - 1 - 2 ** (w - 1) * 73 * ln**2,
-            -_log2_times(w - 1, p) - ctx.primitive_divisor_log,
+            -_log2_times(w - 1, ar) - ctx.primitive_divisor_log,
         )
     if variant in (MnBoundVariant.COMPLEX_VOUTIER128, MnBoundVariant.COMPLEX_VOUTIER64):
-        a, b, c = _voutier_constants(variant, p)
+        a, b, c = _voutier_constants(variant, ar)
         return (
             phi - ((a * ln - b) * ln + c),
-            -_log2_times(w - 1, p) - ctx.primitive_divisor_log,
+            -_log2_times(w - 1, ar) - ctx.primitive_divisor_log,
         )
     if variant is MnBoundVariant.LEMMA_GW:
         if ctx.parity is not Parity.ODD:
             raise DomainError("lemma_gw applies to odd n")
         # -(1 + 2^w / 4w), as one fraction
-        quarter = Interval.from_fraction(-(4 * w + 2**w), 4 * w, p)
+        quarter = ar.from_fraction(-(4 * w + 2**w), 4 * w)
         return (
-            phi - 1 - lemma_coefficient(ctx.n, ln, w, ctx.parity),
-            quarter * ln - _log2_times(w - 2, p),
+            phi - 1 - _lemma_coefficient(ar, ctx.n, ln, w, ctx.parity),
+            quarter * ln - _log2_times(w - 2, ar),
         )
     if variant is MnBoundVariant.LEMMA_HW:
         if ctx.parity is not Parity.EVEN:
             raise DomainError("lemma_hw applies to even n")
         return (
-            phi - 1 - lemma_coefficient(ctx.n, ln, w, ctx.parity),
-            -ln - _log2_times(w - 2, p),
+            phi - 1 - _lemma_coefficient(ar, ctx.n, ln, w, ctx.parity),
+            -ln - _log2_times(w - 2, ar),
         )
     raise DomainError(f"unknown variant {variant}")
 
@@ -328,25 +476,23 @@ def mn_upper_sieve_affine(ctx: BoundContext) -> tuple[Interval, Interval]:
     c = front * ni
     if ctx.sieve_log is not None:
         return c, -front * (ctx.sieve_log - 1)
-    return c, Interval.from_int(0, ctx.prec)
+    return c, ctx.ar.from_int(0)
 
 
 # -- worst-case growth bounds for log|alpha| ----------------------------------
 
 
-def stirling_log_factorial_sqrt(m, logm: Interval) -> Interval:
+def _stirling_log_factorial_sqrt(ar, m, logm):
     """Enclosure of 0.5 log(2 pi m) + m (log m - 1) <= log m! (Robbins), at
     the precision of the enclosure m, as 0.5 log 2 pi + (m + 0.5) log m - m
     from the enclosure ``logm`` of log m and the cached log 2 pi: no log taken."""
-    mi = Interval.coerce(m)
-    if not mi.certainly_ge(1):
+    if not ar.at_least(m, 1):
         raise DomainError("m must be at least 1")
-    half = Interval.from_str("0.5", mi.prec)
-    return half * log_2pi(mi.prec) + (mi + half) * logm - mi
+    half = ar.from_str("0.5")
+    return half * ar.log_2pi() + (m + half) * logm - m
 
 
-def growth_log_alpha_lower(n, logn: Interval, parity: Parity,
-                           m_log: Optional[tuple[Interval, Interval]]) -> Interval:
+def _growth_log_alpha_lower(ar, n, logn, parity: Parity, m_log: Optional[tuple]):
     """Minimum permitted log|alpha| when U_n is a factorial product.
 
     The largest factorial argument is at least m = rn - 1 (r = 1 even, r = 2
@@ -354,12 +500,15 @@ def growth_log_alpha_lower(n, logn: Interval, parity: Parity,
     0.5 log n; given the pair (m, log m), the sharp bound: the direct Stirling
     form, with the parity-aware 0.75/1.75 log n as a floor.
     """
-    ni = Interval.coerce(n)
     if m_log is None:
         return logn / 2
-    direct = (stirling_log_factorial_sqrt(*m_log) - log2(ni.prec)) / ni
-    floor = Interval.from_str("0.75" if parity is Parity.EVEN else "1.75", ni.prec) * logn
-    return direct if direct.lower_at_least(floor) else floor
+    direct = (_stirling_log_factorial_sqrt(ar, *m_log) - ar.log2()) / n
+    floor = ar.from_str("0.75" if parity is Parity.EVEN else "1.75") * logn
+    return direct if ar.lower_at_least(direct, floor) else floor
+
+
+stirling_log_factorial_sqrt = _in_intervals(_stirling_log_factorial_sqrt)
+growth_log_alpha_lower = _in_intervals(_growth_log_alpha_lower)
 
 
 def unit_product_constant(prec: int = 256) -> Interval:
@@ -384,7 +533,7 @@ def unit_product_constant(prec: int = 256) -> Interval:
     return prod * tail
 
 
-def primitive_divisor_log_bound(logn: Interval, omega: int, parity: Parity) -> Interval:
+def _primitive_divisor_log_bound(ar, logn, omega: int, parity: Parity):
     """Enclosure of max(log 3, log n - log primorial(omega - 1)) over the
     enclosure ``logn`` of log n, at its precision.
 
@@ -393,9 +542,11 @@ def primitive_divisor_log_bound(logn: Interval, omega: int, parity: Parity) -> I
     part of U_n is at least |Phi_n| / max(3, P(n)).  log_int caches the logs
     of 3 and of the primorial, so the bound takes no log of its own.
     """
-    prec = logn.prec
     denom = primorial(omega - 1, skip_two=parity is Parity.ODD)
-    return (logn - log_int(denom, prec)).max(log_int(3, prec))
+    return ar.max(logn - ar.log_int(denom), ar.log_int(3))
+
+
+primitive_divisor_log_bound = _in_intervals(_primitive_divisor_log_bound)
 
 
 # -- the margin of a cascade row ----------------------------------------------
@@ -411,9 +562,10 @@ def phi_estimate(variant: MnBoundVariant, omega: Optional[int]) -> str:
     return "rs" if omega is None else "product"
 
 
-def bound_context(variant: MnBoundVariant, parity: str, omega: Optional[int],
-                  n_lo: int, n_hi: int, prec: int) -> BoundContext:
-    """The estimates of a row over [n_lo, n_hi], at prec, chosen by its variant.
+def _bound_context(ar, variant: MnBoundVariant, parity: str, omega: Optional[int],
+                   n_lo: int, n_hi: int) -> BoundContext:
+    """The estimates of a row over [n_lo, n_hi], in the arithmetic ``ar``,
+    chosen by its variant.
 
     ``parity`` is "even", "odd" or "both"; ``omega`` None takes omega_upper.
     REAL_EQ5: the omega-prime totient product, the sharp growth bound, the
@@ -424,10 +576,10 @@ def bound_context(variant: MnBoundVariant, parity: str, omega: Optional[int],
     even rows is also the sieve's log(n - 1).
     """
     par = Parity.EVEN if parity == "both" else Parity(parity)
-    n = Interval.from_int_range(n_lo, n_hi, prec)
-    logn = n.log()
-    loglogn = logn.log()
-    w = omega if omega is not None else omega_upper(n, logn, loglogn)
+    n = ar.index(n_lo, n_hi)
+    logn = ar.log(n)
+    loglogn = ar.log(logn)
+    w = omega if omega is not None else _omega_upper(ar, n, logn, loglogn)
 
     divisor = logn
     phi_kind = phi_estimate(variant, omega)
@@ -435,26 +587,43 @@ def bound_context(variant: MnBoundVariant, parity: str, omega: Optional[int],
         if n_hi > n_lo:
             raise DomainError("exact phi(n) and P(n) are pointwise only")
         profile = arithmetic_profile(n_lo)
-        phi = Interval.from_int(profile.phi, prec)
-        divisor = log_int(max(3, profile.largest_prime_factor), prec)
+        phi = ar.from_int(profile.phi)
+        divisor = ar.log_int(max(3, profile.largest_prime_factor))
     elif phi_kind == "rs":
-        phi = phi_lower_rs(n, loglogn)
+        phi = _phi_lower_rs(ar, n, loglogn)
     else:
-        phi = phi_lower_omega(n, w, par)
+        phi = _phi_lower_omega(ar, n, w, par)
 
     m_log = sieve_log = None
     if variant in (MnBoundVariant.REAL_EQ5, MnBoundVariant.UNIT_EQ55):
         if parity == "both":
             raise DomainError("the sharp growth bound is parity specific")
         m = n - 1 if par is Parity.EVEN else 2 * n - 1
-        m_log = (m, m.log())
-    alpha = growth_log_alpha_lower(n, logn, par, m_log)
+        m_log = (m, ar.log(m))
+    alpha = _growth_log_alpha_lower(ar, n, logn, par, m_log)
 
     if variant is MnBoundVariant.REAL_EQ5:
-        divisor = primitive_divisor_log_bound(logn, w, par)
-        sieve_log = m_log[1] if par is Parity.EVEN else (n - 1).log()
+        divisor = _primitive_divisor_log_bound(ar, logn, w, par)
+        sieve_log = m_log[1] if par is Parity.EVEN else ar.log(n - 1)
 
-    return BoundContext(n, logn, loglogn, w, par, alpha, phi, divisor, sieve_log)
+    return BoundContext(n, logn, loglogn, w, par, alpha, phi, divisor, sieve_log, ar)
+
+
+def bound_context(variant: MnBoundVariant, parity: str, omega: Optional[int],
+                  n_lo: int, n_hi: int, prec: int) -> BoundContext:
+    """The estimates of a row over [n_lo, n_hi] in intervals at prec (see
+    _bound_context)."""
+    return _bound_context(_intervals(prec), variant, parity, omega, n_lo, n_hi)
+
+
+def _margin(variant: MnBoundVariant, ctx: BoundContext) -> tuple:
+    """(slope, margin) of mn_lower - mn_upper as an affine function of
+    log|alpha|, evaluated at the minimal permitted log|alpha|, in the
+    arithmetic of ``ctx``."""
+    a, b = mn_lower_affine(variant, ctx)
+    c, d = mn_upper_sieve_affine(ctx)
+    slope = a - c
+    return slope, slope * ctx.log_alpha_lower + (b - d)
 
 
 def row_margin(variant: MnBoundVariant, parity: str, omega: Optional[int],
@@ -462,8 +631,13 @@ def row_margin(variant: MnBoundVariant, parity: str, omega: Optional[int],
     """(slope, margin) of mn_lower - mn_upper as an affine function of
     log|alpha|, evaluated at the minimal permitted log|alpha|: the margin of
     the row (variant, parity, omega) over [n_lo, n_hi] at prec."""
-    ctx = bound_context(variant, parity, omega, n_lo, n_hi, prec)
-    a, b = mn_lower_affine(variant, ctx)
-    c, d = mn_upper_sieve_affine(ctx)
-    slope = a - c
-    return slope, slope * ctx.log_alpha_lower + (b - d)
+    return _margin(variant, bound_context(variant, parity, omega, n_lo, n_hi, prec))
+
+
+def margin_estimate(variant: MnBoundVariant, parity: str, omega: Optional[int],
+                    n: int) -> tuple[float, float]:
+    """(slope, margin) of the row at the index n, the formulas of row_margin
+    evaluated in plain floats: an estimate for the scan's hints, about 10
+    microseconds where a 64-bit interval evaluation takes about 100.  It
+    encloses nothing, and no verdict may read it."""
+    return _margin(variant, _bound_context(_FLOATS, variant, parity, omega, n, n))

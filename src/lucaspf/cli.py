@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
+import stat
 import sys
 
 from .cyclotomic import cyclotomic_value
@@ -83,21 +85,28 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _output(path, newline=None):
     """An output file opened before the work, so that an unwritable path fails
-    at once, but cut to what was written only when the work succeeds: a failed
-    run keeps a file that was there and removes one it made. None, no path."""
+    at once, and written only when the work succeeds: what the work writes is
+    kept in memory until then, and goes out after the table on stdout.  A
+    regular file is then cut to what was written, so a failed run keeps a file
+    that was there and removes one it made; a device or a pipe, such as
+    /dev/null or /dev/stdout, is written and never cut.  None, no path."""
     if not path:
         yield None
         return
     made = not os.path.exists(path)
-    # O_CREAT without O_TRUNC: the old contents stay until truncate() below
+    # O_CREAT without O_TRUNC: the old contents stay until the work succeeds
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        out = io.StringIO(newline=newline)
         try:
-            yield fh
+            yield out
         except BaseException:
             if made:
                 os.remove(path)
             raise
-        fh.truncate()
+        sys.stdout.flush()
+        fh.write(out.getvalue())
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _cmd_bounds(args) -> int:

@@ -239,12 +239,6 @@ class Interval:
         lo, hi = self._mpi
         return _sign(lo), _sign(hi)
 
-    def mid_float(self) -> float:
-        """A float near the midpoint, read from the raw endpoints: an
-        estimate, never an enclosure."""
-        lo, hi = self._mpi
-        return (libmp.to_float(lo) + libmp.to_float(hi)) / 2
-
     def certainly_gt(self, other) -> bool:
         other = Interval.coerce(other, self._prec)
         return libmp.mpf_gt(self._mpi[0], other._mpi[1])

@@ -18,13 +18,15 @@ inside; it takes log n and log log n once.  Points and ranges share one
 verdict: a range is decided at 64 bits, the first precision of the ladder,
 and a single index climbs the ladder until the sign of the margin is certain.
 
-The scan of a row first tries its whole range.  Then the row's own 64-bit
-point margins, read as floats, serve as hints: a safeguarded secant in log n
-locates the top sign change h, the indices above h are covered top-down by
-cells whose width grows geometrically with their distance from h, and h is
-point-checked.  A cell left undecided is scanned the same way.  A range whose
-hints give no bracket, and the range below an h that its point check finds
-violated, are bisected, upper half first, with no further hints.  A hint only
+The scan of a row first tries its whole range.  Then the row's own point
+margins serve as hints: the same formulas evaluated in plain floats
+(bounds.margin_estimate), while every verdict is evaluated in intervals.  A
+safeguarded secant in log n on the hints locates the top sign change h, the
+indices above h are covered top-down by cells whose width grows geometrically
+with their distance from h, and h is point-checked.  A cell left undecided is
+scanned the same way.  A range whose hints give no bracket, and the range
+below an h that its point check finds violated, are bisected, upper half
+first, with no further hints.  A hint only
 chooses where the scan cuts: every range dropped is certified violated, every
 survivor comes from a point check, and ranges are visited from the top down,
 so the first survivor found is the largest whatever the hints say.  Below it
@@ -44,7 +46,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .bounds import MnBoundVariant, phi_estimate, row_margin
+from .bounds import MnBoundVariant, margin_estimate, phi_estimate, row_margin
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
 from .interval import PREC_LADDER
@@ -174,22 +176,23 @@ def _sweep(points: Sequence[int], row: Callable[[int], StageConfig]) -> int:
 # cell below it, so its width is _CELL_GROWTH - 1 times its distance from h.
 # Near h the margin grows about linearly with that distance and the slack of
 # its enclosure with the width, so a cell certifies only up to some ratio of
-# the two.  Margin evaluations of the full general cascade, and of its three
-# benchmark rows (stage1-baker, stage4-even-w6, stage4-odd-w5), by factor:
-# 2: 462 and 104; 2.5: 402 and 89; 3: 376 and 85; 3.5: 360 and 81; 4: 399
-# and 96, where the cells next to h stop certifying and are split.  3 lies in
-# the flat part, a step short of that edge.
+# the two.  Interval margin evaluations of the full general cascade, and of
+# its three benchmark rows (stage1-baker, stage4-even-w6, stage4-odd-w5), by
+# factor, with the float hints in brackets: 2: 335 and 76 (127, 28); 2.5: 275
+# and 61 (127, 28); 3: 243 and 55 (133, 30); 3.5: 227 and 51 (133, 30); 4:
+# 244 and 59 (155, 37), where the cells next to h stop certifying and are
+# split.  3 lies in the flat part, a step short of that edge.
 _CELL_GROWTH = 3
 
 
 def _hint(cfg: StageConfig, n: int) -> float:
-    """A float reading of the row's 64-bit point margin at n, over n: positive
-    where n looks violated.  Where the slope is negative the smaller of margin
-    and slope is read, so the sign follows the verdict's.  Dividing by n makes
-    the reading nearly linear in log n, which the secant needs.  It is an
-    estimate from the midpoints of the raw endpoints and decides nothing."""
-    slope, margin = _margin_parts(cfg, n, n, PREC_LADDER[0])
-    m, s = margin.mid_float(), slope.mid_float()
+    """The row's point margin at n, over n, evaluated in floats
+    (bounds.margin_estimate: the formulas of the verdict's margin, not an
+    enclosure): positive where n looks violated.  Where the slope is negative
+    the smaller of margin and slope is read, so the sign follows the
+    verdict's.  Dividing by n makes the reading nearly linear in log n, which
+    the secant needs.  It decides nothing."""
+    s, m = margin_estimate(cfg.variant, cfg.parity, cfg.omega, n)
     return (m if s >= 0 else min(m, s)) / n
 
 
@@ -260,15 +263,16 @@ def _cells(points: range, h: int) -> list[range]:
 def _scan(cfg: StageConfig, points: range, hinted: bool = True) -> int:
     """Largest surviving index among ``points`` (NO_SURVIVOR if none).
 
-    A range certified violated is dropped whole.  Otherwise the hints locate
-    the likely top survivor h (see _locate), the indices above h are covered
-    top-down by cells that grow geometrically away from h, each scanned by
-    this function, and h is point-checked.  Without a bracket, and below an h
-    whose point check finds it violated, the range is bisected instead, upper
-    half first and with no further hints.  Every dropped range comes from
-    _range_violated and every survivor from a point check, and the ranges are
-    visited from the top down, so the first survivor found is the largest:
-    a hint only chooses where to cut, never a verdict.
+    A range certified violated is dropped whole.  Otherwise the hints, the
+    row's point margins in floats, locate the likely top survivor h (see
+    _locate), the indices above h are covered top-down by cells that grow
+    geometrically away from h, each scanned by this function, and h is
+    point-checked.  Without a bracket, and below an h whose point check finds
+    it violated, the range is bisected instead, upper half first and with no
+    further hints.  Every dropped range comes from _range_violated and every
+    survivor from a point check, and the ranges are visited from the top down,
+    so the first survivor found is the largest: a hint only chooses where to
+    cut, never a verdict.
     """
     if not points:
         return NO_SURVIVOR
@@ -295,10 +299,12 @@ def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
 
     The whole range is covered: every admissible index above the answer lies
     in a range certified violated at 64 bits or was point-checked on its own.
-    The float hints that guide the scan come from the row's own point margins
-    and only choose the cells; they never stand in for a verdict.  The row is
-    scanned in this process; ``workers`` is ignored, and kept only because
-    perfbench's replay hook calls the original as ``scan(cfg, workers)``.
+    The hints that guide the scan are the row's own point margins, the
+    formulas of its interval margin evaluated in plain floats; they only
+    choose the cells and never stand in for a verdict, which is always an
+    interval evaluation.  The row is scanned in this process; ``workers`` is
+    ignored, and kept only because perfbench's replay hook calls the original
+    as ``scan(cfg, workers)``.
     """
     return _scan(cfg, _admissible(cfg, max(151, cfg.n_floor), cfg.n_cap))
 

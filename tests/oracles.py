@@ -107,6 +107,13 @@ def width(x):
     return mp.make_mpf(libmp.mpf_sub(x.hi._mpf_, x.lo._mpf_, x.prec, libmp.round_ceiling))
 
 
+def mid_float(x) -> float:
+    """A float near the midpoint of the Interval x, read from the raw
+    endpoints: an estimate, never an enclosure."""
+    lo, hi = x._mpi
+    return (libmp.to_float(lo) + libmp.to_float(hi)) / 2
+
+
 def certainly_lt(x, y) -> bool:
     """Whether every point of the Interval x lies below every point of y."""
     return x.hi < y.lo

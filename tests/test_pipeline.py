@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from lucaspf import cyclotomic, pipeline, primes, search
+from lucaspf import bounds, cyclotomic, pipeline, primes, search
 from lucaspf.bounds import MnBoundVariant, bound_context, mn_lower_affine, mn_upper_sieve_affine
 from lucaspf.cyclotomic import arithmetic_profile
 from lucaspf.cli import cli_dispatch
@@ -35,6 +35,7 @@ from lucaspf.pipeline import (
     stage_violated,
 )
 from lucaspf.primes import primorial
+from oracles import mid_float
 
 
 STAGE1 = StageConfig(
@@ -502,24 +503,26 @@ def test_real_sweep_skips_only_indices_their_row_certified(real_u):
 def test_stage5_even_w6_evaluation_count_is_pinned():
     # the row that sets the certified bound: its threshold is its own cap, so
     # the whole range is undecided, the hints at both ends are nonpositive and
-    # the top index is point-checked
+    # the top index is point-checked; the hints are float estimates, so the
+    # interval evaluations are the range and the point
     cfg = _row_for(pipeline._GENERAL_STAGES[4](267_212), "even", 6)
     calls, patch = _recorded_margins()
     with patch:
         assert find_threshold(cfg) == 267_212
-    assert len(calls) == 4
+    assert calls == [(30_030, 267_212, 64), (267_212, 267_212, 64)]
 
 
-# The work of a scan, pinned exactly: margin evaluations, hints included, of
-# the three general rows the benchmark scans, of the slowest real row and of
-# the full cascades.  A change of scan or enclosure that moves one is seen.
+# The work of a scan, pinned exactly: interval margin evaluations of the
+# three general rows the benchmark scans, of the slowest real row and of the
+# full cascades.  The hints are float estimates and are not among them.  A
+# change of scan or enclosure that moves one is seen.
 ROW_WORK = {
-    "stage1-baker": (15_028_725, 36),
-    "stage4-even-w6": (267_212, 23),
-    "stage4-odd-w5": (85_261, 26),
-    "real-even-w4": (248, 34),
+    "stage1-baker": (15_028_725, 23),
+    "stage4-even-w6": (267_212, 15),
+    "stage4-odd-w5": (85_261, 17),
+    "real-even-w4": (248, 23),
 }
-CASCADE_WORK = {"general": 376, "real": 210, "unit": 60}
+CASCADE_WORK = {"general": 243, "real": 181, "unit": 60}
 
 
 def _work_rows():
@@ -593,6 +596,68 @@ def test_a_lemma_evaluation_makes_at_most_23_interval_calls():
     for name, n, pinned in (("stage4-even-w6", 267_212, 23), ("stage4-odd-w5", 85_261, 22)):
         for (a, b), prec in (((n, n), 64), ((n, n), 256), ((n + 2, 2 * n), 64)):
             assert _interval_calls(rows[name], a, b, prec) == pinned, (name, a, b, prec)
+
+
+def _cascade_rows(run):
+    # {row: threshold} of every row of a cascade, scanned or reused
+    rows = {}
+
+    def record(*args):
+        found = _run_rows(*args)
+        rows.update(found)
+        return found
+
+    with mock.patch.object(pipeline, "_run_rows", record):
+        run()
+    return rows
+
+
+def test_float_estimates_follow_the_64_bit_margins():
+    # at the first admissible index of each row of the general and real
+    # cascades, its threshold, the next admissible index and its cap: the
+    # float estimate is the midpoint of the 64-bit margin to within 1e-9 of
+    # the largest term, and has its sign wherever that sign is certain
+    checked = 0
+    for run in (run_general_cascade, run_real_cascade):
+        for cfg, threshold in _cascade_rows(run).items():
+            points = pipeline._admissible(cfg, max(151, cfg.n_floor), cfg.n_cap)
+            for n in {points[0], threshold, threshold + points.step, points[-1]}:
+                if n not in points:  # a threshold below the row's range
+                    continue
+                est = bounds.margin_estimate(cfg.variant, cfg.parity, cfg.omega, n)
+                got = bounds.row_margin(cfg.variant, cfg.parity, cfg.omega, n, n, 64)
+                ctx = bound_context(cfg.variant, cfg.parity, cfg.omega, n, n, 64)
+                (a, b), (c, d) = mn_lower_affine(cfg.variant, ctx), mn_upper_sieve_affine(ctx)
+                terms = (ctx.phi_lower, a, b, c, d, (a - c) * ctx.log_alpha_lower)
+                scale = max(abs(mid_float(x)) for x in terms)
+                for e, x in zip(est, got):
+                    assert isinstance(e, float), (cfg.name, n)
+                    assert abs(e - mid_float(x)) <= 1e-9 * scale, (cfg.name, n, e, x)
+                    lo, hi = x.signs()
+                    if lo == hi != 0:
+                        assert (e > 0) == (lo > 0), (cfg.name, n, e, x)
+                verdict = pipeline._verdict(cfg, n, n, PREC_LADDER[:1])
+                if verdict is not None:
+                    assert (pipeline._hint(cfg, n) > 0) == verdict, (cfg.name, n)
+                checked += 1
+    assert checked == 134
+
+
+def test_no_float_reaches_a_verdict(fib_params):
+    # every margin a verdict reads, over the three cascades, is an Interval
+    results = []
+    margin_parts = pipeline._margin_parts
+
+    def record(*args):
+        results.append(margin_parts(*args))
+        return results[-1]
+
+    with mock.patch.object(pipeline, "_margin_parts", record):
+        run_general_cascade()
+        run_real_cascade()
+        run_unit_case(fib_params)
+    assert len(results) == sum(CASCADE_WORK.values())
+    assert all(isinstance(x, Interval) for pair in results for x in pair)
 
 
 def _recorded_scans():

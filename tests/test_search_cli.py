@@ -497,6 +497,21 @@ def test_cli_failed_run_leaves_outputs_as_they_were(tmp_path, capsys):
     assert json.loads(made.read_text())["search"]["nMax"] == 20
 
 
+def test_cli_outputs_to_devices_and_pipes():
+    # a target that is not a regular file is written and never cut
+    for argv in (("search", "--r", "1", "--s", "1", "--max-n", "20", "--json", "/dev/null"),
+                 ("search", "--r", "1", "--s", "1", "--max-n", "20", "--csv", "/dev/null"),
+                 ("bounds", "--case", "unit", "--json", "/dev/null")):
+        out = run_cli(*argv)
+        assert out.returncode == 0 and out.stderr == b"", (argv, out.stderr)
+    # stdout is a pipe here: the JSON follows the table on it
+    out = run_cli("search", "--r", "1", "--s", "1", "--max-n", "20", "--json", "/dev/stdout")
+    assert out.returncode == 0 and out.stderr == b"", out.stderr
+    table, brace, rest = out.stdout.decode().partition("{")
+    assert table.splitlines()[-1] == "5 hit(s)"
+    assert [h["index"] for h in json.loads(brace + rest)["search"]["hits"]] == [1, 2, 3, 6, 12]
+
+
 def test_cli_bounds_unit_json(tmp_path):
     jpath = tmp_path / "unit.json"
     out = run_cli(

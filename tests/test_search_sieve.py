@@ -161,6 +161,10 @@ def test_sieve_matches_plain_stepping():
     (1, -3, SeqKind.U, 1, 12_000),  # negative terms, whose residues are near 2^w
     (2, -3, SeqKind.U, 1, 12_000),  # tau = 2
     (-4, 3, SeqKind.U, 5_001, 12_000),  # negative r, a mid-range start
+    # U_3 = 1 + s = +-3 * 2^k: the first even term has nu_2 = k and forces a
+    # widening, with real roots (s > 0) and complex ones (s < 0)
+    *[(1, sign * 3 * 2**k - 1, SeqKind.U, lo, 600)
+      for k in (9, 13) for sign in (1, -1) for lo in (1, 301)],
 ])
 def test_a_widening_run_matches_plain_stepping(r, s, kind, lo, hi):
     # past a widening the residues are reseeded modulo the wider 2^w; without
@@ -174,6 +178,19 @@ def test_a_widening_run_matches_plain_stepping(r, s, kind, lo, hi):
     # the run did widen: it built a term whose cap is at least the first w
     terms = [abs(lucas.term_pair(p, kind, n)[0]) for n in built]
     assert max(_SIZE_BITS.get((x & -x).bit_length() - 1, 0) for x in terms) >= search._W0
+
+
+@pytest.mark.parametrize("k", [64, 100])
+def test_first_even_terms_past_nu_2_of_64_match_plain_stepping(k):
+    # U_3 = 1 + s = +-3 * 2^k: nu_2 >= 64 takes the j = 0 window of the even
+    # pass and pf_fast_reject's path for an even term with no bit set in its
+    # low 64, which no pair of the box reaches
+    for s in (3 * 2**k - 1, -3 * 2**k - 1):
+        p = validate_params(1, s)
+        for kind in SeqKind:
+            plain = _plain_outcomes(p, kind, 600)
+            for lo in (1, 301):
+                assert search._search_run(p, kind, lo, 600) == plain_search(plain[lo:]), (s, kind, lo)
 
 
 def test_windows_hold_the_residues_that_certify_size():
