@@ -18,11 +18,15 @@ margin evaluation takes each log once.
 
 The margin formulas are written once, against a small arithmetic: enclose an
 index range, an int, a fraction or a decimal; the logs and constants; max,
-a compare of lower ends, the floor of an upper end and the domain checks.  Its
-interval form, at one precision, is the one every public function and every
-verdict uses.  Its float form evaluates the same formulas at one index in
-plain floats; only margin_estimate selects it, for the scan's hints, which
-choose where a scan cuts and decide nothing.
+a compare of lower ends, the floor of an upper end and the domain checks.  It
+has three forms.  The interval form, at one precision, is the one every
+public function and every plain verdict uses.  The dual form (Dual) runs the
+same formulas over [a, b] with n a real variable, in intervals, and carries
+next to each value an enclosure of its derivative in n and its value at a
+under the branches taken over the range; only row_margin_dual selects it, for
+the scan's monotone verdict.  The float form evaluates the formulas at one
+index in plain floats; only margin_estimate selects it, for the scan's hints,
+which choose where a scan cuts and decide nothing.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class MnBoundVariant(str, Enum):
 
 class _Intervals:
     """Outward-rounded enclosures at one precision, on the interval layer's
-    caches: the arithmetic of every public function and every verdict."""
+    caches: the arithmetic of every public function and every plain verdict,
+    and the enclosures a Dual is made of."""
 
     __slots__ = ("prec",)
 
@@ -172,6 +177,164 @@ _EXP_EULER_GAMMA = math.exp(0.5772156649015329)
 _FLOATS = _Floats()
 
 
+class Dual:
+    """A quantity of the margin formulas over an index range [a, b], with n
+    taken as a real variable: ``at`` encloses its value at n = a, ``val`` its
+    values over [a, b] and ``der`` its derivative in n over [a, b], None for a
+    constant, whose ``at`` is its ``val``.
+
+    Every branch of a formula is decided on ``val``, and ``at`` follows the
+    branch taken, so ``at`` is the value at a of the one function whose
+    derivative ``der`` encloses.  The other operand of + - * / may be a Dual,
+    an int or a Fraction, which only + and * also take on the left.  Each
+    operation is a few interval operations, one when every operand is
+    constant."""
+
+    __slots__ = ("at", "val", "der")
+
+    def __init__(self, at: Interval, val: Interval, der: Optional[Interval]):
+        self.at, self.val, self.der = at, val, der
+
+    @classmethod
+    def const(cls, v: Interval) -> "Dual":
+        return cls(v, v, None)
+
+    def __add__(self, y):
+        if not isinstance(y, Dual):
+            if self.der is None:
+                return Dual.const(self.val + y)
+            return Dual(self.at + y, self.val + y, self.der)
+        if self.der is None and y.der is None:
+            return Dual.const(self.val + y.val)
+        der = y.der if self.der is None else self.der if y.der is None else self.der + y.der
+        return Dual(self.at + y.at, self.val + y.val, der)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self.der is None:
+            return Dual.const(-self.val)
+        return Dual(-self.at, -self.val, -self.der)
+
+    def __sub__(self, y):
+        if not isinstance(y, Dual):
+            if self.der is None:
+                return Dual.const(self.val - y)
+            return Dual(self.at - y, self.val - y, self.der)
+        if self.der is None and y.der is None:
+            return Dual.const(self.val - y.val)
+        der = -y.der if self.der is None else self.der if y.der is None else self.der - y.der
+        return Dual(self.at - y.at, self.val - y.val, der)
+
+    def __mul__(self, y):
+        if not isinstance(y, Dual):
+            if self.der is None:
+                return Dual.const(self.val * y)
+            return Dual(self.at * y, self.val * y, self.der * y)
+        if y.der is None:
+            if self.der is None:
+                return Dual.const(self.val * y.val)
+            return Dual(self.at * y.val, self.val * y.val, self.der * y.val)
+        if self.der is None:
+            return y * self
+        return Dual(self.at * y.at, self.val * y.val, self.der * y.val + self.val * y.der)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, y):
+        if not isinstance(y, Dual):
+            if self.der is None:
+                return Dual.const(self.val / y)
+            return Dual(self.at / y, self.val / y, self.der / y)
+        if y.der is None:
+            if self.der is None:
+                return Dual.const(self.val / y.val)
+            return Dual(self.at / y.val, self.val / y.val, self.der / y.val)
+        # (x / y)' = (x' - (x / y) y') / y
+        q = self.val / y.val
+        top = -(q * y.der) if self.der is None else self.der - q * y.der
+        return Dual(self.at / y.at, q, top / y.val)
+
+    def __pow__(self, k: int):
+        if self.der is None:
+            return Dual.const(self.val ** k)
+        return Dual(self.at ** k, self.val ** k, self.der * (self.val ** (k - 1) * k))
+
+    def log(self) -> "Dual":
+        if self.der is None:
+            return Dual.const(self.val.log())
+        return Dual(self.at.log(), self.val.log(), self.der / self.val)
+
+    def __repr__(self):
+        return f"Dual(at={self.at!r}, val={self.val!r}, der={self.der!r})"
+
+
+def _constant(method):
+    # an _Intervals constructor or constant, as a constant Dual
+    def constant(self, *args):
+        return Dual.const(method(self.intervals, *args))
+    return constant
+
+
+class _Duals:
+    """Duals over one index range at one precision: the arithmetic of the
+    monotone verdict, which row_margin_dual selects.  The index is n with
+    derivative 1, every constant an interval with no derivative.  A branch is
+    decided over the range: floor_hi and lower_at_least read ``val``, and a
+    max decided there takes its branch whole, so the value at the range's
+    bottom replays the same branches.  An undecided max encloses max at the
+    bottom and over the range, and takes the hull of the two derivatives:
+    max is Lipschitz, and its derivative is one of theirs almost everywhere."""
+
+    __slots__ = ("intervals",)
+
+    def __init__(self, prec: int):
+        self.intervals = _intervals(prec)
+
+    def index(self, a: int, b: int) -> Dual:
+        ar = self.intervals
+        return Dual(ar.from_int(a), ar.index(a, b), ar.from_int(1))
+
+    from_int = _constant(_Intervals.from_int)
+    from_fraction = _constant(_Intervals.from_fraction)
+    from_str = _constant(_Intervals.from_str)
+    log_int = _constant(_Intervals.log_int)
+    log2 = _constant(_Intervals.log2)
+    log_2pi = _constant(_Intervals.log_2pi)
+    exp_euler_gamma = _constant(_Intervals.exp_euler_gamma)
+
+    @staticmethod
+    def log(x: Dual) -> Dual:
+        return x.log()
+
+    def max(self, x: Dual, y: Dual) -> Dual:
+        if x.val.certainly_ge(y.val):
+            return x
+        if y.val.certainly_ge(x.val):
+            return y
+        zero = self.intervals.from_int(0)
+        der = (zero if x.der is None else x.der).hull(zero if y.der is None else y.der)
+        return Dual(x.at.max(y.at), x.val.max(y.val), der)
+
+    @staticmethod
+    def lower_at_least(x: Dual, y: Dual) -> bool:
+        return x.val.lower_at_least(y.val)
+
+    @staticmethod
+    def floor_hi(x: Dual) -> int:
+        return math.floor(x.val.hi)
+
+    @staticmethod
+    def at_least(x: Dual, k: int) -> bool:
+        return x.val.certainly_ge(k)
+
+
+@lru_cache(maxsize=32)
+def _duals(prec: int) -> _Duals:
+    # one object per precision, as _intervals: the constant caches key on it
+    return _Duals(prec)
+
+
 @dataclass(frozen=True)
 class BoundContext:
     """The estimates one margin evaluation combines.
@@ -181,7 +344,8 @@ class BoundContext:
     and ``loglogn`` enclose log n and log log n at that precision.
     ``sieve_log`` encloses log(n - 1) for the refined sieve, None for the plain
     one (see mn_upper_sieve_affine).  A context built by margin_estimate holds
-    floats at one index instead, and ``ar`` is then the float arithmetic;
+    floats at one index instead, and ``ar`` is then the float arithmetic; one
+    built by row_margin_dual holds Duals, and ``ar`` is the dual arithmetic.
     ``prec`` and ``n_range`` read an interval context only.
     """
 
@@ -367,7 +531,7 @@ def _horner(coeffs: tuple[str, str, str], c0: str, ar) -> tuple:
 
 
 # each cache below holds a few dozen entries for each arithmetic: the floats,
-# and intervals at each precision of the ladder
+# intervals at each precision of the ladder, and duals at 64 bits
 @lru_cache(maxsize=256)
 def _lemma_constants(omega: int, parity: Parity, ar) -> tuple:
     # (A, B, C, c1) of g_w or h_w; c1 is None where the table has no linear tail
@@ -632,6 +796,17 @@ def row_margin(variant: MnBoundVariant, parity: str, omega: Optional[int],
     log|alpha|, evaluated at the minimal permitted log|alpha|: the margin of
     the row (variant, parity, omega) over [n_lo, n_hi] at prec."""
     return _margin(variant, bound_context(variant, parity, omega, n_lo, n_hi, prec))
+
+
+def row_margin_dual(variant: MnBoundVariant, parity: str, omega: Optional[int],
+                    n_lo: int, n_hi: int, prec: int) -> tuple[Dual, Dual]:
+    """(slope, margin) of the row over [n_lo, n_hi] at prec as Duals: the
+    formulas of row_margin with n a real variable on [n_lo, n_hi], each
+    result enclosing its value at n_lo and its derivative over the range.
+    The branches (omega_upper's floor, the sharp growth bound's choice, a
+    decided max) are decided over the range, as row_margin decides them, and
+    the values at n_lo take the same ones."""
+    return _margin(variant, _bound_context(_duals(prec), variant, parity, omega, n_lo, n_hi))
 
 
 def margin_estimate(variant: MnBoundVariant, parity: str, omega: Optional[int],

@@ -87,9 +87,11 @@ def _output(path, newline=None):
     """An output file opened before the work, so that an unwritable path fails
     at once, and written only when the work succeeds: what the work writes is
     kept in memory until then, and goes out after the table on stdout.  A
-    regular file is then cut to what was written, so a failed run keeps a file
-    that was there and removes one it made; a device or a pipe, such as
-    /dev/null or /dev/stdout, is written and never cut.  None, no path."""
+    path that opens stdout's own file, such as /dev/stdout, is written through
+    sys.stdout, after the table, and never cut.  Another regular file is then
+    cut to what was written, so a failed run keeps a file that was there and
+    removes one it made; a device or a pipe, such as /dev/null, is written
+    and never cut.  None, no path."""
     if not path:
         yield None
         return
@@ -103,10 +105,23 @@ def _output(path, newline=None):
             if made:
                 os.remove(path)
             raise
+        if _is_stdout(fh):
+            # a second handle on stdout's file writes at its own offset
+            sys.stdout.write(out.getvalue())
+            return
         sys.stdout.flush()
         fh.write(out.getvalue())
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
+
+
+def _is_stdout(fh) -> bool:
+    """Whether fh is open on the file that stdout writes to; False when
+    stdout has no file, as under redirect_stdout."""
+    try:
+        return os.path.samestat(os.fstat(fh.fileno()), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
 
 
 def _cmd_bounds(args) -> int:

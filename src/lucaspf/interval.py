@@ -259,6 +259,12 @@ class Interval:
         return _wrap((a if libmp.mpf_ge(a, c) else c, b if libmp.mpf_ge(b, d) else d),
                      max(self._prec, other._prec))
 
+    def hull(self, other: "Interval") -> "Interval":
+        """The smallest enclosure of both, at the larger precision."""
+        (a, b), (c, d) = self._mpi, other._mpi
+        return _wrap((c if libmp.mpf_ge(a, c) else a, b if libmp.mpf_ge(b, d) else d),
+                     max(self._prec, other._prec))
+
     def __repr__(self):
         return f"Interval({self.lo!s}, {self.hi!s}, prec={self.prec})"
 

@@ -18,19 +18,28 @@ inside; it takes log n and log log n once.  Points and ranges share one
 verdict: a range is decided at 64 bits, the first precision of the ladder,
 and a single index climbs the ladder until the sign of the margin is certain.
 
+A range can also be certified by the monotone verdict: the margin evaluated
+in dual numbers (bounds.row_margin_dual) encloses the derivatives in n of
+slope and margin over the range, and their values at its bottom under the
+branches taken over the range; derivatives >= 0 and a violated bottom
+certify every index inside by the mean value theorem.  It is tried at 64 bits
+and never raises Undecidable: undecided, the scan covers the range with
+cells instead.
+
 The scan of a row first tries its whole range.  Then the row's own point
 margins serve as hints: the same formulas evaluated in plain floats
-(bounds.margin_estimate), while every verdict is evaluated in intervals.  A
-safeguarded secant in log n on the hints locates the top sign change h, the
-indices above h are covered top-down by cells whose width grows geometrically
-with their distance from h, and h is point-checked.  A cell left undecided is
-scanned the same way.  A range whose hints give no bracket, and the range
-below an h that its point check finds violated, are bisected, upper half
-first, with no further hints.  A hint only
-chooses where the scan cuts: every range dropped is certified violated, every
-survivor comes from a point check, and ranges are visited from the top down,
-so the first survivor found is the largest whatever the hints say.  Below it
-nothing is evaluated, since it cannot raise the threshold.
+(bounds.margin_estimate), while every verdict is evaluated in intervals or
+dual numbers.  A safeguarded secant in log n on the hints locates the top
+sign change h.  The monotone verdict is tried on every index above h, then
+on those up to 2h; what it leaves is covered top-down by cells whose width
+grows geometrically with their distance from h, and h is point-checked.  A
+cell left undecided is scanned the same way.  A range whose hints give no
+bracket, and the range below an h that its point check finds violated, are
+bisected, upper half first, with no further hints.  A hint only chooses where
+the scan cuts: every range dropped is certified violated, every survivor
+comes from a point check, and ranges are visited from the top down, so the
+first survivor found is the largest whatever the hints say.  Below it nothing
+is evaluated, since it cannot raise the threshold.
 
 The general cascade is a table of five stages, each built from the threshold
 of the stage before; a row that repeats the verdict of a row scanned earlier
@@ -46,7 +55,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .bounds import MnBoundVariant, margin_estimate, phi_estimate, row_margin
+from .bounds import MnBoundVariant, margin_estimate, phi_estimate, row_margin, row_margin_dual
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
 from .interval import PREC_LADDER
@@ -148,6 +157,27 @@ def _range_violated(cfg: StageConfig, a: int, b: int) -> bool:
     return _verdict(cfg, a, b, PREC_LADDER[:1]) is True
 
 
+def _margin_duals(cfg: StageConfig, n_lo: int, n_hi: int):
+    """(slope, margin) of cfg over [n_lo, n_hi] at 64 bits, each with its
+    value at n_lo and its derivative in n (see bounds.row_margin_dual)."""
+    return row_margin_dual(cfg.variant, cfg.parity, cfg.omega, n_lo, n_hi, PREC_LADDER[0])
+
+
+def _monotone_violated(cfg: StageConfig, a: int, b: int) -> bool:
+    """Certify that every index in [a, b] is violated, by the mean value
+    theorem: the derivatives in n of slope and margin have enclosures with
+    lower ends >= 0 over [a, b], and at a the slope is >= 0 and the margin
+    > 0.  The branches (omega_upper's floor, the sharp growth bound's choice,
+    a decided max) are decided over the whole range, as _range_violated
+    decides them, so slope and margin are one function of n, which is the
+    margin of a valid verdict at every index inside; the values at a take
+    the same branches.  False means undecided, never Undecidable: the scan
+    then covers [a, b] with cells."""
+    slope, margin = _margin_duals(cfg, a, b)
+    return (slope.der.signs()[0] >= 0 and margin.der.signs()[0] >= 0
+            and slope.at.signs()[0] >= 0 and margin.at.signs()[0] > 0)
+
+
 # -- exhaustive threshold scan -------------------------------------------------
 
 
@@ -176,12 +206,13 @@ def _sweep(points: Sequence[int], row: Callable[[int], StageConfig]) -> int:
 # cell below it, so its width is _CELL_GROWTH - 1 times its distance from h.
 # Near h the margin grows about linearly with that distance and the slack of
 # its enclosure with the width, so a cell certifies only up to some ratio of
-# the two.  Interval margin evaluations of the full general cascade, and of
-# its three benchmark rows (stage1-baker, stage4-even-w6, stage4-odd-w5), by
-# factor, with the float hints in brackets: 2: 335 and 76 (127, 28); 2.5: 275
-# and 61 (127, 28); 3: 243 and 55 (133, 30); 3.5: 227 and 51 (133, 30); 4:
-# 244 and 59 (155, 37), where the cells next to h stop certifying and are
-# split.  3 lies in the flat part, a step short of that edge.
+# the two.  The cells cover only what the monotone verdict leaves above h.
+# Interval margin evaluations of the full general cascade, of its three
+# benchmark rows (stage1-baker, stage4-even-w6, stage4-odd-w5) and of the
+# full real cascade, by factor; the dual evaluations are 15, 4 and 4 at
+# every factor, and the float hints of the general cascade and the three
+# rows 127 and 28: 2: 47, 13, 170; 2.5: 45, 11, 169; 3: 44, 10, 167; 3.5:
+# 44, 10, 169; 4: 44, 10, 168.  3 does the least work on all three.
 _CELL_GROWTH = 3
 
 
@@ -249,10 +280,10 @@ def _locate(cfg: StageConfig, points: range) -> Optional[int]:
     return lo
 
 
-def _cells(points: range, h: int) -> list[range]:
-    """The positions above h in ``points``, cut into cells bottom-up, each
-    reaching _CELL_GROWTH times as far from h as the one below it."""
-    cells, lo = [], h + 1
+def _cells(points: range, h: int, lo: int) -> list[range]:
+    """The positions from lo > h on in ``points``, cut into cells bottom-up,
+    each reaching _CELL_GROWTH times as far from h as the one below it."""
+    cells = []
     while lo < len(points):
         hi = min(len(points), max(lo + 1, h + math.floor(_CELL_GROWTH * (lo - h))))
         cells.append(points[lo:hi])
@@ -260,19 +291,35 @@ def _cells(points: range, h: int) -> list[range]:
     return cells
 
 
+def _monotone_cover(cfg: StageConfig, points: range, h: int) -> int:
+    """The position just past the indices above position h that the
+    monotone verdict certifies: past the end when _monotone_violated
+    certifies every one, else past the last index up to 2 points[h] when it
+    certifies those, else h + 1.  The cells start there."""
+    top = len(points) - 1
+    if h < top:
+        if _monotone_violated(cfg, points[h + 1], points[top]):
+            return top + 1
+        k = (2 * points[h] - points[0]) // points.step
+        if k < top and _monotone_violated(cfg, points[h + 1], points[k]):
+            return k + 1
+    return h + 1
+
+
 def _scan(cfg: StageConfig, points: range, hinted: bool = True) -> int:
     """Largest surviving index among ``points`` (NO_SURVIVOR if none).
 
     A range certified violated is dropped whole.  Otherwise the hints, the
     row's point margins in floats, locate the likely top survivor h (see
-    _locate), the indices above h are covered top-down by cells that grow
+    _locate).  The monotone verdict is tried on the indices above h (see
+    _monotone_cover); what it leaves is covered top-down by cells that grow
     geometrically away from h, each scanned by this function, and h is
     point-checked.  Without a bracket, and below an h whose point check finds
     it violated, the range is bisected instead, upper half first and with no
-    further hints.  Every dropped range comes from _range_violated and every
-    survivor from a point check, and the ranges are visited from the top down,
-    so the first survivor found is the largest: a hint only chooses where to
-    cut, never a verdict.
+    further hints.  Every dropped range comes from _range_violated or
+    _monotone_violated and every survivor from a point check, and the cells
+    are visited from the top down, so the first survivor found is the
+    largest: a hint only chooses where to cut, never a verdict.
     """
     if not points:
         return NO_SURVIVOR
@@ -285,7 +332,7 @@ def _scan(cfg: StageConfig, points: range, hinted: bool = True) -> int:
         mid = len(points) // 2
         upper = _scan(cfg, points[mid:], False)
         return upper if upper != NO_SURVIVOR else _scan(cfg, points[:mid], False)
-    for cell in reversed(_cells(points, h)):
+    for cell in reversed(_cells(points, h, _monotone_cover(cfg, points, h))):
         found = _scan(cfg, cell)
         if found != NO_SURVIVOR:
             return found
@@ -298,11 +345,12 @@ def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
     """Largest index in [n_floor, n_cap] the stage fails to violate.
 
     The whole range is covered: every admissible index above the answer lies
-    in a range certified violated at 64 bits or was point-checked on its own.
-    The hints that guide the scan are the row's own point margins, the
-    formulas of its interval margin evaluated in plain floats; they only
-    choose the cells and never stand in for a verdict, which is always an
-    interval evaluation.  The row is scanned in this process; ``workers`` is
+    in a range certified violated at 64 bits, by _range_violated or by
+    _monotone_violated, or was point-checked on its own.  The hints that
+    guide the scan are the row's own point margins, the formulas of its
+    interval margin evaluated in plain floats; they only choose the cells and
+    never stand in for a verdict, which is always an interval or dual
+    evaluation.  The row is scanned in this process; ``workers`` is
     ignored, and kept only because perfbench's replay hook calls the original
     as ``scan(cfg, workers)``.
     """

@@ -30,6 +30,12 @@ oracle() (
   python -m lucaspf.cli bounds --case real --json "$out/real.json" | diff - perfbench/oracle/bounds-real.txt
   python -m lucaspf.cli bounds --case unit --r 1 --s 1 --json "$out/unit.json" | diff - perfbench/oracle/bounds-unit.txt
   for c in general real unit; do diff "$out/$c.json" tests/oracle/bounds-$c.json; done
+  # --json /dev/stdout with stdout redirected to a file: the table, then the
+  # JSON after it, nothing overwritten
+  python -m lucaspf.cli bounds --case unit --r 1 --s 1 --json /dev/stdout > "$RUNNER_TEMP/both.txt"
+  size=$(wc -c < perfbench/oracle/bounds-unit.txt)
+  head -c "$size" "$RUNNER_TEMP/both.txt" | cmp - perfbench/oracle/bounds-unit.txt
+  tail -c +"$((size + 1))" "$RUNNER_TEMP/both.txt" | python -c 'import json, sys; assert json.load(sys.stdin) == json.load(open("tests/oracle/bounds-unit.json"))'
   python -m lucaspf.cli bounds --case general --kind V | diff - tests/oracle/bounds-general-V.txt
   python -m lucaspf.cli bounds --case real --kind V | diff - tests/oracle/bounds-real-V.txt
   python -m lucaspf.cli bounds --case unit --r 1 --s 1 --kind V | diff - tests/oracle/bounds-unit-V.txt

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lucaspf import bounds
 from lucaspf.bounds import (
     BoundContext,
     MnBoundVariant,
@@ -12,6 +13,7 @@ from lucaspf.bounds import (
     growth_log_alpha_lower,
     lemma_coefficient,
     logp_sum_upper,
+    margin_estimate,
     mn_lower_affine,
     mn_upper_sieve_affine,
     omega_upper,
@@ -20,6 +22,8 @@ from lucaspf.bounds import (
     phi_lower_rs,
     pi_ap_upper,
     primitive_divisor_log_bound,
+    row_margin,
+    row_margin_dual,
     stirling_log_factorial_sqrt,
     unit_product_constant,
     voutier_pair_lower,
@@ -401,3 +405,54 @@ def test_complex_and_lemma_lower_bounds_hold_on_a_sample():
             for variant in (MnBoundVariant.COMPLEX_TRIVIAL_F, MnBoundVariant.COMPLEX_VOUTIER128,
                             MnBoundVariant.COMPLEX_VOUTIER64, lemma):
                 assert _audit_slack(p, n, variant, log_phi_n).hi >= 0, (r, s, n, variant)
+
+
+# -- the dual form: values at the bottom of a range and derivatives in n -------
+
+# a row of each variant and parity that the cascades scan over ranges, and
+# three indices in its range: ones where omega_upper, for stage 1, and the
+# sharp growth bound's branch hold from n - 2 to n + 2
+_DUAL_ROWS = [
+    (MnBoundVariant.COMPLEX_TRIVIAL_F, "both", None, (1_000, 6_715_930, 15_028_725)),
+    (MnBoundVariant.COMPLEX_VOUTIER128, "both", 8, (10_000, 3_700_002, 15_000_000)),
+    (MnBoundVariant.COMPLEX_VOUTIER64, "both", 6, (30_000, 1_851_039, 3_700_000)),
+    (MnBoundVariant.LEMMA_HW, "even", 6, (30_030, 267_212, 1_851_038)),
+    (MnBoundVariant.LEMMA_GW, "odd", 5, (15_015, 85_261, 1_851_039)),
+    (MnBoundVariant.REAL_EQ5, "even", 4, (210, 248, 300_000)),
+    (MnBoundVariant.REAL_EQ5, "odd", 3, (153, 1_155, 300_001)),
+]
+
+
+@pytest.mark.parametrize("variant, parity, omega, points", _DUAL_ROWS,
+                         ids=[f"{v.value}-{p}" for v, p, _, _ in _DUAL_ROWS])
+def test_dual_derivative_encloses_the_central_difference(variant, parity, omega, points):
+    # at [n, n] the derivative of slope and margin contains the central
+    # difference of the float estimate at n +- 1, up to its truncation error,
+    # f'''/6, read off the third difference at n +- 2, and the rounding of
+    # terms of size about n log n; the values are the interval margin's
+    for n in points:
+        duals = row_margin_dual(variant, parity, omega, n, n, 64)
+        est = {k: margin_estimate(variant, parity, omega, n + k) for k in (-2, -1, 1, 2)}
+        for i, (d, x) in enumerate(zip(duals, row_margin(variant, parity, omega, n, n, 64))):
+            assert (d.at.lo, d.at.hi) == (d.val.lo, d.val.hi) == (x.lo, x.hi), (n, i)
+            central = (est[1][i] - est[-1][i]) / 2
+            third = est[2][i] - 2 * est[1][i] + 2 * est[-1][i] - est[-2][i]
+            tol = abs(third) / 6 + 1e-15 * n * math.log(n)
+            assert d.der.lo - tol <= central <= d.der.hi + tol, (n, i, d.der, central, tol)
+
+
+def test_dual_max_takes_a_decided_branch_whole_and_else_the_hull():
+    ar = bounds._duals(64)
+    x = ar.index(100, 200)
+    # decided over the range: the branch itself, value at 100 included
+    assert ar.max(x, ar.from_int(50)) is x
+    # undecided: max at the bottom and over the range, hull of derivatives
+    y = 2 * x - 150  # [50, 250], derivative 2, value 50 at the bottom
+    m = ar.max(x, y)
+    assert (m.at.lo, m.at.hi) == (100, 100)
+    assert (m.val.lo, m.val.hi) == (100, 250)
+    assert (m.der.lo, m.der.hi) == (1, 2)
+    # a constant branch has derivative 0
+    m = ar.max(x, ar.from_int(150))
+    assert (m.at.lo, m.val.lo, m.val.hi) == (150, 150, 200)
+    assert (m.der.lo, m.der.hi) == (0, 1)

@@ -148,16 +148,19 @@ def _scan_cases(draw):
     survivors = sorted(
         n for n in drawn if parity == "both" or n % 2 == (parity == "odd")
     )
-    # ranges wider than this stay undecided, as loose enclosures do
+    # ranges wider than this stay undecided, as loose enclosures do; the
+    # monotone verdict has a width of its own
     decided_width = draw(st.sampled_from([0, 64, 500, 10**9]))
-    return parity, n_floor, n_cap, survivors, decided_width
+    monotone_width = draw(st.sampled_from([0, 64, 500, 10**9]))
+    return parity, n_floor, n_cap, survivors, decided_width, monotone_width
 
 
 def _scan_with_mocked_verdicts(case, hint=None):
-    # find_threshold with _range_violated and stage_violated mocked by the
-    # drawn survivors, and with the hints patched when given; returns what it
-    # found and the largest survivor in range
-    parity, n_floor, n_cap, survivors, decided_width = case
+    # find_threshold with _range_violated, _monotone_violated and
+    # stage_violated mocked by the drawn survivors, and with the hints
+    # patched when given; returns what it found and the largest survivor in
+    # range
+    parity, n_floor, n_cap, survivors, decided_width, monotone_width = case
     cfg = dataclasses.replace(STAGE1, parity=parity, n_floor=n_floor, n_cap=n_cap)
     lo = max(151, n_floor)
 
@@ -165,11 +168,14 @@ def _scan_with_mocked_verdicts(case, hint=None):
         i = bisect.bisect_left(survivors, a)
         return i < len(survivors) and survivors[i] <= b
 
-    def range_violated(c, a, b):
+    def range_violated(c, a, b, width=decided_width):
         assert c is cfg and lo <= a <= b <= n_cap
         # a range is evaluated between its first and last admissible index
         assert parity == "both" or a % 2 == b % 2 == (parity == "odd")
-        return b - a <= decided_width and not any_survivor(a, b)
+        return b - a <= width and not any_survivor(a, b)
+
+    def monotone_violated(c, a, b):
+        return range_violated(c, a, b, monotone_width)
 
     def point_violated(n, c):
         assert c is cfg and lo <= n <= n_cap
@@ -182,6 +188,7 @@ def _scan_with_mocked_verdicts(case, hint=None):
 
     hints = mock.patch.object(pipeline, "_hint", hinted) if hint else contextlib.nullcontext()
     with mock.patch.object(pipeline, "_range_violated", range_violated), \
+            mock.patch.object(pipeline, "_monotone_violated", monotone_violated), \
             mock.patch.object(pipeline, "stage_violated", point_violated), hints:
         got = find_threshold(cfg)
     return got, max((n for n in survivors if lo <= n <= n_cap), default=NO_SURVIVOR)
@@ -203,6 +210,17 @@ def test_hints_never_decide_a_verdict(case, values):
     # infinities; the scan still returns the largest survivor
     got, expected = _scan_with_mocked_verdicts(case, lambda n: values[n % len(values)])
     assert got == expected
+
+
+@pytest.mark.parametrize("parity, h, survivor", [("both", 500, 1001), ("even", 500, 1002),
+                                                 ("odd", 501, 1003)])
+def test_cells_start_at_the_first_index_above_twice_the_survivor(parity, h, survivor):
+    # the hints locate h; the monotone verdict refuses the span above it,
+    # which holds the survivor, and certifies every index up to 2h; the
+    # survivor is the first admissible index past 2h, so the cells must
+    # start there
+    case = parity, 151, 2000, [h, survivor], 64, 10**9
+    assert _scan_with_mocked_verdicts(case, lambda n: n - h - 0.5) == (survivor, survivor)
 
 
 def test_scan_matches_point_checks_on_a_real_row():
@@ -377,6 +395,18 @@ def _recorded_margins():
     return calls, mock.patch.object(pipeline, "_margin_parts", record)
 
 
+def _recorded_duals():
+    # patches _margin_duals to record (a, b) of every dual evaluation
+    calls = []
+    margin_duals = pipeline._margin_duals
+
+    def record(cfg, n_lo, n_hi):
+        calls.append((n_lo, n_hi))
+        return margin_duals(cfg, n_lo, n_hi)
+
+    return calls, mock.patch.object(pipeline, "_margin_duals", record)
+
+
 def test_ranges_are_decided_at_the_first_precision():
     # a range undecided at 64 bits is halved, never escalated: only a single
     # index climbs the precision ladder
@@ -512,17 +542,17 @@ def test_stage5_even_w6_evaluation_count_is_pinned():
     assert calls == [(30_030, 267_212, 64), (267_212, 267_212, 64)]
 
 
-# The work of a scan, pinned exactly: interval margin evaluations of the
-# three general rows the benchmark scans, of the slowest real row and of the
-# full cascades.  The hints are float estimates and are not among them.  A
-# change of scan or enclosure that moves one is seen.
+# The work of a scan, pinned exactly: interval and dual margin evaluations
+# of the three general rows the benchmark scans, of the slowest real row and
+# of the full cascades.  The hints are float estimates and are not among
+# them.  A change of scan or enclosure that moves one is seen.
 ROW_WORK = {
-    "stage1-baker": (15_028_725, 23),
-    "stage4-even-w6": (267_212, 15),
-    "stage4-odd-w5": (85_261, 17),
-    "real-even-w4": (248, 23),
+    "stage1-baker": (15_028_725, 6, 2),
+    "stage4-even-w6": (267_212, 2, 1),
+    "stage4-odd-w5": (85_261, 2, 1),
+    "real-even-w4": (248, 9, 2),
 }
-CASCADE_WORK = {"general": 243, "real": 181, "unit": 60}
+CASCADE_WORK = {"general": (44, 15), "real": (167, 4), "unit": (60, 0)}
 
 
 def _work_rows():
@@ -537,11 +567,12 @@ def _work_rows():
 
 def test_scan_work_is_pinned(fib_params):
     for name, cfg in _work_rows().items():
-        threshold, evaluations = ROW_WORK[name]
+        threshold, evaluations, dual_evaluations = ROW_WORK[name]
         calls, patch = _recorded_margins()
-        with patch:
+        duals, dual_patch = _recorded_duals()
+        with patch, dual_patch:
             assert find_threshold(cfg) == threshold, name
-        assert len(calls) == evaluations, name
+        assert (len(calls), len(duals)) == (evaluations, dual_evaluations), name
     cascades = {
         "general": run_general_cascade,
         "real": run_real_cascade,
@@ -549,9 +580,10 @@ def test_scan_work_is_pinned(fib_params):
     }
     for case, run in cascades.items():
         calls, patch = _recorded_margins()
-        with patch:
+        duals, dual_patch = _recorded_duals()
+        with patch, dual_patch:
             assert run().final_bound == search.CERTIFIED_BOUNDS[case]
-        assert len(calls) == CASCADE_WORK[case], case
+        assert (len(calls), len(duals)) == CASCADE_WORK[case], case
 
 
 def test_stage1_finds_its_top_survivor_above_a_lower_one():
@@ -565,9 +597,99 @@ def test_stage1_finds_its_top_survivor_above_a_lower_one():
     slope, _ = pipeline._margin_parts(STAGE1, 10**7, 10**7, 64)
     assert slope.signs() == (-1, -1)
     calls, patch = _recorded_margins()
-    with patch:
+    duals, dual_patch = _recorded_duals()
+    with patch, dual_patch:
         assert find_threshold(STAGE1) == 15_028_725
-    assert len(calls) == ROW_WORK["stage1-baker"][1]
+    assert (len(calls), len(duals)) == ROW_WORK["stage1-baker"][1:]
+
+
+def test_monotone_verdict_replays_the_range_branches_at_its_bottom():
+    # over [7 000 000, 9 300 000] slope and margin both increase, and the
+    # point verdict at 7 000 000 holds with its own omega_upper of 7; but
+    # omega_upper steps to 8 at 9 245 844, where the row survives, and the
+    # range's omega of 8 replayed at 7 000 000 makes slope and margin negative
+    a, b = 7_000_000, 9_300_000
+    slope, margin = pipeline._margin_duals(STAGE1, a, b)
+    assert slope.der.signs() == margin.der.signs() == (1, 1)
+    assert bound_context(STAGE1.variant, STAGE1.parity, STAGE1.omega, a, a, 64).omega_assumed == 7
+    assert stage_violated(a, STAGE1) and not stage_violated(9_245_844, STAGE1)
+    assert slope.at.signs() == margin.at.signs() == (-1, -1)
+    assert not pipeline._monotone_violated(STAGE1, a, b)
+
+
+def test_monotone_verdict_refuses_a_range_around_a_survivor():
+    assert not stage_violated(6_715_930, STAGE1)
+    assert not pipeline._monotone_violated(STAGE1, 6_715_920, 6_715_940)
+
+
+@pytest.mark.parametrize("broken", [None, "slope_der", "margin_der", "slope_at", "margin_at"])
+def test_monotone_verdict_needs_every_sign(broken):
+    # nonnegative derivatives and slope at the bottom, a positive margin
+    # there: each at its edge certifies, and each just past it refuses
+    edge = {"slope_der": "[0, 1]", "margin_der": "[0, 1]", "slope_at": "[0, 1]",
+            "margin_at": "[1e-30, 1]"}
+    if broken:
+        edge[broken] = "[0, 1]" if broken == "margin_at" else "[-1e-30, 1]"
+    part = {k: Interval.from_str(v, 64) for k, v in edge.items()}
+    duals = (bounds.Dual(part["slope_at"], part["slope_at"], part["slope_der"]),
+             bounds.Dual(part["margin_at"], part["margin_at"], part["margin_der"]))
+    with mock.patch.object(pipeline, "_margin_duals", lambda cfg, a, b: duals):
+        assert pipeline._monotone_violated(STAGE1, 200, 300) is (broken is None)
+
+
+def test_monotone_ranges_hold_only_violated_indices():
+    # sampled as in test_certified_ranges_hold_only_violated_indices: a range
+    # the monotone verdict certifies holds no index its point check spares
+    lemma = _lemma_rows(1_851_039, {"even": 500_000, "odd": 500_000}, "stage4")
+    real = _real_rows(300_000)
+    rows = [
+        (STAGE1, 6_715_930),
+        (STAGE1, 15_028_725),
+        (pipeline._GENERAL_STAGES[1](15_028_725)[0], 3_700_002),
+        (_row_for(lemma, "even", 3), 38_234),
+        (_row_for(lemma, "odd", 5), 85_261),
+        (_row_for(real, "even", 4), 248),
+        (_row_for(real, "odd", 3), 150),
+    ]
+    rng = random.Random(7)
+    certified = 0
+    for cfg, threshold in rows:
+        for k in range(4):
+            width = int(2000 ** rng.random())
+            near = (threshold - width, threshold + width)
+            a = rng.randint(*(near if k % 2 else (threshold, 2 * threshold)))
+            a = max(a, 151, cfg.n_floor)
+            b = min(a + width, cfg.n_cap)
+            if not pipeline._monotone_violated(cfg, a, b):
+                continue
+            certified += 1
+            for n in range(a, b + 1):
+                if cfg.parity == "both" or n % 2 == (cfg.parity == "odd"):
+                    assert stage_violated(n, cfg), (cfg.name, a, b, n)
+    assert certified >= 12
+
+
+def test_cascade_monotone_ranges_are_violated_where_sampled(fib_params):
+    # every range the cascades certify by the monotone verdict, point-checked
+    # at its ends and at three indices inside
+    certified = []
+    monotone = pipeline._monotone_violated
+
+    def record(cfg, a, b):
+        ok = monotone(cfg, a, b)
+        if ok:
+            certified.append((cfg, a, b))
+        return ok
+
+    with mock.patch.object(pipeline, "_monotone_violated", record):
+        run_general_cascade()
+        run_real_cascade()
+    assert len(certified) >= 10
+    rng = random.Random(3)
+    for cfg, a, b in certified:
+        points = pipeline._admissible(cfg, a, b)
+        for n in (points[0], points[-1], *rng.sample(points, min(3, len(points)))):
+            assert stage_violated(n, cfg), (cfg.name, a, b, n)
 
 
 def _interval_calls(cfg, a, b, prec):
@@ -644,20 +766,29 @@ def test_float_estimates_follow_the_64_bit_margins():
 
 
 def test_no_float_reaches_a_verdict(fib_params):
-    # every margin a verdict reads, over the three cascades, is an Interval
-    results = []
-    margin_parts = pipeline._margin_parts
+    # every margin a verdict reads, over the three cascades, is an Interval,
+    # and so is every component of a dual verdict's slope and margin
+    results, dual_results = [], []
+    margin_parts, margin_duals = pipeline._margin_parts, pipeline._margin_duals
 
     def record(*args):
         results.append(margin_parts(*args))
         return results[-1]
 
-    with mock.patch.object(pipeline, "_margin_parts", record):
+    def record_duals(*args):
+        dual_results.append(margin_duals(*args))
+        return dual_results[-1]
+
+    with mock.patch.object(pipeline, "_margin_parts", record), \
+            mock.patch.object(pipeline, "_margin_duals", record_duals):
         run_general_cascade()
         run_real_cascade()
         run_unit_case(fib_params)
-    assert len(results) == sum(CASCADE_WORK.values())
+    assert len(results) == sum(work[0] for work in CASCADE_WORK.values())
+    assert len(dual_results) == sum(work[1] for work in CASCADE_WORK.values())
     assert all(isinstance(x, Interval) for pair in results for x in pair)
+    assert all(isinstance(x, Interval) for pair in dual_results for d in pair
+               for x in (d.at, d.val, d.der))
 
 
 def _recorded_scans():

@@ -512,6 +512,29 @@ def test_cli_outputs_to_devices_and_pipes():
     assert [h["index"] for h in json.loads(brace + rest)["search"]["hits"]] == [1, 2, 3, 6, 12]
 
 
+def test_cli_json_to_dev_stdout_follows_the_table_in_a_file(tmp_path):
+    # with stdout redirected to a regular file, --json /dev/stdout opens that
+    # same file: the JSON goes after the table, through stdout, and nothing
+    # is overwritten or cut; appending keeps what the file held
+    for argv, last_line in (
+        (("search", "--r", "1", "--s", "1", "--max-n", "20"), "5 hit(s)"),
+        (("bounds", "--case", "unit", "--r", "1", "--s", "1"), "final bound: n <= 150"),
+    ):
+        table = run_cli(*argv).stdout.decode()
+        json_path = tmp_path / "report.json"
+        assert run_cli(*argv, "--json", str(json_path)).returncode == 0
+        path = tmp_path / "both.txt"
+        path.write_text("kept\n")
+        with open(path, "a") as fh:
+            out = subprocess.run([sys.executable, "-m", "lucaspf.cli", *argv, "--json", "/dev/stdout"],
+                                 stdout=fh, stderr=subprocess.PIPE, timeout=600)
+        assert out.returncode == 0 and out.stderr == b"", (argv, out.stderr)
+        text = path.read_text()
+        assert text.startswith("kept\n" + table), argv
+        assert table.splitlines()[-1].startswith(last_line)
+        assert json.loads(text[len("kept\n" + table):]) == json.loads(json_path.read_text())
+
+
 def test_cli_bounds_unit_json(tmp_path):
     jpath = tmp_path / "unit.json"
     out = run_cli(
