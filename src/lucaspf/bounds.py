@@ -7,7 +7,8 @@ Totient and prime-counting estimates are the classical explicit ones
 variants selected by MnBoundVariant.  A cascade row is its variant, parity and
 omega: bound_context picks the estimates those fix, and row_margin is the
 row's whole margin, so this module alone decides which estimates a margin
-combines.
+combines.  exact_row_margins gives the margins of the exact rows of many
+indices of one parity from one context shared by all of them.
 
 Every n-dependent estimate takes the index as one enclosure, [n, n] at a point
 or [a, b] over a range of indices, and works at that enclosure's precision; an
@@ -32,11 +33,11 @@ which choose where a scan cuts and decide nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from mpmath import mpf
 
@@ -436,15 +437,6 @@ phi_lower_omega = _in_intervals(_phi_lower_omega)
 omega_upper = _in_intervals(_omega_upper)
 
 
-def pi_ap_upper(x: int, n: int, prec: int = DEFAULT_PREC) -> Interval:
-    """Brun-Titchmarsh: pi(x; n, +-1) <= 2x / (phi(n) log(x/n)) for x > n."""
-    if x <= n:
-        raise DomainError("Brun-Titchmarsh needs x > n")
-    phi_exact = arithmetic_profile(n).phi
-    logq = (Interval.from_int(x, prec) / n).log()
-    return Interval.from_int(2 * x, prec) / (Interval.from_int(phi_exact, prec) * logq)
-
-
 def logp_sum_upper(
     m: int, n: int, parity: Parity, prec: int = DEFAULT_PREC
 ) -> Interval:
@@ -726,8 +718,14 @@ def phi_estimate(variant: MnBoundVariant, omega: Optional[int]) -> str:
     return "rs" if omega is None else "product"
 
 
+def _exact_terms(ar, k: int) -> tuple:
+    # (phi(k), log max(3, P(k))) of an exact row, each a point of ``ar``
+    profile = arithmetic_profile(k)
+    return ar.from_int(profile.phi), ar.log_int(max(3, profile.largest_prime_factor))
+
+
 def _bound_context(ar, variant: MnBoundVariant, parity: str, omega: Optional[int],
-                   n_lo: int, n_hi: int) -> BoundContext:
+                   n_lo: int, n_hi: int, at: Optional[int] = None) -> BoundContext:
     """The estimates of a row over [n_lo, n_hi], in the arithmetic ``ar``,
     chosen by its variant.
 
@@ -738,6 +736,11 @@ def _bound_context(ar, variant: MnBoundVariant, parity: str, omega: Optional[int
     totient bound phi_estimate names; the half-log growth bound; divisor n.
     The sharp rows take log(rn - 1) once (r = 1 even, r = 2 odd), which on
     even rows is also the sieve's log(n - 1).
+
+    The exact phi and P are those of one index: of ``at``, which must lie in
+    [n_lo, n_hi], or else of n_lo, and then the row must be a point.  Over a
+    range, only exact_row_margins passes ``at``, and it puts each index's own
+    terms in before any margin is read.
     """
     par = Parity.EVEN if parity == "both" else Parity(parity)
     n = ar.index(n_lo, n_hi)
@@ -748,11 +751,11 @@ def _bound_context(ar, variant: MnBoundVariant, parity: str, omega: Optional[int
     divisor = logn
     phi_kind = phi_estimate(variant, omega)
     if phi_kind == "exact":
-        if n_hi > n_lo:
+        if at is None and n_hi > n_lo:
             raise DomainError("exact phi(n) and P(n) are pointwise only")
-        profile = arithmetic_profile(n_lo)
-        phi = ar.from_int(profile.phi)
-        divisor = ar.log_int(max(3, profile.largest_prime_factor))
+        if at is not None and not n_lo <= at <= n_hi:
+            raise DomainError(f"index {at} lies outside [{n_lo}, {n_hi}]")
+        phi, divisor = _exact_terms(ar, n_lo if at is None else at)
     elif phi_kind == "rs":
         phi = _phi_lower_rs(ar, n, loglogn)
     else:
@@ -796,6 +799,41 @@ def row_margin(variant: MnBoundVariant, parity: str, omega: Optional[int],
     log|alpha|, evaluated at the minimal permitted log|alpha|: the margin of
     the row (variant, parity, omega) over [n_lo, n_hi] at prec."""
     return _margin(variant, bound_context(variant, parity, omega, n_lo, n_hi, prec))
+
+
+def exact_row_margins(variant: MnBoundVariant, parity: str, indices: Sequence[int],
+                      prec: int) -> dict[int, tuple[Interval, Interval]]:
+    """{k: (slope, margin)} at prec of the exact row (variant, parity,
+    omega(k)) at each index k of ``indices``, which all have that parity,
+    from one context over [min, max].
+
+    That context takes log n, log log n, log(rn - 1) and the sharp growth
+    bound once, over the enclosure [min, max].  Each index k then puts its
+    own n = k, phi(k), omega(k) and log max(3, P(k)) in, as points, and the
+    unchanged margin formulas run on the result.  Every field then encloses
+    its value at k, as k lies inside the enclosure.  The sharp growth bound
+    decides its choice over the whole span: where the direct Stirling form
+    is not certainly the larger there, it takes the 0.75 or 1.75 log n
+    floor, a smaller lower bound for log|alpha| that holds at every index.
+    So each slope encloses row_margin's at k, and each margin encloses the
+    margin at k at a permitted log|alpha| no larger than row_margin's: a
+    violation certified from it holds at k.
+    """
+    if phi_estimate(variant, None) != "exact":
+        raise DomainError(f"{variant.value} has no exact terms to put in")
+    if parity not in ("even", "odd") or any(k % 2 != (parity == "odd") for k in indices):
+        raise DomainError(f"the indices of an exact row all have its parity, {parity}")
+    ar = _intervals(prec)
+    first, last = min(indices), max(indices)
+    shared = _bound_context(ar, variant, parity, arithmetic_profile(first).omega,
+                            first, last, at=first)
+    margins = {}
+    for k in indices:
+        phi, divisor = _exact_terms(ar, k)
+        own = replace(shared, n=ar.index(k, k), omega_assumed=arithmetic_profile(k).omega,
+                      phi_lower=phi, primitive_divisor_log=divisor)
+        margins[k] = _margin(variant, own)
+    return margins
 
 
 def row_margin_dual(variant: MnBoundVariant, parity: str, omega: Optional[int],

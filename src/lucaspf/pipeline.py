@@ -34,19 +34,27 @@ sign change h.  The monotone verdict is tried on every index above h, then
 on those up to 2h; what it leaves is covered top-down by cells whose width
 grows geometrically with their distance from h, and h is point-checked.  A
 cell left undecided is scanned the same way.  A range whose hints give no
-bracket, and the range below an h that its point check finds violated, are
-bisected, upper half first, with no further hints.  A hint only chooses where
-the scan cuts: every range dropped is certified violated, every survivor
-comes from a point check, and ranges are visited from the top down, so the
-first survivor found is the largest whatever the hints say.  Below it nothing
-is evaluated, since it cannot raise the threshold.
+bracket is covered by the same cells with h at n = 0, each reaching three
+times as far as the one below it; when that cover would be one cell, the
+range itself, it is bisected instead.  The range below an h that its point
+check finds violated is bisected too.  Bisection goes upper half first, with
+no further hints.  A hint only chooses where the scan cuts: every range
+dropped is certified violated, every survivor comes from a point check, and
+ranges are visited from the top down, so the first survivor found is the
+largest whatever the hints say.  Below it nothing is evaluated, since it
+cannot raise the threshold.
 
 The general cascade is a table of five stages, each built from the threshold
 of the stage before; a row that repeats the verdict of a row scanned earlier
 takes that row's threshold when its cap allows.  The real and unit cases end
-with a sweep that checks each remaining index against the row of its exact
-parity and omega, in the real case only those that no row's scan certified
-against that same row.
+with a sweep that point-checks each remaining index against the row of its
+exact parity and omega.  In the real case those are the indices that no
+row's scan certified against that same row.  In the unit case they are the
+indices that the shared pass leaves uncertified: one 64-bit context per
+parity encloses n, log n, log log n and the sharp growth bound over all of
+that parity's indices, and each index's margin reads it with its own n,
+phi(n), omega(n) and P(n) put in (bounds.exact_row_margins).  That pass
+certifies all of [151, 210].
 """
 
 from __future__ import annotations
@@ -55,7 +63,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .bounds import MnBoundVariant, margin_estimate, phi_estimate, row_margin, row_margin_dual
+from .bounds import (MnBoundVariant, exact_row_margins, margin_estimate, phi_estimate, row_margin,
+                     row_margin_dual)
 from .cyclotomic import arithmetic_profile
 from .errors import DomainError, Undecidable
 from .interval import PREC_LADDER
@@ -121,13 +130,22 @@ def _verdict(cfg: StageConfig, a: int, b: int, precs: tuple[int, ...]) -> Option
     decides either way.
     """
     for prec in precs:
-        slope, margin = _margin_parts(cfg, a, b, prec)
-        # decided on the signs of the raw endpoints: no mpf is built
-        (slope_lo, slope_hi), (margin_lo, margin_hi) = slope.signs(), margin.signs()
-        if margin_lo > 0 and slope_lo >= 0:
-            return True
-        if margin_hi <= 0 or slope_hi < 0:
-            return False
+        verdict = _sign_rule(*_margin_parts(cfg, a, b, prec))
+        if verdict is not None:
+            return verdict
+    return None
+
+
+def _sign_rule(slope, margin) -> Optional[bool]:
+    """The verdict of one (slope, margin) evaluation: True when the margin is
+    positive and the slope nonnegative, False when the margin is nonpositive
+    or the slope negative, None when neither is certain."""
+    # decided on the signs of the raw endpoints: no mpf is built
+    (slope_lo, slope_hi), (margin_lo, margin_hi) = slope.signs(), margin.signs()
+    if margin_lo > 0 and slope_lo >= 0:
+        return True
+    if margin_hi <= 0 or slope_hi < 0:
+        return False
     return None
 
 
@@ -155,6 +173,13 @@ def _range_violated(cfg: StageConfig, a: int, b: int) -> bool:
     # A range undecided at 64 bits is split rather than escalated: its width,
     # not the rounding, is what leaves it undecided, and halving narrows it.
     return _verdict(cfg, a, b, PREC_LADDER[:1]) is True
+
+
+def _exact_margins(variant: MnBoundVariant, parity: str, points: Sequence[int]) -> dict:
+    """{n: (slope, margin)} at 64 bits of the exact row of each index in
+    points, all of one parity, from one shared context over them (see
+    bounds.exact_row_margins)."""
+    return exact_row_margins(variant, parity, points, PREC_LADDER[0])
 
 
 def _margin_duals(cfg: StageConfig, n_lo: int, n_hi: int):
@@ -207,12 +232,14 @@ def _sweep(points: Sequence[int], row: Callable[[int], StageConfig]) -> int:
 # Near h the margin grows about linearly with that distance and the slack of
 # its enclosure with the width, so a cell certifies only up to some ratio of
 # the two.  The cells cover only what the monotone verdict leaves above h.
-# Interval margin evaluations of the full general cascade, of its three
-# benchmark rows (stage1-baker, stage4-even-w6, stage4-odd-w5) and of the
-# full real cascade, by factor; the dual evaluations are 15, 4 and 4 at
-# every factor, and the float hints of the general cascade and the three
-# rows 127 and 28: 2: 47, 13, 170; 2.5: 45, 11, 169; 3: 44, 10, 167; 3.5:
-# 44, 10, 169; 4: 44, 10, 168.  3 does the least work on all three.
+# A range with no bracket takes the same cells with h at n = 0.  Interval
+# margin evaluations of the full general cascade, of its three benchmark
+# rows (stage1-baker, stage4-even-w6, stage4-odd-w5) and of the full real
+# cascade, by factor; the dual evaluations are 15, 4 and 4 at every factor,
+# and the float hints of the general cascade and the three rows 128 and 28:
+# 2: 45, 13, 122; 2.5: 45, 11, 107; 3: 42, 10, 97; 3.5: 42, 10, 99; 4: 44,
+# 10, 95.  3 does the least work on the general cascade and the three rows;
+# 4 saves two evaluations on the real cascade and costs two on the general.
 _CELL_GROWTH = 3
 
 
@@ -314,12 +341,15 @@ def _scan(cfg: StageConfig, points: range, hinted: bool = True) -> int:
     _locate).  The monotone verdict is tried on the indices above h (see
     _monotone_cover); what it leaves is covered top-down by cells that grow
     geometrically away from h, each scanned by this function, and h is
-    point-checked.  Without a bracket, and below an h whose point check finds
-    it violated, the range is bisected instead, upper half first and with no
-    further hints.  Every dropped range comes from _range_violated or
-    _monotone_violated and every survivor from a point check, and the cells
-    are visited from the top down, so the first survivor found is the
-    largest: a hint only chooses where to cut, never a verdict.
+    point-checked.  Without a bracket the cells grow from n = 0 instead and
+    cover the whole range, top-down.  A range that is one such cell, a range
+    scanned without hints, and the range below an h whose point check finds
+    it violated are bisected, upper half first and with no further hints;
+    every cell is smaller than its range, so the scan ends.  Every dropped
+    range comes from _range_violated or _monotone_violated and every
+    survivor from a point check, and the cells are visited from the top
+    down, so the first survivor found is the largest: a hint only chooses
+    where to cut, never a verdict.
     """
     if not points:
         return NO_SURVIVOR
@@ -329,16 +359,30 @@ def _scan(cfg: StageConfig, points: range, hinted: bool = True) -> int:
         return NO_SURVIVOR
     h = _locate(cfg, points) if hinted else None
     if h is None:
+        # no bracket: cells growing from n = 0, unless they would be one
+        # cell, this range again
+        cells = _cells(points, -(points[0] // points.step), 0) if hinted else []
+        if len(cells) > 1:
+            return _scan_top_down(cfg, cells)
         mid = len(points) // 2
         upper = _scan(cfg, points[mid:], False)
         return upper if upper != NO_SURVIVOR else _scan(cfg, points[:mid], False)
-    for cell in reversed(_cells(points, h, _monotone_cover(cfg, points, h))):
-        found = _scan(cfg, cell)
-        if found != NO_SURVIVOR:
-            return found
+    found = _scan_top_down(cfg, _cells(points, h, _monotone_cover(cfg, points, h)))
+    if found != NO_SURVIVOR:
+        return found
     if not stage_violated(points[h], cfg):
         return points[h]
     return _scan(cfg, points[:h], False)
+
+
+def _scan_top_down(cfg: StageConfig, cells: list[range]) -> int:
+    """The first survivor that scanning ``cells`` from the last one down
+    finds (NO_SURVIVOR if none): the largest, as the cells are in order."""
+    for cell in reversed(cells):
+        found = _scan(cfg, cell)
+        if found != NO_SURVIVOR:
+            return found
+    return NO_SURVIVOR
 
 
 def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
@@ -348,9 +392,10 @@ def find_threshold(cfg: StageConfig, workers: int = 1) -> int:
     in a range certified violated at 64 bits, by _range_violated or by
     _monotone_violated, or was point-checked on its own.  The hints that
     guide the scan are the row's own point margins, the formulas of its
-    interval margin evaluated in plain floats; they only choose the cells and
-    never stand in for a verdict, which is always an interval or dual
-    evaluation.  The row is scanned in this process; ``workers`` is
+    interval margin evaluated in plain floats; they only choose the cells,
+    those above a located survivor and those from n = 0 of a range with no
+    bracket, and never stand in for a verdict, which is always an interval
+    or dual evaluation.  The row is scanned in this process; ``workers`` is
     ignored, and kept only because perfbench's replay hook calls the original
     as ``scan(cfg, workers)``.
     """
@@ -545,6 +590,14 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
     ``p`` is the validated LucasParams; only its unit-norm flag is consulted —
     the range check itself uses the worst-case growth bound, which covers every
     unit-norm pair at once.
+
+    Each parity's indices share one 64-bit context over their whole span
+    (bounds.exact_row_margins), which takes the logs and the sharp growth
+    bound once; each index reads it with its own exact terms put in.  An
+    index whose margin there passes the verdict's sign rule is certified.
+    The rest, none for [151, 210], are point-checked from the top down on
+    the precision ladder, so a survivor or an undecided index is found as
+    by checking every index.
     """
     kind = seq_kind(kind)
     if not p.unit_norm:
@@ -552,7 +605,12 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
     row_of = {n: StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, _parity(n),
                              arithmetic_profile(n).omega, 150, n, 150)
               for n in range(151, 211)}
-    worst = _sweep(range(151, 211), row_of.__getitem__)
+    left = []
+    for parity in ("even", "odd"):
+        points = [n for n in row_of if _parity(n) == parity]
+        margins = _exact_margins(MnBoundVariant.UNIT_EQ55, parity, points)
+        left += [n for n in points if _sign_rule(*margins[n]) is not True]
+    worst = _sweep(sorted(left), row_of.__getitem__)
     sweep_report = ("unit-151-210", row_of.values(), worst, 150)
     return _finish("unit", kind, {}, sweep_report, worst, 150)
 

@@ -39,6 +39,9 @@ oracle() (
   python -m lucaspf.cli bounds --case general --kind V | diff - tests/oracle/bounds-general-V.txt
   python -m lucaspf.cli bounds --case real --kind V | diff - tests/oracle/bounds-real-V.txt
   python -m lucaspf.cli bounds --case unit --r 1 --s 1 --kind V | diff - tests/oracle/bounds-unit-V.txt
+  # the unit case reads nothing of the pair but its unit norm
+  python -m lucaspf.cli bounds --case unit --r 3 --s -1 | diff - perfbench/oracle/bounds-unit.txt
+  python -m lucaspf.cli bounds --case unit --r 3 --s -1 --kind V | diff - tests/oracle/bounds-unit-V.txt
 )
 
 # Self-checks, including the 256-bit unit constant

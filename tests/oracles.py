@@ -3,7 +3,10 @@ and the interval queries only the tests read."""
 
 from mpmath import libmp, mp
 
+from lucaspf.cyclotomic import arithmetic_profile
+from lucaspf.errors import DomainError
 from lucaspf.factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
+from lucaspf.interval import DEFAULT_PREC, Interval
 from lucaspf.lucas import SeqKind, _uv_pair
 from lucaspf.search import SearchHit, _digit_count
 
@@ -117,3 +120,12 @@ def mid_float(x) -> float:
 def certainly_lt(x, y) -> bool:
     """Whether every point of the Interval x lies below every point of y."""
     return x.hi < y.lo
+
+
+def pi_ap_upper(x: int, n: int, prec: int = DEFAULT_PREC) -> Interval:
+    """Brun-Titchmarsh: pi(x; n, +-1) <= 2x / (phi(n) log(x/n)) for x > n."""
+    if x <= n:
+        raise DomainError("Brun-Titchmarsh needs x > n")
+    phi_exact = arithmetic_profile(n).phi
+    logq = (Interval.from_int(x, prec) / n).log()
+    return Interval.from_int(2 * x, prec) / (Interval.from_int(phi_exact, prec) * logq)

@@ -24,7 +24,6 @@ from lucaspf.bounds import (
     omega_upper,
     phi_lower_omega,
     phi_lower_rs,
-    pi_ap_upper,
     unit_product_constant,
     voutier_pair_lower,
 )
@@ -41,7 +40,7 @@ from lucaspf.pipeline import (
 )
 from lucaspf.primes import primorial
 from lucaspf.search import SearchConfig, search_pf_terms, verify_fibonacci_identity
-from oracles import sieve_upto
+from oracles import pi_ap_upper, sieve_upto
 
 # frozen ground truth: indices whose Fibonacci / Lucas-companion terms are
 # factorial products, precomputed by brute force over n <= 150

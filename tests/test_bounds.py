@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,6 @@ from lucaspf.bounds import (
     phi_estimate,
     phi_lower_omega,
     phi_lower_rs,
-    pi_ap_upper,
     primitive_divisor_log_bound,
     row_margin,
     row_margin_dual,
@@ -33,7 +33,7 @@ from lucaspf.errors import DomainError
 from lucaspf.interval import Interval, log2, log_int
 from lucaspf.lucas import validate_params
 from lucaspf.primes import primorial
-from oracles import certainly_lt, sieve_upto, width
+from oracles import certainly_lt, pi_ap_upper, sieve_upto, width
 
 
 def phi_omega_tables(limit):
@@ -327,6 +327,105 @@ def test_the_reported_totient_estimate_is_the_one_the_margin_uses():
             ctx = bound_context(variant, "even", omega, n, n, 64)
             want = used[phi_estimate(variant, omega)]
             assert (ctx.phi_lower.lo, ctx.phi_lower.hi) == (want.lo, want.hi), (variant, omega)
+
+
+UNIT = MnBoundVariant.UNIT_EQ55
+
+
+def _shared_unit_margins(profile=arithmetic_profile):
+    # exact_row_margins over each parity of [151, 210] at 64 bits, with
+    # bounds' arithmetic_profile replaced by ``profile``: {k: (slope, margin,
+    # ctx)}, ctx the context the margin of k was read from
+    contexts = []
+    margin = bounds._margin
+
+    def record(variant, ctx):
+        contexts.append(ctx)
+        return margin(variant, ctx)
+
+    found = {}
+    with mock.patch.object(bounds, "_margin", record), \
+            mock.patch.object(bounds, "arithmetic_profile", profile):
+        for parity in ("even", "odd"):
+            indices = [k for k in range(151, 211) if k % 2 == (parity == "odd")]
+            contexts.clear()
+            margins = bounds.exact_row_margins(UNIT, parity, indices, 64)
+            assert len(contexts) == len(indices)
+            for k, ctx in zip(indices, contexts):
+                found[k] = (*margins[k], ctx)
+    return found
+
+
+def _parity(k):
+    return "odd" if k % 2 else "even"
+
+
+def _point(k):
+    return bound_context(UNIT, _parity(k), arithmetic_profile(k).omega, k, k, 256)
+
+
+def _encloses_its_point(k, slope, margin, ctx):
+    # whether slope and margin enclose the 256-bit point evaluation at k:
+    # its slope, and its margin, an affine function of log|alpha|, at the
+    # growth bound of ctx
+    point = _point(k)
+    (a, b), (c, d) = mn_lower_affine(UNIT, point), mn_upper_sieve_affine(point)
+    at_shared = (a - c) * ctx.log_alpha_lower + (b - d)
+    return all(x.lo <= y.lo and y.hi <= x.hi for x, y in ((slope, a - c), (margin, at_shared)))
+
+
+def test_shared_unit_margins_enclose_each_index_own():
+    # each index's margin is read from its parity's shared context with its
+    # own n, phi, omega and P put in as points, and encloses its 256-bit
+    # point evaluation.  The shared context takes the sharp growth bound over
+    # the whole parity, where the direct Stirling form is not certainly the
+    # larger, so it takes the 0.75 or 1.75 log n floor, while each point
+    # takes the direct form: the margin is compared as an affine function of
+    # log|alpha| at the shared bound, and its lower end is at most the
+    # point's own.  Every index is certified, the nearest at 210.
+    found = _shared_unit_margins()
+    assert sorted(found) == list(range(151, 211))
+    for k, (slope, margin, ctx) in found.items():
+        profile = arithmetic_profile(k)
+        assert (ctx.n.lo, ctx.n.hi, ctx.omega_assumed) == (k, k, profile.omega)
+        assert ctx.phi_lower.lo == ctx.phi_lower.hi == profile.phi
+        divisor = log_int(max(3, profile.largest_prime_factor), 64)
+        assert (ctx.primitive_divisor_log.lo, ctx.primitive_divisor_log.hi) == (divisor.lo, divisor.hi)
+        shared_logn = Interval.from_int_range(*((151, 209) if k % 2 else (152, 210)), 64).log()
+        assert (ctx.logn.lo, ctx.logn.hi) == (shared_logn.lo, shared_logn.hi), k
+        assert _encloses_its_point(k, slope, margin, ctx), k
+        assert margin.lo <= row_margin(UNIT, _parity(k), profile.omega, k, k, 256)[1].lo, k
+        assert slope.signs()[0] >= 0 and margin.signs()[0] > 0, k
+    nearest = min(found, key=lambda k: found[k][1].lo)
+    assert nearest == 210 and 1.14 < found[210][1].lo < 1.15
+
+
+@pytest.mark.parametrize("field", ["phi", "largest_prime_factor"])
+@pytest.mark.parametrize("step", [-2, 2])
+def test_a_neighbour_exact_term_breaks_the_enclosure(field, step):
+    # the phi or P of the index step away, put in instead of the index's own
+    def neighbour(k):
+        own = arithmetic_profile(k)
+        if not 151 <= k <= 210:
+            return own
+        return dataclasses.replace(own, **{field: getattr(arithmetic_profile(k + step), field)})
+
+    found = _shared_unit_margins(neighbour)
+    assert not all(_encloses_its_point(k, *found[k]) for k in found)
+
+
+def test_exact_row_margins_refuse_what_they_cannot_enclose():
+    with pytest.raises(DomainError):
+        bounds.exact_row_margins(UNIT, "even", [152, 153], 64)
+    with pytest.raises(DomainError):
+        bounds.exact_row_margins(UNIT, "both", [152, 154], 64)
+    with pytest.raises(DomainError):
+        bounds.exact_row_margins(MnBoundVariant.REAL_EQ5, "even", [152, 154], 64)
+    with pytest.raises(DomainError):
+        bounds._bound_context(bounds._intervals(64), UNIT, "even", 2, 152, 160, at=162)
+    # without an index to take the exact terms of, a range is refused
+    with pytest.raises(DomainError):
+        bound_context(UNIT, "even", 2, 152, 160, 64)
 
 
 def test_growth_bound_is_below_true_requirement():

@@ -223,6 +223,36 @@ def test_cells_start_at_the_first_index_above_twice_the_survivor(parity, h, surv
     assert _scan_with_mocked_verdicts(case, lambda n: n - h - 0.5) == (survivor, survivor)
 
 
+@pytest.mark.parametrize("parity", ["both", "even", "odd"])
+def test_a_range_with_no_bracket_is_covered_by_cells_from_n_0(parity):
+    # every hint positive, so no range has a bracket, and only ranges up to
+    # 64 wide are certified: the cells from n = 0 cover a range until they
+    # would be one cell, which is then bisected
+    survivors = [n for n in (997, 1000, 1001, 2999, 3000) if parity == "both"
+                 or n % 2 == (parity == "odd")]
+    case = parity, 151, 7000, survivors, 64, 0
+    assert _scan_with_mocked_verdicts(case, lambda n: 1.0) == (survivors[-1], survivors[-1])
+    case = parity, 151, 7000, [], 64, 0
+    assert _scan_with_mocked_verdicts(case, lambda n: 1.0) == (NO_SURVIVOR, NO_SURVIVOR)
+
+
+def test_a_real_row_with_no_survivor_is_covered_by_cells_from_n_0():
+    # real-odd-w1 survives nowhere and its hints give no bracket: after the
+    # whole range, each cell is certified at once, from the top down, and
+    # each starts 3 times as far from n = 1, the odd rows' n = 0, as the one
+    # below it
+    cfg = _row_for(_real_rows(300_000), "odd", 1)
+    calls, patch = _recorded_margins()
+    with patch:
+        assert find_threshold(cfg) == NO_SURVIVOR
+    whole, *cells = calls
+    assert whole == (151, 299_999, 64)
+    cells.reverse()
+    assert len(cells) == 7 and cells[0][0] == 151 and cells[-1][1] == 299_999
+    for (a, b, prec), (c, _, _) in zip(cells, cells[1:]):
+        assert prec == 64 and c == b + 2 and c - 1 == 3 * (a - 1), (a, b, c)
+
+
 def test_scan_matches_point_checks_on_a_real_row():
     cfg = _row_for(_real_rows(1000), "even", 4)
     brute = max(
@@ -368,14 +398,20 @@ def test_coverage_check_refuses_caps_with_too_many_primes():
 
 def test_undecided_margin_raises_and_exits_3(capsys):
     # a margin that straddles zero at every precision is certified neither
-    # way: the point check raises and the CLI exits 3 instead of guessing
+    # way: the point check raises and the CLI exits 3 instead of guessing;
+    # the unit case's shared margins straddle too, so its indices reach the
+    # point check
     precs = []
 
     def straddle(cfg, n_lo, n_hi, prec):
         precs.append(prec)
         return Interval.from_int(1, prec), Interval.from_str("[-1, 1]", prec)
 
-    with mock.patch.object(pipeline, "_margin_parts", straddle):
+    def shared_straddle(variant, parity, points):
+        return {n: (Interval.from_int(1), Interval.from_str("[-1, 1]")) for n in points}
+
+    with mock.patch.object(pipeline, "_margin_parts", straddle), \
+            mock.patch.object(pipeline, "_exact_margins", shared_straddle):
         with pytest.raises(Undecidable):
             stage_violated(200, STAGE1)
         assert precs == list(PREC_LADDER)
@@ -552,7 +588,8 @@ ROW_WORK = {
     "stage4-odd-w5": (85_261, 2, 1),
     "real-even-w4": (248, 9, 2),
 }
-CASCADE_WORK = {"general": (44, 15), "real": (167, 4), "unit": (60, 0)}
+# The unit case makes none: its shared margins are pinned on their own.
+CASCADE_WORK = {"general": (42, 15), "real": (97, 4), "unit": (0, 0)}
 
 
 def _work_rows():
@@ -767,9 +804,11 @@ def test_float_estimates_follow_the_64_bit_margins():
 
 def test_no_float_reaches_a_verdict(fib_params):
     # every margin a verdict reads, over the three cascades, is an Interval,
-    # and so is every component of a dual verdict's slope and margin
+    # the unit case's shared margins included, and so is every component of
+    # a dual verdict's slope and margin
     results, dual_results = [], []
     margin_parts, margin_duals = pipeline._margin_parts, pipeline._margin_duals
+    exact_margins = pipeline._exact_margins
 
     def record(*args):
         results.append(margin_parts(*args))
@@ -779,12 +818,18 @@ def test_no_float_reaches_a_verdict(fib_params):
         dual_results.append(margin_duals(*args))
         return dual_results[-1]
 
+    def record_exact(*args):
+        margins = exact_margins(*args)
+        results.extend(margins.values())
+        return margins
+
     with mock.patch.object(pipeline, "_margin_parts", record), \
-            mock.patch.object(pipeline, "_margin_duals", record_duals):
+            mock.patch.object(pipeline, "_margin_duals", record_duals), \
+            mock.patch.object(pipeline, "_exact_margins", record_exact):
         run_general_cascade()
         run_real_cascade()
         run_unit_case(fib_params)
-    assert len(results) == sum(work[0] for work in CASCADE_WORK.values())
+    assert len(results) == sum(work[0] for work in CASCADE_WORK.values()) + 60
     assert len(dual_results) == sum(work[1] for work in CASCADE_WORK.values())
     assert all(isinstance(x, Interval) for pair in results for x in pair)
     assert all(isinstance(x, Interval) for pair in dual_results for d in pair
@@ -896,6 +941,78 @@ def test_unit_case_closes(unit_u):
     assert unit_u.decisive
     # 210 = 2*3*5*7 is the last real-case survivor but the unit bound kills it
     assert unit_u.stages[0].computed == 150
+
+
+def _unit_case_work(run):
+    # run() with the shared margins of the unit case, its interval margin
+    # evaluations and its point checks recorded
+    shared, calls, checks = [], [], []
+    exact_margins, violated = pipeline._exact_margins, pipeline.stage_violated
+
+    def record_shared(variant, parity, points):
+        shared.append((parity, list(points)))
+        return exact_margins(variant, parity, points)
+
+    def record_check(n, cfg):
+        checks.append(n)
+        return violated(n, cfg)
+
+    margins, patch = _recorded_margins()
+    with patch, mock.patch.object(pipeline, "_exact_margins", record_shared), \
+            mock.patch.object(pipeline, "stage_violated", record_check):
+        result = run()
+    return result, shared, len(margins), checks
+
+
+def test_unit_case_certifies_each_index_from_its_parity_context(fib_params):
+    # one shared context per parity gives all 60 index margins, which the
+    # sign rule certifies: no interval margin evaluation and no point check
+    result, shared, evaluations, checks = _unit_case_work(lambda: run_unit_case(fib_params))
+    assert result.final_bound == 150
+    assert shared == [("even", list(range(152, 211, 2))), ("odd", list(range(151, 210, 2)))]
+    assert (evaluations, checks) == (0, [])
+
+
+@pytest.mark.parametrize("undecided, survivors, expected", [
+    ({200: "[-1, 1]"}, set(), 150),
+    ({200: "[-1, 1]"}, {200}, 200),
+    ({171: "[-1, 1]", 206: "-1"}, {171}, 171),
+    ({171: "[-1, 1]", 206: "-1"}, {171, 206}, 206),
+])
+def test_an_index_the_shared_pass_leaves_undecided_is_point_checked(
+        fib_params, undecided, survivors, expected):
+    # the shared pass mocked to leave some indices undecided (or certainly
+    # not violated): exactly those are point-checked, top-down, and a mocked
+    # survivor among them is the unit bound; the others stay certified
+    exact_margins = pipeline._exact_margins
+
+    def shared(variant, parity, points):
+        margins = exact_margins(variant, parity, points)
+        for n in set(points) & set(undecided):
+            margins[n] = (margins[n][0], Interval.from_str(undecided[n]))
+        return margins
+
+    checks = []
+
+    def point_check(n, cfg):
+        assert cfg.name == f"unit-n{n}"
+        checks.append(n)
+        return n not in survivors
+
+    with mock.patch.object(pipeline, "_exact_margins", shared), \
+            mock.patch.object(pipeline, "stage_violated", point_check):
+        result = run_unit_case(fib_params)
+    top_down = sorted(undecided, reverse=True)
+    stop = next((i for i, n in enumerate(top_down) if n in survivors), len(top_down) - 1)
+    assert checks == top_down[:stop + 1]
+    assert result.final_bound == result.stages[0].computed == expected
+
+
+def test_unit_case_reads_nothing_of_the_pair_but_its_unit_norm():
+    for kind in (SeqKind.U, SeqKind.V):
+        reports = [emit_report(run_unit_case(validate_params(r, s), kind))
+                   for r, s in ((1, 1), (3, -1), (2, 1))]
+        assert reports[0] == reports[1] == reports[2], kind
 
 
 def test_unit_case_requires_unit_norm():
