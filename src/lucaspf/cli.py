@@ -14,7 +14,7 @@ import sys
 from .cyclotomic import cyclotomic_value
 from .errors import DomainError, LucasPFError, Undecidable
 from .factorials import PFWitness, pf_decompose, pf_fast_reject
-from .lucas import SeqKind, validate_params
+from .lucas import validate_params
 from .search import (
     CERTIFIED_BOUNDS,
     DEFAULT_MAX_N,
@@ -154,7 +154,7 @@ def _cmd_bounds(args) -> int:
 def _coverage(cfg: SearchConfig) -> str:
     p = cfg.params
     case = "unit" if p.unit_norm else "real" if p.roots_real else "general"
-    bound = CERTIFIED_BOUNDS[case] // (1 if cfg.kind is SeqKind.U else 2)
+    bound = CERTIFIED_BOUNDS[case] // cfg.kind.level
     if cfg.n_min == 1 and cfg.n_max >= bound:
         return f"exhaustive ({case} case, theorem bound {bound})"
     return f"partial up to nMax={cfg.n_max}"
@@ -253,7 +253,7 @@ def _cmd_verify(args) -> int:
     checks = []
     if args.suite in ("identities", "all"):
         checks.append(("fibonacci factorial identity", verify_fibonacci_identity()))
-        hits = search_pf_terms(SearchConfig(1, 1, SeqKind.U, 1, 150))
+        hits = search_pf_terms(SearchConfig(1, 1, n_max=150))
         checks.append(
             ("fibonacci hits {1,2,3,6,12}", [h.index for h in hits] == [1, 2, 3, 6, 12])
         )

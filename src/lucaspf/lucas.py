@@ -20,14 +20,20 @@ from .errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 
 
 class SeqKind(str, Enum):
+    """U or V.  A kind is its seeds (`_SEEDS`) and its level: the primitive
+    divisors of V_n live at level 2n, so each bound on n for V is U's over 2."""
     U = "U"
     V = "V"
 
+    @property
+    def level(self) -> int:
+        return {SeqKind.U: 1, SeqKind.V: 2}[self]
+
 
 def seq_kind(kind) -> SeqKind:
-    """``kind`` ("U", "V" or a SeqKind) as a SeqKind, or DomainError.  The
-    term functions test ``kind is SeqKind.U`` and ``kind is SeqKind.V`` first,
-    which the equal strings fail, and call this only when neither holds."""
+    """``kind`` ("U", "V" or a SeqKind) as a SeqKind, or DomainError."""
+    if isinstance(kind, SeqKind):  # at once: the term functions read every kind here
+        return kind
     try:
         return SeqKind(kind)
     except ValueError:
@@ -115,15 +121,19 @@ def v_at(p: LucasParams, n: int) -> SeqTerm:
     return SeqTerm(index=n, value=v, kind=SeqKind.V)
 
 
+# The seeds (x_0, x_1) of each kind, from r.  The term functions read a kind
+# through `seq_kind`, which converts "U" and "V" and refuses any other kind.
+_SEEDS = {SeqKind.U: lambda r: (0, 1), SeqKind.V: lambda r: (2, r)}
+
+
 def term_pair(p: LucasParams, kind: SeqKind, n: int) -> tuple[int, int]:
-    """(x_n, x_{n+1}) of U or V from one fast doubling at n."""
-    if kind is not SeqKind.U and kind is not SeqKind.V:
-        kind = seq_kind(kind)
+    """(x_n, x_{n+1}) of U or V from one fast doubling at n, with (x_0, x_1) the
+    kind's seeds: x_n = x_0 U_{n+1} + (x_1 - r x_0) U_n and x_{n+1} =
+    x_1 U_{n+1} + s x_0 U_n, as both obey the recurrence and agree at n = 0, 1."""
+    x0, x1 = _SEEDS[seq_kind(kind)](p.r)
     u, v = _uv_pair(p, n)
-    # the odd step of fast doubling gives x_{n+1}; both sums are even
-    if kind is SeqKind.U:
-        return u, (p.r * u + v) // 2
-    return v, (p.delta * u + p.r * v) // 2
+    u1 = (p.r * u + v) // 2  # the odd step of fast doubling; the sum is even
+    return x0 * u1 + (x1 - p.r * x0) * u, x1 * u1 + p.s * x0 * u
 
 
 def term_pair_mod(p: LucasParams, kind: SeqKind, n: int, m: int) -> tuple[int, int]:
@@ -132,12 +142,11 @@ def term_pair_mod(p: LucasParams, kind: SeqKind, n: int, m: int) -> tuple[int, i
 
         U_2k = U_k (2 U_{k+1} - r U_k),  U_2k+1 = U_{k+1}^2 + s U_k^2,
 
-    and V_n = 2 U_{n+1} - r U_n.  No step halves, so m may be even.  A power
-    of two m is reduced by a mask, several times faster than %."""
+    then the seeds put in as in `term_pair`.  No step halves, so m may be
+    even.  A power of two m is reduced by a mask, several times faster than %."""
     if n < 0:
         raise DomainError("index must be nonnegative")
-    if kind is not SeqKind.U and kind is not SeqKind.V:
-        kind = seq_kind(kind)
+    x0, x1 = _SEEDS[seq_kind(kind)](p.r)
     r, s = p.r, p.s
     a, b = 0, 1  # U_0, U_1
     k = m - 1
@@ -146,31 +155,25 @@ def term_pair_mod(p: LucasParams, kind: SeqKind, n: int, m: int) -> tuple[int, i
             a, b = a * (2 * b - r * a) % m, (b * b + s * a * a) % m
             if bit == "1":
                 a, b = b, (r * b + s * a) % m
-    else:
-        for bit in bin(n)[2:]:
-            a, b = a * (2 * b - r * a) & k, (b * b + s * a * a) & k
-            if bit == "1":
-                a, b = b, (r * b + s * a) & k
-    if kind is SeqKind.U:
-        return a, b
-    # V_{n+1} = 2 U_{n+2} - r U_{n+1} = r U_{n+1} + 2 s U_n
-    a, b = 2 * b - r * a, r * b + 2 * s * a
-    return (a % m, b % m) if m & k else (a & k, b & k)
+        return (x0 * b + (x1 - r * x0) * a) % m, (x1 * b + s * x0 * a) % m
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - r * a) & k, (b * b + s * a * a) & k
+        if bit == "1":
+            a, b = b, (r * b + s * a) & k
+    return (x0 * b + (x1 - r * x0) * a) & k, (x1 * b + s * x0 * a) & k
 
 
 def parity_period(p: LucasParams, kind: SeqKind) -> int | None:
     """The tau >= 1 with x_n even exactly when tau | n (n >= 1), or None when
-    every such term is odd.
-
-    Coprime (r, s) are not both even, and modulo 2 the recurrence reads:
+    every such term is odd; the seeds stepped modulo 2 show it within three
+    steps.  Coprime (r, s) are not both even, each x_0 is even, and:
     - s even, r odd: x_{n+2} = x_{n+1}, and U_1 = 1, V_1 = r are odd;
     - r even, s odd: x_{n+2} = x_n, so U = 0, 1, 0, 1, ... and V = 0, 0, ...;
     - both odd: x_{n+2} = x_{n+1} + x_n, so U and V are 0, 1, 1, 0, 1, 1, ...
     """
-    if kind is not SeqKind.U and kind is not SeqKind.V:
-        kind = seq_kind(kind)
-    if p.s % 2 == 0:
-        return None
-    if p.r % 2 == 0:
-        return 2 if kind is SeqKind.U else 1
-    return 3
+    x, y = _SEEDS[seq_kind(kind)](p.r)
+    for n in (1, 2, 3):
+        if y % 2 == 0:
+            return n
+        x, y = y, (p.r * y + p.s * x) % 2
+    return None

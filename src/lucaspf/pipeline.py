@@ -456,23 +456,22 @@ def _finish(case: str, kind: SeqKind, found: dict[StageConfig, int],
     are those it checks indices against.  They share one variant, so the
     sweep's totient estimate is theirs.
 
-    Kind V maps the level-2n cascade onto V-sequence indices: primitive
-    divisors of V_n live at level 2n, so every threshold halves, and a stage
-    stays decisive as it was at level 2n.
+    The cascades read the kind here alone, by `seq_kind`: every threshold is
+    divided by its level (2 for V), and a stage stays decisive as at level 1.
     """
+    kind = seq_kind(kind)
     stages = [(cfg.name, cfg.parity, cfg.omega, phi_estimate(cfg.variant, cfg.omega),
                cfg.variant, t, cfg.paper_threshold) for cfg, t in found.items()]
     if sweep_report is not None:
         name, rows, computed, paper = sweep_report
         (variant, phi), = {(cfg.variant, phi_estimate(cfg.variant, cfg.omega)) for cfg in rows}
         stages.append((name, "both", None, phi, variant, computed, paper))
-    level = 2 if kind is SeqKind.V else 1
     reports = tuple(
         BoundStageReport(name, parity, omega, phi, variant.value,
-                         computed // level, paper // level, computed <= paper)
+                         computed // kind.level, paper // kind.level, computed <= paper)
         for name, parity, omega, phi, variant, computed, paper in stages
     )
-    return CascadeResult(case, kind, reports, final // level, paper_final // level)
+    return CascadeResult(case, kind, reports, final // kind.level, paper_final // kind.level)
 
 
 # -- stage tables --------------------------------------------------------------
@@ -559,7 +558,6 @@ def run_general_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     stage4-even-w7 after stage3-even-w7, is settled this way, so 16 of the 29
     rows are scanned.
     """
-    kind = seq_kind(kind)
     found: dict[StageConfig, int] = {}
     cap = _SCAN_CEILING
     for stage in _GENERAL_STAGES:
@@ -575,7 +573,6 @@ def run_real_cascade(kind: SeqKind = SeqKind.U) -> CascadeResult:
     omega.  An index above its own row's threshold is skipped: it lies in that
     row's scanned range (at least primorial(omega), at most the cap), which
     certified it violated."""
-    kind = seq_kind(kind)
     found = _run_rows(_real_rows(300_000), {})
     row_of = {n: _row_for(found, _parity(n), arithmetic_profile(n).omega)
               for n in range(151, max(found.values(), default=NO_SURVIVOR) + 1)}
@@ -599,7 +596,6 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
     the precision ladder, so a survivor or an undecided index is found as
     by checking every index.
     """
-    kind = seq_kind(kind)
     if not p.unit_norm:
         raise DomainError("run_unit_case needs |s| = 1")
     row_of = {n: StageConfig(f"unit-n{n}", MnBoundVariant.UNIT_EQ55, _parity(n),

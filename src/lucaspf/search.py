@@ -46,9 +46,9 @@ _M = 2 * _P
 _W0 = 512
 _LOW64 = 0xFFFF_FFFF_FFFF_FFFF
 DEFAULT_MAX_N = 5000
-# The certified bound on n for kind U, by case; kind V halves it.  The
-# cascades in `pipeline` reproduce these values, and `lucaspf search` labels
-# its coverage by them.
+# The certified bound on n for kind U, by case; a kind's is U's over its
+# level (`SeqKind.level`), so V's is half.  The cascades in `pipeline`
+# reproduce these values, and `lucaspf search` labels its coverage by them.
 CERTIFIED_BOUNDS = {"general": 267_212, "real": 210, "unit": 150}
 
 

@@ -98,6 +98,12 @@ search() (
   echo "$out" | grep -Fx "1 hit(s)"
   test "$(echo "$out" | awk '$2 == "V" {print $1}' | paste -sd' ')" = "1"
   test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=0 size=133603 rough=2"
+  # (1,-3) V has tau = 3 and complex roots: both passes run, the +-1 pass
+  # seeded modulo 2P from V's seeds (2, r)
+  out=$(python -m lucaspf.cli search --r 1 --s -3 --kind V --max-n 133606 --reject-log 2>"$RUNNER_TEMP/reject.log")
+  echo "$out"
+  test "$(echo "$out" | awk '$2 == "V" {print $1}' | paste -sd' ')" = "1 3"
+  test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=89070 size=44527 rough=7"
   out=$(python -m lucaspf.cli search --r 1 --s 1 --max-n 267212 --reject-log 2>"$RUNNER_TEMP/reject.log")
   echo "$out"
   test "$(echo "$out" | awk '$2 == "U" {print $1}' | paste -sd' ')" = "1 2 3 6 12"

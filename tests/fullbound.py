@@ -2,13 +2,13 @@
 
     PYTHONPATH=src:tests python tests/fullbound.py
 
-For one pair per parity class, `search._search_run` over [1, bound] must give
-the hits, witnesses and reject counts of stepping every term exactly
-(`oracles.plain_outcomes`: `iter_terms`, then `pf_fast_reject` and
-`pf_decompose`).  The bound is the general case's, halved for V.  (4, 1) and
-(1, 1) have real roots, so their residue pass stops at n = 2 while plain
-stepping tests every term.  The whole check takes about 20 s; pytest does not
-collect this file.  Exits 1 on the first disagreement.
+For pairs of each parity class and both kinds, `search._search_run` over
+[1, bound] must give the hits, witnesses and reject counts of stepping every
+term exactly (`oracles.plain_outcomes`: `iter_terms`, then `pf_fast_reject`
+and `pf_decompose`).  The bound is the general case's over the kind's level.
+(4, 1) and (1, 1) have real roots, so their residue pass stops at n = 2 while
+plain stepping tests every term.  The whole check takes about 20 s; pytest
+does not collect this file.  Exits 1 on the first disagreement.
 """
 
 import sys
@@ -24,13 +24,15 @@ CASES = (
     (1, 1, SeqKind.U),  # tau = 3, real roots
     (1, -3, SeqKind.U),  # tau = 3, complex roots
     (1, -2, SeqKind.U),  # s even: every term is odd, complex roots
+    (1, -3, SeqKind.V),  # tau = 3, complex roots: the +-1 pass seeded from V's seeds
+    (1, -2, SeqKind.V),  # s even: the +-1 pass alone, trivial hits at n = 1 and 4
 )
 
 
 def main() -> int:
     for r, s, kind in CASES:
         p = validate_params(r, s)
-        hi = CERTIFIED_BOUNDS["general"] // (1 if kind is SeqKind.U else 2)
+        hi = CERTIFIED_BOUNDS["general"] // kind.level
         t0 = time.perf_counter()
         got = _search_run(p, kind, 1, hi)
         t1 = time.perf_counter()

@@ -11,6 +11,7 @@ from lucaspf.interval import Interval, log_int
 from lucaspf.lucas import (
     SeqKind,
     parity_period,
+    seq_kind,
     term_pair,
     term_pair_mod,
     u_at,
@@ -93,19 +94,25 @@ def test_term_kinds_and_values():
 
 def test_term_functions_read_the_kind_they_are_given():
     # the strings "U" and "V" are equal to the members but not the same
-    # objects; each must still select its own sequence, and any other kind
-    # must be refused rather than read as V
-    p, q = validate_params(1, 1), validate_params(2, -3)
-    for kind, pair, mod, period in (
-        (SeqKind.U, (5, 8), (5, 8), 2),
-        (SeqKind.V, (11, 18), (11, 18), 1),
+    # objects; each must still select its own sequence and level, and any
+    # other kind must be refused rather than read as V.  (1, -2) has even s
+    # and negative terms: U = 0, 1, 1, -1, -3, -1, 5 and V = 2, 1, -3, -5, 1, 11, 9
+    p, q, e = validate_params(1, 1), validate_params(2, -3), validate_params(1, -2)
+    for kind, level, pair, period, even_s_pair in (
+        (SeqKind.U, 1, (5, 8), 2, (-1, 5)),
+        (SeqKind.V, 2, (11, 18), 1, (11, 9)),
     ):
         for given in (kind, kind.value):
-            assert term_pair(p, given, 5) == pair, given
-            assert term_pair_mod(p, given, 5, 100) == mod, given
-            assert term_pair_mod(p, given, 5, 64) == mod, given  # the masked path
+            assert seq_kind(given).level == level, given
+            for x, pair_n in ((p, pair), (e, even_s_pair)):
+                assert term_pair(x, given, 5) == pair_n, given
+                for m in (100, 64):  # 64: the masked path
+                    assert term_pair_mod(x, given, 5, m) == tuple(t % m for t in pair_n), given
             assert parity_period(q, given) == period, given
+            assert parity_period(e, given) is None, given
     for bad in ("W", "u", None):
+        with pytest.raises(DomainError):
+            seq_kind(bad)
         with pytest.raises(DomainError):
             term_pair(p, bad, 5)
         with pytest.raises(DomainError):

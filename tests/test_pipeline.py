@@ -1030,8 +1030,8 @@ def test_v_kind_halves_everything(general_u, general_v, fib_params):
 
 
 def test_cascades_store_the_kind_they_are_given_as_a_string(general_v, fib_params):
-    # "V" == SeqKind.V, but _finish tests `kind is SeqKind.V`: stored as a
-    # string, "V" gave U's bounds, and emit_report then failed on kind.value
+    # "V" == SeqKind.V, but only the member has a level and a .value: the
+    # cascades store the member, so "V" gives V's bounds and a report
     unit = run_unit_case(fib_params, "V")
     assert unit.kind is SeqKind.V and unit.final_bound == 75
     assert emit_report(unit) == emit_report(run_unit_case(fib_params, SeqKind.V))

@@ -203,8 +203,8 @@ def test_search_config_validation():
 
 
 def test_search_config_stores_the_kind_it_is_given_as_a_string():
-    # "U" == SeqKind.U, but the term code tests `kind is SeqKind.U`: stored as
-    # a string, "U" searched V, and (2, -3) U found V's hits
+    # "U" == SeqKind.U but is not the member: SearchConfig stores the member,
+    # which every hit carries, and each string must search its own sequence
     for r, s, kind, want in ((1, 1, "U", [1, 2, 3, 6, 12]), (1, 1, "V", [1, 3]),
                              (2, -3, "U", [1, 2, 3, 4])):
         cfg = SearchConfig(r, s, kind, 1, 150)
