@@ -437,52 +437,6 @@ phi_lower_omega = _in_intervals(_phi_lower_omega)
 omega_upper = _in_intervals(_omega_upper)
 
 
-def logp_sum_upper(
-    m: int, n: int, parity: Parity, prec: int = DEFAULT_PREC
-) -> Interval:
-    """Certified upper bound for sum_{p <= m, p = +-1 mod n} log p / (p - 1).
-
-    Tail over p > 3n via the Abel-summation bound: 4 (log m - 1) / phi(n)
-    times (1 + loglog n) for m < n^2 and (1 + loglog n / 2) for m >= n^2;
-    primes below 3n contribute at most 10.1 log(3n) / 3n for even n and
-    3.1 log(3n) / 3n for odd n, plus log(3n)/3n from the 1/(p-1) -> 1/p shift.
-    """
-    if n < 150:
-        raise DomainError("valid for n >= 150")
-    if m < n - 1:
-        raise DomainError("m must be >= n - 1")
-    phi_exact = Interval.from_int(arithmetic_profile(n).phi, prec)
-    logm = log_int(m, prec)
-    loglogn = log_int(n, prec).log()
-    base = 4 * (logm - 1) / phi_exact
-    tail = base * (1 + loglogn)
-    if m >= n * n:
-        alt = base * (1 + loglogn / 2)
-        if alt.hi < tail.hi:
-            tail = alt
-    small_coeff = "11.1" if parity is Parity.EVEN else "4.1"
-    small = Interval.from_str(small_coeff, prec) * log_int(3 * n, prec) / (3 * n)
-    return tail + small
-
-
-def voutier_pair_lower(
-    log_alpha: Interval, m: int, prec: int = DEFAULT_PREC
-) -> Interval:
-    """Lower bound for log|alpha^m - beta^m| in the complex-conjugate case.
-
-    Max of the two explicit linear-forms-in-logarithms bounds:
-      m log|a| - (m/gcd(m,2) + log2/4 + 0.02) log|a|
-      m log|a| - 73 log|a| (log(m/gcd(m,2)))^2
-    The first is better for m <= 5358.
-    """
-    if m < 3:
-        raise DomainError("valid for m >= 3")
-    half = m // math.gcd(m, 2)
-    b1 = m * log_alpha - (half + log2(prec) / 4 + Interval.from_str("0.02", prec)) * log_alpha
-    b2 = m * log_alpha - 73 * log_alpha * log_int(half, prec) ** 2
-    return b1.max(b2)
-
-
 # -- lemma coefficient tables -------------------------------------------------
 
 # g_w (odd n, w <= 6) and h_w (even n, w <= 7) are 73 (a L^2 - b L + c) + c1 n + c0,
@@ -616,7 +570,8 @@ def mn_upper_sieve_affine(ctx: BoundContext) -> tuple[Interval, Interval]:
     in ``ctx.sieve_log`` the single guaranteed factorial argument >= n - 1 is
     accounted for, replacing n log|alpha| by n log|alpha| - (log(n-1) - 1).
 
-    From logp_sum_upper: if U_n = +-prod m_i!, the primes of M_n are +-1 mod n
+    From the lemma that `logp_sum_upper` in tests/oracles.py states and the
+    tests check: if U_n = +-prod m_i!, the primes of M_n are +-1 mod n
     and nu_p(m!) <= m / (p - 1), so log M_n <= sum_i m_i S(m_i, n) with S the
     sum that lemma bounds.  m times its tail 4 (log m - 1)(1 + loglog n) / phi(n)
     is at most 4 (1 + loglog n) / phi(n) log m!, as log m! >= m (log m - 1),

@@ -19,6 +19,7 @@ from .search import (
     CERTIFIED_BOUNDS,
     DEFAULT_MAX_N,
     SearchConfig,
+    _digit_count,
     _search_run,
     search_pf_terms,
     verify_fibonacci_identity,
@@ -26,6 +27,30 @@ from .search import (
 
 # `bounds` and `verify` import the cascade inside their handlers: it loads
 # mpmath, which `pf`, `search` and `cyclotomic` do not need.
+
+
+def _str_digit_limit() -> int:
+    """Python's cap on the decimal digits of an int read from or written to
+    text, 0 for none.  It is process-wide, so it is read, never set; a Python
+    with no such cap has no sys.get_int_max_str_digits."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+def _int_arg(text: str) -> int:
+    """int(text) for argparse, refusing a number past the digit limit with a
+    message that names it, where int() only says "invalid int value"."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = _str_digit_limit()
+        if digits.isdecimal() and limit and len(digits) > limit:
+            raise argparse.ArgumentTypeError(
+                f"{len(digits)} digits, more than the {limit} that Python reads as an int"
+                " (sys.get_int_max_str_digits)"
+            ) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", metavar="PATH", help="write the hits as CSV here")
 
     f = sub.add_parser("pf", help="factorial-product membership of one integer")
-    f.add_argument("n", type=int, help="the integer; membership is of |n|, and 0 is an error")
+    f.add_argument("n", type=_int_arg, help="the integer; membership is of |n|, and 0 is an error")
     f.add_argument("--decompose", action="store_true", help="also print a member's witnesses")
     f.add_argument(
         "--limit", type=int, default=16, help="most witnesses --decompose prints, at least 1"
@@ -245,6 +270,12 @@ def _cmd_pf(args) -> int:
 def _cmd_cyclotomic(args) -> int:
     params = validate_params(args.r, args.s)
     value = cyclotomic_value(params, args.n)
+    digits, limit = _digit_count(value), _str_digit_limit()
+    if limit and digits > limit:
+        raise DomainError(
+            f"Phi_{args.n}(alpha, beta) has {digits} digits, more than the {limit}"
+            " that Python writes as text (sys.get_int_max_str_digits)"
+        )
     print(f"Phi_{args.n}(alpha, beta) = {value} for (r,s)=({args.r},{args.s})")
     return 0
 

@@ -6,8 +6,9 @@ exactly at the multiples of its parity period (`lucas.parity_period`).  A
 search runs in one process over its whole range.  It steps the terms modulo 2P
 (P an odd prime) to find those equal to +-1, and the even terms modulo 2^w,
 both seeded by `lucas.term_pair_mod` at the first index, and builds no exact
-seed.  When the roots are real no term past n = 2 is +-1, so the first pass
-stops at n = 2.  An even term whose residue, read against a bit-length table
+seed.  No term past n = 2 is +-1 when the roots are real, and none past
+n = 30 // level (30 for U, 15 for V) for any valid pair, so the first pass
+stops there.  An even term whose residue, read against a bit-length table
 (`factorials._SIZE_BITS`), proves it too large is rejected without an exact
 term or a call into `factorials`.  So a search builds exact terms only at the
 few odd indices whose residue says they could be +-1, and at the even ones
@@ -130,11 +131,13 @@ def _windows(w: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
 def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     """Hits and reject counts of [lo, hi], in two passes.
 
-    - Residue pass, over every index, or over those up to 2 when the roots
-      are real (below): x_n mod 2P, seeded by `term_pair_mod` at lo.  An odd
-      term is rejected as `odd`, unless its residue is 1 or 2P - 1; that
-      candidate's exact term decides whether it is a trivial hit.  A false
-      candidate costs one exact term and decides nothing.
+    - Residue pass, over the indices up to 2 when the roots are real and up
+      to 30 // level otherwise (below): x_n mod 2P, seeded by `term_pair_mod`
+      at lo, and not seeded at all when lo is past that cut.  An odd term is
+      rejected as `odd`, unless its residue is 1 or 2P - 1; that candidate's
+      exact term decides whether it is a trivial hit.  A false candidate
+      costs one exact term and decides nothing.  Every odd term past the cut
+      counts as `odd`.
     - Even pass, over the multiples of the parity period tau, where the terms
       are even: steps x_{k tau} modulo 2^w by `_stride`, reduced by a mask,
       from a `term_pair_mod` seed at the first of them.  With nu = nu_2 and
@@ -155,15 +158,26 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     cannot settle `size`.
 
     Real roots (delta = r^2 + 4s > 0): |x_n| >= 2 for every n >= 3, so the
-    residue pass stops at n = 2 and every odd term past it counts as `odd`.
-    Take r > 0, since |x_n(-r, s)| = |x_n(r, s)|.
+    residue pass stops at n = 2.  Take r > 0, since |x_n(-r, s)| = |x_n(r, s)|.
     - s > 0: from n = 1 on every term is positive and x_{n+2} > x_{n+1}, with
       U_3 = r^2 + s >= 2 and V_2 = r^2 + 2s >= 3.
     - s < 0: r^2 > -4s >= 4 gives r >= 3, and the roots satisfy
       0 < beta < alpha with alpha > r/2 >= 3/2.  Then
       U_{n+1} = alpha U_n + beta^n > U_n >= U_2 = r >= 3, and
       V_n = alpha^n + beta^n > alpha^n > 2 for n >= 2.
-    Complex roots give no such bound: (1, -2) has U_13 = -1.
+    Complex roots (delta < 0): |x_n| >= 2 for every n > 30 // level, so the
+    residue pass stops at n = 30 for U and n = 15 for V.  By Bilu, Hanrot
+    and Voutier (J. reine angew. Math. 539, 2001), U_n has a primitive
+    divisor for every n > 30 whenever r = alpha + beta and -s = alpha beta
+    are nonzero coprime integers and alpha/beta is not a root of unity.
+    Those are exactly the hypotheses `validate_params` enforces: r and s
+    nonzero and coprime, and r^2 != k (-s) for k = 0, ..., 4, which is the
+    root-of-unity test (it excludes delta = 0 at k = 4).  A primitive
+    divisor is a prime, so |U_n| >= 2.  For V, a primitive divisor p of
+    U_2n does not divide U_n, and U_2n = U_n V_n, so p divides V_n and
+    |V_n| >= 2 once 2n > 30: V's cut is U's over its level, 30 // 2 = 15.
+    Below the cut complex roots do reach +-1 late: (1, -2) has U_13 = -1,
+    so Carmichael's n > 12, which holds for real roots only, would lose it.
     """
     r, s = p.r, p.s
     tau = parity_period(p, kind)
@@ -172,7 +186,7 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     if tau != 1:
         m = _M
         top = m - 1
-        last = min(hi, 2) if p.roots_real else hi  # |x_n| >= 2 past n = 2
+        last = min(hi, 2 if p.roots_real else 30 // kind.level)  # |x_n| >= 2 past it
         if lo <= last:
             a, b = term_pair_mod(p, kind, lo, m)
         for n in range(lo, last + 1):

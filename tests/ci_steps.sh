@@ -52,13 +52,19 @@ verify() (
 # Search (1,-2) up to the certified general bound
 search() (
   export PYTHONPATH=src
-  # (1,-2) has complex roots and even s: every term is odd and goes
-  # through the residue pass, so a modulus that makes every index a
-  # +-1 candidate would take minutes
+  # (1,-2) has complex roots and even s: every term is odd, and the
+  # residue pass steps those up to n = 30 only, since past it no term of
+  # a valid pair is +-1 (Bilu-Hanrot-Voutier); below it U_13 = -1
   out=$(timeout 30 python -m lucaspf.cli search --r 1 --s -2 --max-n 267212)
   echo "$out"
   echo "$out" | grep -F -- "-- exhaustive (general case, theorem bound 267212)"
   test "$(echo "$out" | awk '$2 == "U" {print $1}' | paste -sd' ')" = "1 2 3 5 13"
+  # (1,-2) V: V's cut is U's over its level, so the residue pass stops at
+  # n = 15; every other term counts as odd
+  out=$(python -m lucaspf.cli search --r 1 --s -2 --kind V --max-n 133606 --reject-log 2>"$RUNNER_TEMP/reject.log")
+  echo "$out"
+  test "$(echo "$out" | awk '$2 == "V" {print $1}' | paste -sd' ')" = "1 4"
+  test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=133604 size=0 rough=0"
   # a second pair, with odd s: (1,-3) has tau = 3, so both passes run;
   # the reject counts pin the accounting of the even pass
   out=$(python -m lucaspf.cli search --r 1 --s -3 --max-n 267212 --reject-log 2>"$RUNNER_TEMP/reject.log")
@@ -123,6 +129,14 @@ search() (
   # --limit below 1 exits 2 before the membership line is printed
   test "$(python -m lucaspf.cli pf 24 --decompose --limit 0; echo "exit $?")" = "exit 2"
   python -m lucaspf.cli cyclotomic --r 1 --s 1 --n 12 | grep -F "Phi_12(alpha, beta) = 6"
+  # past Python's int-to-text limit of 4300 digits, pf and cyclotomic
+  # refuse with exit 2 and a message that names it; 4300 digits still parse
+  big=$(python -c 'print("1" + "0" * 4300)')
+  test "$(python -m lucaspf.cli pf "$big" 2>"$RUNNER_TEMP/err.log"; echo "exit $?")" = "exit 2"
+  grep -F "more than the 4300" "$RUNNER_TEMP/err.log"
+  python -m lucaspf.cli pf "1${big:3}1" | grep -Fx "fast reject: odd"
+  test "$(python -m lucaspf.cli cyclotomic --r 1 --s 1 --n 100000 2>"$RUNNER_TEMP/err.log"; echo "exit $?")" = "exit 2"
+  grep -F "more than the 4300" "$RUNNER_TEMP/err.log"
   # pf, search and cyclotomic import no mpmath: only bounds and verify load the interval layer
   for argv in "pf 24" "search --r 1 --s 1 --max-n 150" "cyclotomic --r 1 --s 1 --n 12"; do
     python -X importtime -m lucaspf.cli $argv >/dev/null 2>"$RUNNER_TEMP/imports.log"

@@ -6,8 +6,8 @@ For pairs of each parity class and both kinds, `search._search_run` over
 [1, bound] must give the hits, witnesses and reject counts of stepping every
 term exactly (`oracles.plain_outcomes`: `iter_terms`, then `pf_fast_reject`
 and `pf_decompose`).  The bound is the general case's over the kind's level.
-(4, 1) and (1, 1) have real roots, so their residue pass stops at n = 2 while
-plain stepping tests every term.  The whole check takes about 20 s; pytest
+(4, 1) and (1, 1) have real roots, so their residue pass stops at n = 2, and
+the others' at n = 30 // level, while plain stepping tests every term.  The whole check takes about 20 s; pytest
 does not collect this file.  Exits 1 on the first disagreement.
 """
 

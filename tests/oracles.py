@@ -1,12 +1,15 @@
 """Independent reference implementations the tests compare the library with,
 and the interval queries only the tests read."""
 
+import math
+
 from mpmath import libmp, mp
 
+from lucaspf.bounds import Parity
 from lucaspf.cyclotomic import arithmetic_profile
 from lucaspf.errors import DomainError
 from lucaspf.factorials import REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
-from lucaspf.interval import DEFAULT_PREC, Interval
+from lucaspf.interval import DEFAULT_PREC, Interval, log2, log_int
 from lucaspf.lucas import SeqKind, _uv_pair
 from lucaspf.search import SearchHit, _digit_count
 
@@ -129,3 +132,49 @@ def pi_ap_upper(x: int, n: int, prec: int = DEFAULT_PREC) -> Interval:
     phi_exact = arithmetic_profile(n).phi
     logq = (Interval.from_int(x, prec) / n).log()
     return Interval.from_int(2 * x, prec) / (Interval.from_int(phi_exact, prec) * logq)
+
+
+def logp_sum_upper(
+    m: int, n: int, parity: Parity, prec: int = DEFAULT_PREC
+) -> Interval:
+    """Certified upper bound for sum_{p <= m, p = +-1 mod n} log p / (p - 1).
+
+    Tail over p > 3n via the Abel-summation bound: 4 (log m - 1) / phi(n)
+    times (1 + loglog n) for m < n^2 and (1 + loglog n / 2) for m >= n^2;
+    primes below 3n contribute at most 10.1 log(3n) / 3n for even n and
+    3.1 log(3n) / 3n for odd n, plus log(3n)/3n from the 1/(p-1) -> 1/p shift.
+    """
+    if n < 150:
+        raise DomainError("valid for n >= 150")
+    if m < n - 1:
+        raise DomainError("m must be >= n - 1")
+    phi_exact = Interval.from_int(arithmetic_profile(n).phi, prec)
+    logm = log_int(m, prec)
+    loglogn = log_int(n, prec).log()
+    base = 4 * (logm - 1) / phi_exact
+    tail = base * (1 + loglogn)
+    if m >= n * n:
+        alt = base * (1 + loglogn / 2)
+        if alt.hi < tail.hi:
+            tail = alt
+    small_coeff = "11.1" if parity is Parity.EVEN else "4.1"
+    small = Interval.from_str(small_coeff, prec) * log_int(3 * n, prec) / (3 * n)
+    return tail + small
+
+
+def voutier_pair_lower(
+    log_alpha: Interval, m: int, prec: int = DEFAULT_PREC
+) -> Interval:
+    """Lower bound for log|alpha^m - beta^m| in the complex-conjugate case.
+
+    Max of the two explicit linear-forms-in-logarithms bounds:
+      m log|a| - (m/gcd(m,2) + log2/4 + 0.02) log|a|
+      m log|a| - 73 log|a| (log(m/gcd(m,2)))^2
+    The first is better for m <= 5358.
+    """
+    if m < 3:
+        raise DomainError("valid for m >= 3")
+    half = m // math.gcd(m, 2)
+    b1 = m * log_alpha - (half + log2(prec) / 4 + Interval.from_str("0.02", prec)) * log_alpha
+    b2 = m * log_alpha - 73 * log_alpha * log_int(half, prec) ** 2
+    return b1.max(b2)

@@ -20,12 +20,10 @@ from sympy import factorint
 from lucaspf.bounds import (
     MnBoundVariant,
     Parity,
-    logp_sum_upper,
     omega_upper,
     phi_lower_omega,
     phi_lower_rs,
     unit_product_constant,
-    voutier_pair_lower,
 )
 from lucaspf.cyclotomic import arithmetic_profile, cyclotomic_value
 from lucaspf.factorials import clear_member_cache, pf_member
@@ -40,7 +38,7 @@ from lucaspf.pipeline import (
 )
 from lucaspf.primes import primorial
 from lucaspf.search import SearchConfig, search_pf_terms, verify_fibonacci_identity
-from oracles import pi_ap_upper, sieve_upto
+from oracles import logp_sum_upper, pi_ap_upper, sieve_upto, voutier_pair_lower
 
 # frozen ground truth: indices whose Fibonacci / Lucas-companion terms are
 # factorial products, precomputed by brute force over n <= 150

@@ -13,7 +13,6 @@ from lucaspf.bounds import (
     bound_context,
     growth_log_alpha_lower,
     lemma_coefficient,
-    logp_sum_upper,
     margin_estimate,
     mn_lower_affine,
     mn_upper_sieve_affine,
@@ -26,14 +25,20 @@ from lucaspf.bounds import (
     row_margin_dual,
     stirling_log_factorial_sqrt,
     unit_product_constant,
-    voutier_pair_lower,
 )
 from lucaspf.cyclotomic import arithmetic_profile, cyclotomic_value
 from lucaspf.errors import DomainError
 from lucaspf.interval import Interval, log2, log_int
 from lucaspf.lucas import validate_params
 from lucaspf.primes import primorial
-from oracles import certainly_lt, pi_ap_upper, sieve_upto, width
+from oracles import (
+    certainly_lt,
+    logp_sum_upper,
+    pi_ap_upper,
+    sieve_upto,
+    voutier_pair_lower,
+    width,
+)
 
 
 def phi_omega_tables(limit):

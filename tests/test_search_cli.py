@@ -346,6 +346,33 @@ def test_cli_exit_codes():
     assert run_cli("--precision-bits", "128", "pf", "6").returncode == 2
 
 
+def test_cli_refuses_numbers_past_the_str_digit_limit(capsys):
+    # Python reads and writes at most sys.get_int_max_str_digits() decimal
+    # digits of an int; the CLI refuses past that, naming the limit, and
+    # exits 2, and no code of the package sets it
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this Python has no digit limit")
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["pf", "1" + "0" * limit])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"{limit + 1} digits" in err and f"the {limit}" in err
+    assert "invalid int value" not in err
+    assert cli_dispatch(["pf", "-1" + "0" * (limit - 2) + "1"]) == 0  # limit digits, odd
+    assert capsys.readouterr().out.splitlines()[1] == "fast reject: odd"
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["pf", "12ab"])
+    assert exc.value.code == 2 and "invalid int value: '12ab'" in capsys.readouterr().err
+    # Phi_100000 of (1, 1) has 8 360 digits
+    assert cli_dispatch(["cyclotomic", "--r", "1", "--s", "1", "--n", "100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Phi_100000(alpha, beta) has 8360 digits")
+    assert f"the {limit}" in err
+    assert sys.get_int_max_str_digits() == limit
+    src = Path(search.__file__).parent
+    assert not [f for f in src.glob("*.py") if "set_int_max_str_digits" in f.read_text()]
+
+
 def test_cli_pf_and_cyclotomic():
     out = run_cli("pf", "39916800", "--decompose")
     assert out.returncode == 0 and b"11!" in out.stdout

@@ -13,10 +13,10 @@ from lucaspf.lucas import SeqKind, parity_period, validate_params
 from oracles import iter_terms, plain_outcomes, plain_search, term_pairs_matrix_mod
 
 
-def _box():
-    # every valid pair with |r| <= 5 and |s| <= 10
+def _box(r_max=5):
+    # every valid pair with |r| <= r_max and |s| <= 10
     pairs = []
-    for r in [x for k in range(1, 6) for x in (k, -k)]:
+    for r in [x for k in range(1, r_max + 1) for x in (k, -k)]:
         for s in [x for k in range(1, 11) for x in (k, -k)]:
             try:
                 pairs.append(validate_params(r, s))
@@ -241,11 +241,49 @@ def test_real_roots_give_no_unit_term_past_n_2():
 
 
 def test_complex_roots_can_reach_a_unit_term_late():
-    # why complex roots keep the whole residue pass
+    # why the residue pass of complex roots runs to the primitive-divisor
+    # index 30 of Bilu, Hanrot and Voutier, and not to Carmichael's 12, which
+    # holds for real roots only: a cut at 12 would lose U_13 = -1 of (1, -2)
     p = validate_params(1, -2)
     assert not p.roots_real
     assert lucas.term_pair(p, SeqKind.U, 13)[0] == -1
+    assert 12 < 13 <= 30 // SeqKind.U.level
     assert [h.index for h in search._search_run(p, SeqKind.U, 3, 40)[0]] == [3, 5, 13]
+
+
+def test_no_unit_term_past_the_primitive_divisor_index():
+    # the lemma that stops the residue pass at n = 30 // level: past it every
+    # term of every valid pair has a primitive divisor, so |x_n| >= 2. Stepped
+    # exactly to 120 over a wider box, and the search over [1, 120] finds the
+    # trivial hits, and everything else, of plain stepping
+    combos = [(p, kind) for p in _box(r_max=6) for kind in SeqKind]
+    assert len(combos) == 296 and any(not p.roots_real for p, _ in combos)
+    for p, kind in combos:
+        where = (p.r, p.s, kind)
+        plain = _plain_outcomes(p, kind, 120)
+        units = [n for n, x in zip(range(1, 121), iter_terms(p, kind, 1)) if abs(x) == 1]
+        assert all(n <= 30 // kind.level for n in units), where
+        hits, rejects = search._search_run(p, kind, 1, 120)
+        assert [h.index for h in hits if h.trivial] == units, where
+        assert (hits, rejects) == plain_search(plain[1:]), where
+
+
+@pytest.mark.parametrize("kind, bound", [(SeqKind.U, 267_212), (SeqKind.V, 133_606)])
+def test_the_residue_pass_stops_at_the_primitive_divisor_index(kind, bound):
+    # work pin: (1, -2) has complex roots and even s, so all its terms are odd
+    # and the residue pass is its only pass. Up to the certified bound it is
+    # seeded modulo 2P once; from the index past 30 // level it is not seeded
+    # at all. A cut left out, or one that ignores V's level, finds the same
+    # hits, so only this pin tells them apart
+    p = validate_params(1, -2)
+    cut = 30 // kind.level
+    for lo, seeds in ((1, 1), (cut, 1), (cut + 1, 0)):
+        with mock.patch.object(search, "term_pair_mod", wraps=lucas.term_pair_mod) as spy:
+            hits, rejects = search._search_run(p, kind, lo, bound)
+        assert [c.args[3] for c in spy.call_args_list] == [search._M] * seeds, (kind, lo)
+        assert rejects == {"odd": bound - lo + 1 - len(hits), "size": 0, "rough": 0}, (kind, lo)
+    assert [h.index for h in search._search_run(p, kind, 1, bound)[0]] == {
+        SeqKind.U: [1, 2, 3, 5, 13], SeqKind.V: [1, 4]}[kind]
 
 
 def test_real_roots_skip_the_residue_pass_past_n_2():
