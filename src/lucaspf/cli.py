@@ -69,16 +69,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("U", "V"), default="U",
         help="sequence bounded; V's bounds are half of U's",
     )
-    b.add_argument("--r", type=int, default=1, help="r of the pair; only --case unit reads it")
-    b.add_argument("--s", type=int, default=1, help="s of the pair; only --case unit reads it")
+    b.add_argument("--r", type=_int_arg, default=1, help="r of the pair; only --case unit reads it")
+    b.add_argument("--s", type=_int_arg, default=1, help="s of the pair; only --case unit reads it")
     b.add_argument("--json", metavar="PATH", help="write the JSON report here")
 
     s = sub.add_parser("search", help="search a concrete sequence for factorial products")
-    s.add_argument("--r", type=int, required=True, help="r of the pair")
-    s.add_argument("--s", type=int, required=True, help="s of the pair")
+    s.add_argument("--r", type=_int_arg, required=True, help="r of the pair")
+    s.add_argument("--s", type=_int_arg, required=True, help="s of the pair")
     s.add_argument("--kind", choices=("U", "V"), default="U", help="sequence searched")
-    s.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="last index searched")
-    s.add_argument("--min-n", type=int, default=1, help="first index searched (at least 1)")
+    s.add_argument("--max-n", type=_int_arg, default=DEFAULT_MAX_N, help="last index searched")
+    s.add_argument("--min-n", type=_int_arg, default=1, help="first index searched (at least 1)")
     s.add_argument(
         "--reject-log", action="store_true",
         help="print the counts of fast-rejected terms to stderr, by reason: odd, "
@@ -91,13 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("n", type=_int_arg, help="the integer; membership is of |n|, and 0 is an error")
     f.add_argument("--decompose", action="store_true", help="also print a member's witnesses")
     f.add_argument(
-        "--limit", type=int, default=16, help="most witnesses --decompose prints, at least 1"
+        "--limit", type=_int_arg, default=16, help="most witnesses --decompose prints, at least 1"
     )
 
     c = sub.add_parser("cyclotomic", help="exact Phi_n(alpha, beta)")
-    c.add_argument("--r", type=int, required=True, help="r of the pair")
-    c.add_argument("--s", type=int, required=True, help="s of the pair")
-    c.add_argument("--n", type=int, required=True, help="the index n, at least 2")
+    c.add_argument("--r", type=_int_arg, required=True, help="r of the pair")
+    c.add_argument("--s", type=_int_arg, required=True, help="s of the pair")
+    c.add_argument("--n", type=_int_arg, required=True, help="the index n, at least 2")
 
     v = sub.add_parser("verify", help="self-checks of identities and constants")
     v.add_argument(

@@ -10,10 +10,13 @@ seed.  No term past n = 2 is +-1 when the roots are real, and none past
 n = 30 // level (30 for U, 15 for V) for any valid pair, so the first pass
 stops there.  An even term whose residue, read against a bit-length table
 (`factorials._SIZE_BITS`), proves it too large is rejected without an exact
-term or a call into `factorials`.  So a search builds exact terms only at the
-few odd indices whose residue says they could be +-1, and at the even ones
-whose residue cannot settle their size; each of the latter goes to
-`pf_fast_reject` as it is.
+term or a call into `factorials`.  When the roots are real, a 2-adic law and
+the growth |x_n| >= (3/2)^(n-2) prove every even term past a small index
+(`_size_cut`, 768 for Fibonacci's U) too large, so the second pass stops
+there, and a range past it is counted without a step.  So a search builds
+exact terms only at the few odd indices whose residue says they could be
++-1, and at the even ones whose residue cannot settle their size; each of
+the latter goes to `pf_fast_reject` as it is.
 """
 
 from __future__ import annotations
@@ -23,8 +26,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
-from .factorials import _SIZE_BITS, REJECT_REASONS, PFWitness, pf_decompose, pf_fast_reject
+from .factorials import (
+    _SIZE_BITS,
+    REJECT_REASONS,
+    PFWitness,
+    _size_bits,
+    pf_decompose,
+    pf_fast_reject,
+)
 from .lucas import (
+    _SEEDS,
     LucasParams,
     SeqKind,
     parity_period,
@@ -91,6 +102,48 @@ def _digit_count(n: int) -> int:
     return max(digits, 1)
 
 
+def _sized_from(bits: int) -> int:
+    """The first n from which every term of a real-root pair has at least
+    ``bits`` bits: |x_n| >= (3/2)^(n-2) >= 2^(bits-1) once
+    (n - 2) log2(3/2) >= bits - 1, and log2(3/2) > 0.5849."""
+    return 2 - (1 - bits) * 10_000 // 5_849  # 2 + ceil((bits - 1) / 0.5849)
+
+
+# _sized_from(_size_bits(nu)) by nu_2 = 1 ... 63: past it a real-root term with
+# that nu_2 is rejected as `size`
+_SIZED_FROM = (0, *(_sized_from(_SIZE_BITS[nu]) for nu in range(1, 64)))
+
+
+# _size_cut's span for every hi up to it, so that one entry serves them all
+_CUT_SPAN = 1 << 32
+
+
+@lru_cache(maxsize=256)
+def _size_cut(r: int, s: int, kind: SeqKind, tau: int, span: int) -> int:
+    """The largest multiple n <= span of tau whose term the 2-adic law and the
+    growth bound of `_search_run` do not prove too large, 0 if none; for real
+    roots and odd s.  nu_2(x_tau) and nu_2(x_2tau) come from stepping the
+    seeds; n = tau m with nu_2(m) = a takes the first, for a = 0, or the
+    second, plus a - 1 for U (it is 1 for V).  A cut for a span covers any
+    smaller hi."""
+    x, y = _SEEDS[kind](r)
+    nus = []
+    for _ in (1, 2):
+        for _ in range(tau):
+            x, y = y, r * y + s * x
+        nus.append((x & -x).bit_length() - 1)
+    nu_odd, nu_even = nus
+    grow = kind is SeqKind.U
+    cut, a, step, nu = 0, 0, tau, nu_odd
+    while step <= span:
+        sized = _SIZED_FROM[nu] if nu < 64 else _sized_from(_size_bits(nu))
+        top = min(span, sized - 1) // step
+        cut = max(cut, ((top - 1) | 1) * step)  # step times the largest odd <= top
+        a, step = a + 1, 2 * step
+        nu = nu_even + (a - 1) * grow
+    return cut
+
+
 def _stride(p: LucasParams, tau: int) -> tuple[int, int]:
     """(V_tau, Q^tau) for tau in {1, 2, 3}, Q = -s: the terms of U and V alike
     satisfy x_{n+tau} = V_tau x_n - Q^tau x_{n-tau}, both being combinations
@@ -150,7 +203,9 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
       exactly by `term_pair` and goes to `pf_fast_reject`, whose first test
       is the same one on its exact bits, then to `pf_decompose`.  Where
       cap >= w, w widens past cap and the stepping is reseeded from that
-      exact pair.
+      exact pair.  When the roots are real the pass stops at `_size_cut`
+      (below), is not seeded when its first index is past it, and counts
+      every even term past it as `size`.
 
     When tau = 1 every term is even and there is no residue pass; when s is
     even every term is odd and there is no even pass.  So a run builds exact
@@ -165,6 +220,27 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
       0 < beta < alpha with alpha > r/2 >= 3/2.  Then
       U_{n+1} = alpha U_n + beta^n > U_n >= U_2 = r >= 3, and
       V_n = alpha^n + beta^n > alpha^n > 2 for n >= 2.
+    Real roots, even terms: every x_n at a multiple n of tau past
+    `_size_cut` has at least _size_bits(nu_2(x_n)) bits, which is
+    `pf_fast_reject`'s first `size` test, so the even pass stops there.
+    - 2-adic law (s odd, n = tau m).  For m odd, nu_2(x_n) = nu_2(x_tau).
+      For m even, nu_2(U_n) = nu_2(U_2tau) + nu_2(m) - 1 and nu_2(V_n) = 1.
+      Let tau | k, so x_k is even, and so is V_k (V_k^2 - delta U_k^2 =
+      4 Q^k, Q = -s odd).  Then x_jk / x_k is odd for odd j: in
+      x_{(j+2)k} = V_k x_{(j+1)k} - Q^k x_jk the first term over x_k is even
+      (V_k times U_{(j+1)k} / U_k, or V_{(j+1)k}), so x_{(j+2)k} / x_k has
+      the parity of x_jk / x_k.  Also U_2k = U_k V_k, and
+      V_2k = V_k^2 - 2 Q^k has nu_2 = 1.  So with m = 2^a m', m' odd and
+      a >= 1, U_n has the nu_2 of U_{2^a tau} = U_2tau V_2tau V_4tau ...
+      V_{2^(a-1) tau}, and V_n is such a V_2k.
+    - Growth: |x_n| >= (3/2)^(n-2) for n >= 1.  Take r > 0.  For s > 0,
+      x_{n+2} >= x_{n+1} + x_n from x_1 >= 1 and x_2 >= 1, so
+      x_n >= F_n >= phi^(n-2).  For s < 0, alpha > 3/2 as above, and
+      U_n = (alpha^n - beta^n) / (alpha - beta) >= alpha^(n-1) and
+      V_n > alpha^n.  As log2(3/2) > 0.5849, bl(x_n) >= S once
+      n >= 2 + ceil((S - 1) / 0.5849) (`_sized_from`).
+    These are classical; see C. Sanna, "The p-adic valuation of Lucas
+    sequences", Fibonacci Quart. 54 (2016).
     Complex roots (delta < 0): |x_n| >= 2 for every n > 30 // level, so the
     residue pass stops at n = 30 for U and n = 15 for V.  By Bilu, Hanrot
     and Voutier (J. reine angew. Math. 539, 2001), U_n has a primitive
@@ -198,14 +274,17 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
         rejects["odd"] = hi - lo + 1 - evens - len(hits)
     if tau:
         e = lo + -lo % tau  # the first multiple of tau at or above lo
+        last = hi
+        if p.roots_real:  # every term past the cut is `size`
+            last = min(hi, _size_cut(r, s, kind, tau, max(hi, _CUT_SPAN)))
         v_tau, q_tau = _stride(p, tau)
         w = _W0
         mask = (1 << w) - 1
         k, f, c, floor, ceil = _windows(w)
-        a, b = _ahead(*term_pair_mod(p, kind, e, mask + 1), p, tau, mask)
-        evens = range(e, hi + 1, tau)
-        rejects["size"] = len(evens)  # less every term built exactly
-        for n in evens:
+        if e <= last:
+            a, b = _ahead(*term_pair_mod(p, kind, e, mask + 1), p, tau, mask)
+        rejects["size"] = len(range(e, hi + 1, tau))  # less every term built exactly
+        for n in range(e, last + 1, tau):
             t, a, b = a, b, (v_tau * b - q_tau * a) & mask
             if t & k and f <= t <= c:
                 continue

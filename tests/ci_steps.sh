@@ -99,7 +99,10 @@ search() (
   echo "$out" | grep -Fx "0 hit(s)"
   test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=0 size=301 rough=0"
   # full bounds through the even pass: (4,1) V has tau = 1, so every term
-  # is even; (1,1) U widens its residues past the caps of nu_2 = 9, 13, ...
+  # is even; (1,1) U widens its residues once, at U_384 (nu_2 = 9). Both
+  # have real roots, so the even pass stops at the cut past which every
+  # even term is too large by the 2-adic law and |x_n| >= (3/2)^(n-2):
+  # n = 25 for (4,1) V and n = 768 for (1,1) U
   out=$(python -m lucaspf.cli search --r 4 --s 1 --kind V --max-n 133606 --reject-log 2>"$RUNNER_TEMP/reject.log")
   echo "$out" | grep -Fx "1 hit(s)"
   test "$(echo "$out" | awk '$2 == "V" {print $1}' | paste -sd' ')" = "1"
@@ -114,6 +117,10 @@ search() (
   echo "$out"
   test "$(echo "$out" | awk '$2 == "U" {print $1}' | paste -sd' ')" = "1 2 3 6 12"
   test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=178140 size=89047 rough=20"
+  # far past the cut nothing is stepped: the counts are arithmetic
+  out=$(timeout 5 python -m lucaspf.cli search --r 1 --s 1 --min-n 1000 --max-n 30000000 --reject-log 2>"$RUNNER_TEMP/reject.log")
+  echo "$out" | grep -Fx "0 hit(s)"
+  test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=19999334 size=9999667 rough=0"
   # the fast-reject counts by reason go to stderr; the hits stay on stdout
   out=$(python -m lucaspf.cli search --r 1 --s 1 --max-n 150 --reject-log 2>"$RUNNER_TEMP/reject.log")
   echo "$out"

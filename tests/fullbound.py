@@ -6,8 +6,10 @@ For pairs of each parity class and both kinds, `search._search_run` over
 [1, bound] must give the hits, witnesses and reject counts of stepping every
 term exactly (`oracles.plain_outcomes`: `iter_terms`, then `pf_fast_reject`
 and `pf_decompose`).  The bound is the general case's over the kind's level.
-(4, 1) and (1, 1) have real roots, so their residue pass stops at n = 2, and
-the others' at n = 30 // level, while plain stepping tests every term.  The whole check takes about 20 s; pytest
+(4, 1), (1, 1), (4, -3) and (3, -1) have real roots, so their residue pass
+stops at n = 2 and their even pass at `search._size_cut`, with s > 0 and
+s < 0 in the growth lemma; the others' residue pass stops at n = 30 // level.
+Plain stepping tests every term.  The whole check takes about 20 s; pytest
 does not collect this file.  Exits 1 on the first disagreement.
 """
 
@@ -26,6 +28,8 @@ CASES = (
     (1, -2, SeqKind.U),  # s even: every term is odd, complex roots
     (1, -3, SeqKind.V),  # tau = 3, complex roots: the +-1 pass seeded from V's seeds
     (1, -2, SeqKind.V),  # s even: the +-1 pass alone, trivial hits at n = 1 and 4
+    (4, -3, SeqKind.U),  # tau = 2, real roots with s < 0
+    (3, -1, SeqKind.V),  # tau = 3, real roots with s < 0
 )
 
 

@@ -93,18 +93,17 @@ def test_a_search_builds_no_exact_seed():
     # settle `size`.
     # - (1, 1) (tau = 3): the candidates are its trivial hits U_1 = U_2 = 1.
     #   The even terms built are those below their cap, U_3 = 2, U_6 = 8 and
-    #   U_12 = 144 among them, up to U_768 (532 bits, nu_2 = 10, cap 661), and
-    #   in each search the first term with cap >= w, where w widens: U_384
-    #   (nu_2 = 9, cap 514 >= 512) and U_6144 (13) in one search; in three
-    #   searches over consecutive thirds of the range, which each start from
-    #   w = 512, also U_6912 (10) and U_12288 (14), and U_13440 (9) and
-    #   U_18432 (13);
+    #   U_12 = 144 among them, up to U_768 (532 bits, nu_2 = 10, cap 661),
+    #   and U_384 (nu_2 = 9, cap 514 >= 512), where w widens. The roots are
+    #   real, so the even pass stops at U_768, past which every even term is
+    #   provably too large: three searches over consecutive thirds of the
+    #   range build the same terms as one, all in the first third;
     # - (1, -2) has even s: every term is odd, and the only exact terms are
     #   its 5 trivial hits
     small = [1, 2, 3, 6, 12, 18, 24, 30, 36, 42, 48, 54, 60, 72, 84, 96, 108, 120, 144, 168, 192, 240, 288]
     expected = {
-        ((1, 1), 1): small + [384, 768, 6144],
-        ((1, 1), 3): small + [384, 768, 6144, 6912, 12288, 13440, 18432],
+        ((1, 1), 1): small + [384, 768],
+        ((1, 1), 3): small + [384, 768],
         ((1, -2), 1): [1, 2, 3, 5, 13],
         ((1, -2), 3): [1, 2, 3, 5, 13],
     }
@@ -363,6 +362,11 @@ def test_cli_refuses_numbers_past_the_str_digit_limit(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(["pf", "12ab"])
     assert exc.value.code == 2 and "invalid int value: '12ab'" in capsys.readouterr().err
+    # every integer option reads its value the same way
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["search", "--r", "1" + "0" * limit, "--s", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"argument --r: {limit + 1} digits" in err and f"the {limit}" in err
     # Phi_100000 of (1, 1) has 8 360 digits
     assert cli_dispatch(["cyclotomic", "--r", "1", "--s", "1", "--n", "100000"]) == 2
     out, err = capsys.readouterr()

@@ -8,7 +8,7 @@ import sympy
 
 from lucaspf import lucas, search
 from lucaspf.errors import LucasPFError
-from lucaspf.factorials import _SIZE_BITS
+from lucaspf.factorials import _SIZE_BITS, _size_bits, pf_fast_reject
 from lucaspf.lucas import SeqKind, parity_period, validate_params
 from oracles import iter_terms, plain_outcomes, plain_search, term_pairs_matrix_mod
 
@@ -156,11 +156,11 @@ def test_sieve_matches_plain_stepping():
 
 
 @pytest.mark.parametrize("r, s, kind, lo, hi", [
-    (1, 1, SeqKind.U, 1, 20_000),  # nu_2(U_384) = 9: cap 514 >= 512, then 13 at U_6144
-    (1, 1, SeqKind.U, 6_667, 20_000),  # a mid-range start widens at U_6912 (nu_2 = 10)
+    (1, 1, SeqKind.U, 1, 20_000),  # nu_2(U_384) = 9: cap 514 >= 512; real roots stop at U_768
+    (1, -3, SeqKind.U, 6_667, 20_000),  # a mid-range start widens at U_6720 (nu_2 = 9)
     (1, -3, SeqKind.U, 1, 12_000),  # negative terms, whose residues are near 2^w
     (2, -3, SeqKind.U, 1, 12_000),  # tau = 2
-    (-4, 3, SeqKind.U, 5_001, 12_000),  # negative r, a mid-range start
+    (-2, -3, SeqKind.U, 5_001, 12_000),  # negative r, a mid-range start: U_5120 (nu_2 = 10)
     # U_3 = 1 + s = +-3 * 2^k: the first even term has nu_2 = k and forces a
     # widening, with real roots (s > 0) and complex ones (s < 0)
     *[(1, sign * 3 * 2**k - 1, SeqKind.U, lo, 600)
@@ -301,6 +301,98 @@ def test_real_roots_skip_the_residue_pass_past_n_2():
     with mock.patch.object(search, "term_pair_mod", wraps=lucas.term_pair_mod) as seeds:
         search._search_run(validate_params(1, -2), SeqKind.U, 3, 300)
     assert [c.args[3] for c in seeds.call_args_list] == [search._M]
+
+
+def _nu2(x):
+    return (x & -x).bit_length() - 1
+
+
+def test_the_2_adic_law():
+    # s odd, n = tau m: nu_2(x_n) = nu_2(x_tau) for m odd; for m even,
+    # nu_2(U_n) = nu_2(U_2tau) + nu_2(m) - 1 and nu_2(V_n) = 1
+    checked = 0
+    for p, kind in COMBOS:
+        tau = parity_period(p, kind)
+        if tau is None:
+            continue
+        nus = {n: _nu2(x) for n, x in zip(range(1, FAR + 1), iter_terms(p, kind, 1)) if n % tau == 0}
+        for n, nu in nus.items():
+            m = n // tau
+            if m % 2:
+                want = nus[tau]
+            elif kind is SeqKind.U:
+                want = nus[2 * tau] + _nu2(m) - 1
+            else:
+                want = 1
+            assert nu == want, (p.r, p.s, kind, n)
+        checked += 1
+    assert checked == 168
+
+
+def test_real_root_terms_grow_at_least_like_three_halves():
+    # |x_n| >= (3/2)^(n-2) for n >= 1, checked exactly as 2^(n-2) |x_n| >= 3^(n-2)
+    for p in REAL:
+        for kind in SeqKind:
+            terms = iter_terms(p, kind, 1)
+            assert 3 * abs(next(terms)) >= 2, (p.r, p.s, kind)  # n = 1
+            three = 1
+            for n, x in zip(range(2, FAR + 1), terms):
+                assert abs(x) << (n - 2) >= three, (p.r, p.s, kind, n)
+                three *= 3
+
+
+def test_sized_from_is_the_first_index_the_growth_bound_sizes():
+    # the least n with (n - 2) 0.5849 >= bits - 1, and the table is it at
+    # every cap of nu_2 = 1 ... 63
+    for bits in range(1, 3000):
+        n = search._sized_from(bits)
+        assert (n - 2) * 5849 >= (bits - 1) * 10_000 > (n - 3) * 5849, bits
+    assert search._SIZED_FROM[1:] == tuple(search._sized_from(_SIZE_BITS[nu]) for nu in range(1, 64))
+
+
+def test_every_even_term_past_the_cut_is_size():
+    # real roots: past `_size_cut` every even term has at least
+    # _size_bits(nu_2) bits, so pf_fast_reject rejects it as `size`; at the
+    # cut the lemmas do not say so, and one span serves every smaller hi
+    cuts = {}
+    for p in REAL:
+        for kind in SeqKind:
+            tau = parity_period(p, kind)
+            if tau is None:
+                continue
+            cut = search._size_cut(p.r, p.s, kind, tau, FAR)
+            assert search._size_cut(p.r, p.s, kind, tau, search._CUT_SPAN) == cut
+            assert 0 < cut < FAR and cut % tau == 0, (p.r, p.s, kind)
+            cuts[(p.r, p.s, kind)] = cut
+            for n, x in zip(range(1, FAR + 1), iter_terms(p, kind, 1)):
+                if n % tau:
+                    continue
+                if n == cut:
+                    assert n < search._sized_from(_size_bits(_nu2(x))), (p.r, p.s, kind)
+                elif n > cut:
+                    assert abs(x).bit_length() >= _size_bits(_nu2(x)), (p.r, p.s, kind, n)
+                    assert pf_fast_reject(x) == "size", (p.r, p.s, kind, n)
+    assert cuts[(1, 1, SeqKind.U)] == cuts[(-1, 1, SeqKind.U)] == 768
+    assert cuts[(3, -1, SeqKind.U)] == 1536 and cuts[(2, 1, SeqKind.U)] == 1024
+    assert cuts[(1, 1, SeqKind.V)] == 21 and cuts[(4, 1, SeqKind.V)] == 25
+
+
+@pytest.mark.parametrize("lo, seeds", [(768, 1), (769, 0)])
+def test_the_even_pass_of_real_roots_stops_at_the_cut(lo, seeds):
+    # work pin: (1, 1) U has real roots, so its residue pass stops at n = 2
+    # and its even pass at the cut U_768. From n = 769 to the certified bound
+    # a search seeds nothing and builds no exact term; from 768 on it seeds
+    # once, modulo 2^512, and builds U_768 (nu_2 = 10), which is `rough`.
+    # Every even term past the cut counts as `size`
+    p = validate_params(1, 1)
+    hi = search.CERTIFIED_BOUNDS["general"]
+    with (mock.patch.object(search, "term_pair_mod", wraps=lucas.term_pair_mod) as spy,
+          mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact):
+        hits, rejects = search._search_run(p, SeqKind.U, lo, hi)
+    assert [c.args[3] for c in spy.call_args_list] == [2**search._W0] * seeds
+    assert [c.args[1] for c in exact.call_args_list] == [768] * seeds
+    evens = hi // 3 - (lo - 1) // 3
+    assert hits == [] and rejects == {"odd": hi - lo + 1 - evens, "size": evens - seeds, "rough": seeds}
 
 
 @pytest.mark.parametrize("r, s, kind, units", [
