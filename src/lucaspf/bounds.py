@@ -336,6 +336,11 @@ def _duals(prec: int) -> _Duals:
     return _Duals(prec)
 
 
+def _require_cascade_n(ar, n):
+    if not ar.at_least(n, 150):
+        raise DomainError("the cascade's standing assumption is n >= 150")
+
+
 @dataclass(frozen=True)
 class BoundContext:
     """The estimates one margin evaluation combines.
@@ -367,8 +372,7 @@ class BoundContext:
     def __post_init__(self):
         if self.ar is None:
             object.__setattr__(self, "ar", _intervals(self.n.prec))
-        if not self.ar.at_least(self.n, 150):
-            raise DomainError("the cascade's standing assumption is n >= 150")
+        _require_cascade_n(self.ar, self.n)
 
     # prec and n_range are derived from n; perfbench/tracer.py reads both
     @property
@@ -619,7 +623,17 @@ def _growth_log_alpha_lower(ar, n, logn, parity: Parity, m_log: Optional[tuple])
 
 
 stirling_log_factorial_sqrt = _in_intervals(_stirling_log_factorial_sqrt)
-growth_log_alpha_lower = _in_intervals(_growth_log_alpha_lower)
+
+
+def growth_log_alpha_lower(n, logn, parity: Parity, m_log: Optional[tuple]):
+    """`_growth_log_alpha_lower` in intervals, for n >= 150 only, as
+    `BoundContext`: below it the 0.5 log n form and the sharp form's floor
+    can exceed a true solution's log|alpha| (Fibonacci's U_12 = 4! 3!: the
+    floor 0.75 log 12 is 1.86, log phi 0.48)."""
+    n = Interval.coerce(n)
+    ar = _intervals(n.prec)
+    _require_cascade_n(ar, n)
+    return _growth_log_alpha_lower(ar, n, logn, parity, m_log)
 
 
 def unit_product_constant(prec: int = 256) -> Interval:

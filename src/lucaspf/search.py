@@ -10,13 +10,17 @@ seed.  No term past n = 2 is +-1 when the roots are real, and none past
 n = 30 // level (30 for U, 15 for V) for any valid pair, so the first pass
 stops there.  An even term whose residue, read against a bit-length table
 (`factorials._SIZE_BITS`), proves it too large is rejected without an exact
-term or a call into `factorials`.  When the roots are real, a 2-adic law and
-the growth |x_n| >= (3/2)^(n-2) prove every even term past a small index
-(`_size_cut`, 768 for Fibonacci's U) too large, so the second pass stops
-there, and a range past it is counted without a step.  So a search builds
-exact terms only at the few odd indices whose residue says they could be
-+-1, and at the even ones whose residue cannot settle their size; each of
-the latter goes to `pf_fast_reject` as it is.
+term or a call into `factorials`.  Past n = 30 // level an even term with
+nu_2 = 1 has an odd primitive prime divisor, so it is too large as well.  A
+2-adic law gives nu_2 by the class of n / tau, odd or even: where one class
+has nu_2 = 1, the second pass steps past 30 // level only the other, at
+twice the stride, and where both do it stops there (V of (2, -3)).  When the
+roots are real, that law and the growth |x_n| >= (3/2)^(n-2) prove every even
+term past a small index (`_size_cut`, 768 for Fibonacci's U) too large, so
+the second pass stops there, and a range past it is counted without a step.
+So a search builds exact terms only at the few odd indices whose residue
+says they could be +-1, and at the even ones whose residue cannot settle
+their size; each of the latter goes to `pf_fast_reject` as it is.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ _M = 2 * _P
 # wider one costs more per step.
 _W0 = 512
 _LOW64 = 0xFFFF_FFFF_FFFF_FFFF
+# Past n = _N_PD every U_n of a valid pair has a primitive prime divisor, and
+# past _N_PD // level every V_n (Bilu, Hanrot and Voutier; see `_search_run`)
+_N_PD = 30
 DEFAULT_MAX_N = 5000
 # The certified bound on n for kind U, by case; a kind's is U's over its
 # level (`SeqKind.level`), so V's is half.  The cascades in `pipeline`
@@ -119,20 +126,27 @@ _CUT_SPAN = 1 << 32
 
 
 @lru_cache(maxsize=256)
-def _size_cut(r: int, s: int, kind: SeqKind, tau: int, span: int) -> int:
-    """The largest multiple n <= span of tau whose term the 2-adic law and the
-    growth bound of `_search_run` do not prove too large, 0 if none; for real
-    roots and odd s.  nu_2(x_tau) and nu_2(x_2tau) come from stepping the
-    seeds; n = tau m with nu_2(m) = a takes the first, for a = 0, or the
-    second, plus a - 1 for U (it is 1 for V).  A cut for a span covers any
-    smaller hi."""
+def _tau_nus(r: int, s: int, kind: SeqKind, tau: int) -> tuple[int, int]:
+    """nu_2(x_tau) and nu_2(x_2tau), from stepping the seeds.  By the 2-adic
+    law of `_search_run`, n = tau m takes the first for odd m; for even m the
+    second is the least nu_2 (U's grows with nu_2(m), V's stays 1)."""
     x, y = _SEEDS[kind](r)
     nus = []
     for _ in (1, 2):
         for _ in range(tau):
             x, y = y, r * y + s * x
         nus.append((x & -x).bit_length() - 1)
-    nu_odd, nu_even = nus
+    return nus[0], nus[1]
+
+
+@lru_cache(maxsize=256)
+def _size_cut(r: int, s: int, kind: SeqKind, tau: int, span: int) -> int:
+    """The largest multiple n <= span of tau whose term the 2-adic law and the
+    growth bound of `_search_run` do not prove too large, 0 if none; for real
+    roots and odd s.  n = tau m with nu_2(m) = a takes nu_2(x_tau), for a = 0,
+    or nu_2(x_2tau), plus a - 1 for U (it is 1 for V).  A cut for a span
+    covers any smaller hi."""
+    nu_odd, nu_even = _tau_nus(r, s, kind, tau)
     grow = kind is SeqKind.U
     cut, a, step, nu = 0, 0, tau, nu_odd
     while step <= span:
@@ -203,9 +217,14 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
       exactly by `term_pair` and goes to `pf_fast_reject`, whose first test
       is the same one on its exact bits, then to `pf_decompose`.  Where
       cap >= w, w widens past cap and the stepping is reseeded from that
-      exact pair.  When the roots are real the pass stops at `_size_cut`
-      (below), is not seeded when its first index is past it, and counts
-      every even term past it as `size`.
+      exact pair.  Past n = 30 // level the pass steps only the class of
+      n = tau m, m odd or m even, whose nu_2 exceeds 1 (below), at stride
+      2 tau with (V_2tau, Q^2tau) = (V_tau^2 - 2 Q^tau, (Q^tau)^2), switched
+      from the pair it holds; it is seeded at the class's first index when
+      its range starts past 30 // level, and it stops at 30 // level when
+      both classes have nu_2 = 1.  When the roots are real the pass stops at
+      `_size_cut` (below), and is not seeded when its first index is past
+      it.  Every even term it does not step counts as `size`.
 
     When tau = 1 every term is even and there is no residue pass; when s is
     even every term is odd and there is no even pass.  So a run builds exact
@@ -254,6 +273,16 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     |V_n| >= 2 once 2n > 30: V's cut is U's over its level, 30 // 2 = 15.
     Below the cut complex roots do reach +-1 late: (1, -2) has U_13 = -1,
     so Carmichael's n > 12, which holds for real roots only, would lose it.
+    Any roots, even terms with nu_2 = 1: past n = 30 // level such an x_n
+    has |x_n| >= 62, at least _size_bits(1) = 4 bits, so `pf_fast_reject`
+    rejects it as `size`, and the even pass skips the class of n = tau m
+    (m odd or m even) where nu_2 = 1.  x_n has a primitive divisor p of U_n
+    (of U_2n for V, as above).  With s odd, 2 divides U_2 (r even) or U_3
+    (r odd), so p is odd; and p = +-1 mod n (mod 2n for V), so
+    p >= level n - 1 >= 30, p >= 31 and |x_n| >= 2p.  By the 2-adic law the
+    class of odd m has nu_2(x_tau), and the class of even m has
+    nu_2 >= nu_2(U_2tau) = nu_2(U_tau) + nu_2(V_tau) >= 2 for U and nu_2 = 1
+    for V (`_tau_nus`): V's even class is always skipped, U's never.
     """
     r, s = p.r, p.s
     tau = parity_period(p, kind)
@@ -262,7 +291,7 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     if tau != 1:
         m = _M
         top = m - 1
-        last = min(hi, 2 if p.roots_real else 30 // kind.level)  # |x_n| >= 2 past it
+        last = min(hi, 2 if p.roots_real else _N_PD // kind.level)  # |x_n| >= 2 past it
         if lo <= last:
             a, b = term_pair_mod(p, kind, lo, m)
         for n in range(lo, last + 1):
@@ -277,36 +306,58 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
         last = hi
         if p.roots_real:  # every term past the cut is `size`
             last = min(hi, _size_cut(r, s, kind, tau, max(hi, _CUT_SPAN)))
-        v_tau, q_tau = _stride(p, tau)
+        rejects["size"] = len(range(e, hi + 1, tau))  # less every term built exactly
+        # (first, stop, stride): every multiple of tau up to 30 // level, then
+        # only the class of n = tau m, m odd or m even, whose nu_2 exceeds 1
+        runs = []
+        if e <= last:
+            runs.append((e, last, tau))
+            cut = _N_PD // kind.level
+            if cut < last:
+                nu_odd, nu_even = _tau_nus(r, s, kind, tau)
+                if nu_odd == 1 or nu_even == 1:
+                    runs[0] = (e, cut, tau)
+                    if nu_odd > 1 or nu_even > 1:
+                        first = max(e, cut + 1)
+                        first += ((tau if nu_odd > 1 else 0) - first) % (2 * tau)
+                        runs.append((first, last, 2 * tau))
+        v, q = _stride(p, tau)
         w = _W0
         mask = (1 << w) - 1
         k, f, c, floor, ceil = _windows(w)
-        if e <= last:
-            a, b = _ahead(*term_pair_mod(p, kind, e, mask + 1), p, tau, mask)
-        rejects["size"] = len(range(e, hi + 1, tau))  # less every term built exactly
-        for n in range(e, last + 1, tau):
-            t, a, b = a, b, (v_tau * b - q_tau * a) & mask
-            if t & k and f <= t <= c:
+        n = 0  # the last index stepped; 0 before the seed
+        for first, stop, step in runs:
+            if first > stop:
                 continue
-            low = t & _LOW64
-            j = (low & -low).bit_length()
-            if floor[j] <= t <= ceil[j]:
-                continue
-            rejects["size"] -= 1
-            value, y = term_pair(p, kind, n)
-            if j > 1 and _SIZE_BITS[j - 1] >= w:
-                w = 1 << (_SIZE_BITS[j - 1] + 64).bit_length()
-                mask = (1 << w) - 1
-                k, f, c, floor, ceil = _windows(w)
-                a, b = _ahead(value & mask, y & mask, p, tau, mask)  # at n
-                a, b = b, (v_tau * b - q_tau * a) & mask
-            reason = pf_fast_reject(value)
-            if reason is not None:
-                rejects[reason] += 1
-                continue
-            witnesses = pf_decompose(value, limit=1)  # empty: not a member
-            if witnesses:
-                hits.append(SearchHit(n, kind, _digit_count(value), witnesses[0], trivial=False))
+            if not n:
+                a, b = _ahead(*term_pair_mod(p, kind, first, mask + 1), p, tau, mask)
+            elif first > n + tau:  # (a, b) is at n + tau, in the skipped class
+                a, b = b, (v * b - q * a) & mask
+            if step > tau:  # in place to stride 2 tau: V_2tau = V_tau^2 - 2 Q^tau
+                a, b, v, q = a, (v * b - q * a) & mask, v * v - 2 * q, q * q
+            for n in range(first, stop + 1, step):
+                t, a, b = a, b, (v * b - q * a) & mask
+                if t & k and f <= t <= c:
+                    continue
+                low = t & _LOW64
+                j = (low & -low).bit_length()
+                if floor[j] <= t <= ceil[j]:
+                    continue
+                rejects["size"] -= 1
+                value, y = term_pair(p, kind, n)
+                if j > 1 and _SIZE_BITS[j - 1] >= w:
+                    w = 1 << (_SIZE_BITS[j - 1] + 64).bit_length()
+                    mask = (1 << w) - 1
+                    k, f, c, floor, ceil = _windows(w)
+                    a, b = _ahead(value & mask, y & mask, p, step, mask)  # at n
+                    a, b = b, (v * b - q * a) & mask
+                reason = pf_fast_reject(value)
+                if reason is not None:
+                    rejects[reason] += 1
+                    continue
+                witnesses = pf_decompose(value, limit=1)  # empty: not a member
+                if witnesses:
+                    hits.append(SearchHit(n, kind, _digit_count(value), witnesses[0], trivial=False))
     hits.sort(key=lambda h: h.index)
     return hits, rejects
 

@@ -65,17 +65,27 @@ search() (
   echo "$out"
   test "$(echo "$out" | awk '$2 == "V" {print $1}' | paste -sd' ')" = "1 4"
   test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=133604 size=0 rough=0"
-  # a second pair, with odd s: (1,-3) has tau = 3, so both passes run;
-  # the reject counts pin the accounting of the even pass
+  # a second pair, with odd s: (1,-3) has tau = 3, so both passes run.
+  # U_3 = -2 has nu_2 = 1, so past n = 30 the even pass steps only the
+  # even multiples of 3; the reject counts pin the accounting of the terms
+  # it skips, which stay in size
   out=$(python -m lucaspf.cli search --r 1 --s -3 --max-n 267212 --reject-log 2>"$RUNNER_TEMP/reject.log")
   echo "$out"
   test "$(echo "$out" | awk '$2 == "U" {print $1}' | paste -sd' ')" = "1 2 3 5 6"
   test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=178139 size=89038 rough=29"
-  # (2,-3) U has tau = 2: half of the terms go through the even pass
+  # (2,-3) U has tau = 2: half of the terms go through the even pass, and
+  # past n = 30 only the multiples of 4, as U_2 = 2 has nu_2 = 1
   out=$(python -m lucaspf.cli search --r 2 --s -3 --max-n 267212 --reject-log 2>"$RUNNER_TEMP/reject.log")
   echo "$out"
   test "$(echo "$out" | awk '$2 == "U" {print $1}' | paste -sd' ')" = "1 2 3 4"
   test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=133604 size=133588 rough=15"
+  # (2,-3) V has tau = 1, and V_1 = 2, V_2 = -2 have nu_2 = 1: past n = 15
+  # every term has nu_2 = 1 and an odd primitive divisor, so it is too large
+  # and the even pass ends there
+  out=$(timeout 5 python -m lucaspf.cli search --r 2 --s -3 --kind V --max-n 133606 --reject-log 2>"$RUNNER_TEMP/reject.log")
+  echo "$out"
+  test "$(echo "$out" | awk '$2 == "V" {print $1}' | paste -sd' ')" = "1 2 5"
+  test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=0 size=133603 rough=0"
   # (3,-2): U_n = 2^n - 1 is odd, and the roots 2 and 1 are real, so
   # |U_n| >= 2 past n = 2 and the residue pass stops there
   out=$(timeout 30 python -m lucaspf.cli search --r 3 --s -2 --max-n 267212)

@@ -9,8 +9,10 @@ and `pf_decompose`).  The bound is the general case's over the kind's level.
 (4, 1), (1, 1), (4, -3) and (3, -1) have real roots, so their residue pass
 stops at n = 2 and their even pass at `search._size_cut`, with s > 0 and
 s < 0 in the growth lemma; the others' residue pass stops at n = 30 // level.
-Plain stepping tests every term.  The whole check takes about 20 s; pytest
-does not collect this file.  Exits 1 on the first disagreement.
+Past n = 30 // level the even pass skips the class of n / tau, odd or even,
+whose terms have nu_2 = 1, and ends there when both classes do.  Plain
+stepping tests every term.  The whole check takes about 25 s; pytest does
+not collect this file.  Exits 1 on the first disagreement.
 """
 
 import sys
@@ -30,6 +32,8 @@ CASES = (
     (1, -2, SeqKind.V),  # s even: the +-1 pass alone, trivial hits at n = 1 and 4
     (4, -3, SeqKind.U),  # tau = 2, real roots with s < 0
     (3, -1, SeqKind.V),  # tau = 3, real roots with s < 0
+    (2, -3, SeqKind.V),  # tau = 1, V_1 and V_2 have nu_2 = 1: the even pass ends at n = 15
+    (1, -5, SeqKind.U),  # tau = 3, nu_2(U_3) = 2: past n = 30 no class is skipped
 )
 
 

@@ -315,8 +315,33 @@ def test_context_takes_its_precision_from_the_enclosure():
 
 
 def test_context_requires_cascade_floor():
+    # BoundContext refuses an index below 150 whatever estimates it is given
+    # (the public growth bound, which _ctx calls, refuses one on its own)
+    ctx = _ctx(150, 2, Parity.ODD)
     with pytest.raises(DomainError):
-        _ctx(149, 2, Parity.ODD)
+        dataclasses.replace(ctx, n=Interval.from_int(149))
+
+
+def test_the_public_growth_bound_refuses_n_below_150():
+    # below the cascade's floor the bound can exceed a true solution's
+    # log|alpha|: Fibonacci's U_12 = 144 = 4! 3!, where the sharp form's
+    # floor 0.75 log 12 is 1.86 and log phi is 0.48. The cascade calls the
+    # private body, at n >= 150 only
+    log_phi = ((1 + Interval.from_int(5).sqrt()) / 2).log()
+    m = Interval.from_int(11)
+    at_12 = bounds._growth_log_alpha_lower(bounds._intervals(64), Interval.from_int(12), _logs(12)[0],
+                                           Parity.EVEN, (m, m.log()))
+    assert 1.86 < at_12.lo and at_12.hi < 1.87 and certainly_lt(log_phi, at_12)
+    for n in (12, 149, Interval.from_int_range(149, 151)):
+        with pytest.raises(DomainError):
+            growth_log_alpha_lower(n, _logs(n)[0], Parity.EVEN, None)
+    with pytest.raises(DomainError):
+        _sharp_growth(12, Parity.EVEN)
+    n = Interval.from_int(150)
+    m_log = (n - 1, (n - 1).log())
+    public = growth_log_alpha_lower(150, _logs(150)[0], Parity.EVEN, m_log)
+    body = bounds._growth_log_alpha_lower(bounds._intervals(64), n, _logs(150)[0], Parity.EVEN, m_log)
+    assert (public.lo, public.hi) == (body.lo, body.hi)
 
 
 def test_the_reported_totient_estimate_is_the_one_the_margin_uses():

@@ -395,6 +395,59 @@ def test_the_even_pass_of_real_roots_stops_at_the_cut(lo, seeds):
     assert hits == [] and rejects == {"odd": hi - lo + 1 - evens, "size": evens - seeds, "rough": seeds}
 
 
+def test_every_nu_2_of_1_term_past_the_primitive_divisor_index_is_size():
+    # the lemma that lets the even pass skip a class past n = 30 // level:
+    # there an even term with nu_2 = 1 has an odd primitive prime divisor
+    # p >= level n - 1 >= 31, so |x_n| >= 2p >= 62 and pf_fast_reject says
+    # `size`. By the 2-adic law the class of n = tau m, m odd, has
+    # nu_2(x_tau), and the class of m even never has nu_2 = 1 for U and
+    # always has it for V; `_tau_nus` reads both off the seeds
+    skipped = 0
+    for p, kind in COMBOS:
+        tau = parity_period(p, kind)
+        if tau is None:
+            continue
+        where = (p.r, p.s, kind)
+        nus = {n: (_nu2(x), x) for n, x in zip(range(1, FAR + 1), iter_terms(p, kind, 1)) if n % tau == 0}
+        assert search._tau_nus(p.r, p.s, kind, tau) == (nus[tau][0], nus[2 * tau][0]), where
+        classes = {0: set(), 1: set()}  # nu_2 by the parity of m = n / tau
+        for n, (nu, x) in nus.items():
+            classes[n // tau % 2].add(nu)
+            if nu == 1 and n > 30 // kind.level:
+                assert abs(x) >= 62 and pf_fast_reject(x) == "size", where + (n,)
+                skipped += 1
+        assert classes[1] == {nus[tau][0]}, where
+        assert (classes[0] == {1}) if kind is SeqKind.V else (1 not in classes[0]), where
+    assert skipped > 100_000
+
+
+@pytest.mark.parametrize("r, s, kind, lo, hi, seeds, hits, rejects", [
+    # V_1 = 2 and V_2 = -2: both classes have nu_2 = 1, so the pass ends at
+    # n = 15, and a range past it seeds nothing and builds nothing
+    (2, -3, SeqKind.V, 16, 133_606, [], [], (0, 133_591, 0)),
+    (2, -3, SeqKind.V, 15, 133_606, [15], [], (0, 133_592, 0)),
+    # U_3 = -2 has nu_2 = 1: past n = 30 only the even multiples of 3 are
+    # stepped, switched in place from the pair at U_33 with no second seed
+    (1, -3, SeqKind.U, 1, 267_212, [3], [1, 2, 3, 5, 6], (178_139, 89_038, 29)),
+    # a range past 30 is seeded at the first of them
+    (1, -3, SeqKind.U, 31, 267_212, [36], [], (178_122, 89_034, 26)),
+])
+def test_the_even_pass_steps_only_the_classes_with_nu_2_above_1(r, s, kind, lo, hi, seeds, hits, rejects):
+    # work pin: the seeds modulo 2^512 and the exact terms built past n = 30,
+    # every one at an even multiple of tau; the hits and reject counts at the
+    # full bound are the CI pins, where every skipped term stays in `size`
+    p = validate_params(r, s)
+    with (mock.patch.object(search, "term_pair_mod", wraps=lucas.term_pair_mod) as spy,
+          mock.patch.object(lucas, "_uv_pair", wraps=lucas._uv_pair) as exact):
+        got = search._search_run(p, kind, lo, hi)
+    assert [c.args[2] for c in spy.call_args_list if c.args[3] == 2**search._W0] == seeds
+    built = [c.args[1] for c in exact.call_args_list if c.args[1] > 30]
+    tau = parity_period(p, kind)
+    assert all(n % (2 * tau) == 0 for n in built) and (built != []) == (kind is SeqKind.U)
+    assert [h.index for h in got[0]] == hits
+    assert got[1] == dict(zip(("odd", "size", "rough"), rejects))
+
+
 @pytest.mark.parametrize("r, s, kind, units", [
     (1, 1, SeqKind.U, (1, 2)),  # U_1 = U_2 = 1
     (1, 1, SeqKind.V, (1,)),  # V_1 = 1
