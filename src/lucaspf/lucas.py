@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import Degenerate, DomainError, NotCoprime, ZeroDiscriminant
 
@@ -27,7 +28,10 @@ class SeqKind(str, Enum):
 
     @property
     def level(self) -> int:
-        return {SeqKind.U: 1, SeqKind.V: 2}[self]
+        return _LEVELS[self]
+
+
+_LEVELS = {SeqKind.U: 1, SeqKind.V: 2}
 
 
 def seq_kind(kind) -> SeqKind:
@@ -75,8 +79,14 @@ class LucasParams:
         return log_a
 
 
+# typed: (True, 1) and (1.0, 1) equal (1, 1) as keys, but each is checked
+# as given, and a float raises TypeError each time
+@lru_cache(maxsize=1024, typed=True)
 def validate_params(r: int, s: int) -> LucasParams:
-    """Check the standing hypotheses on (r, s) and build a LucasParams."""
+    """Check the standing hypotheses on (r, s) and build a LucasParams.
+
+    Cached: a valid pair is checked once per process and its LucasParams, which
+    is frozen, shared; an invalid pair raises on every call."""
     if r == 0 or s == 0:
         raise Degenerate(f"(r, s) = ({r}, {s}): both parameters must be nonzero")
     if math.gcd(abs(r), abs(s)) != 1:
@@ -86,7 +96,8 @@ def validate_params(r: int, s: int) -> LucasParams:
         raise ZeroDiscriminant(f"r^2 + 4s = 0 for (r, s) = ({r}, {s})")
     # alpha/beta is a root of unity iff r^2 / (-s) = 2 + 2 cos(theta) is in
     # {0, 1, 2, 3, 4}; exact integer test, no floating point.
-    if any(r * r == k * (-s) for k in (0, 1, 2, 3, 4)):
+    q = -s
+    if r * r in (0, q, 2 * q, 3 * q, 4 * q):
         raise Degenerate(
             f"r^2 = {r * r} lies in {{0, -s, -2s, -3s, -4s}}: "
             "alpha/beta is a root of unity"

@@ -21,6 +21,16 @@ the second pass stops there, and a range past it is counted without a step.
 So a search builds exact terms only at the few odd indices whose residue
 says they could be +-1, and at the even ones whose residue cannot settle
 their size; each of the latter goes to `pf_fast_reject` as it is.
+
+All a search derives from the pair and the kind alone (tau, the ends of both
+passes, the nu_2 classes and the stride) is its plan, `_plan`, derived once
+per process and per (pair, kind); a call then does only range arithmetic,
+seeding and stepping, and carries nothing to the next call.
+`lucas.validate_params` is cached as well, so a `SearchConfig` checks its
+pair once per process.  A perfbench `search` repetition, 1 552 calls over 20
+pairs and 40 (pair, kind) jobs, thus validates 20 pairs instead of 1 552 and
+derives 40 plans instead of 1 552, with the same seeds, stepped indices and
+exact terms (`BENCH_34.json`).
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError
 from .factorials import (
@@ -125,7 +136,6 @@ _SIZED_FROM = (0, *(_sized_from(_SIZE_BITS[nu]) for nu in range(1, 64)))
 _CUT_SPAN = 1 << 32
 
 
-@lru_cache(maxsize=256)
 def _tau_nus(r: int, s: int, kind: SeqKind, tau: int) -> tuple[int, int]:
     """nu_2(x_tau) and nu_2(x_2tau), from stepping the seeds.  By the 2-adic
     law of `_search_run`, n = tau m takes the first for odd m; for even m the
@@ -139,7 +149,6 @@ def _tau_nus(r: int, s: int, kind: SeqKind, tau: int) -> tuple[int, int]:
     return nus[0], nus[1]
 
 
-@lru_cache(maxsize=256)
 def _size_cut(r: int, s: int, kind: SeqKind, tau: int, span: int) -> int:
     """The largest multiple n <= span of tau whose term the 2-adic law and the
     growth bound of `_search_run` do not prove too large, 0 if none; for real
@@ -195,8 +204,60 @@ def _windows(w: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
     return (1 << top) - 1, floor[top], ceil[top], floor, ceil
 
 
+class _Plan(NamedTuple):
+    """What `_search_run` derives from the pair and the kind alone.
+
+    - tau: the parity period, None when every term is odd;
+    - unit_last: the last index of the residue pass, 2 for real roots and
+      30 // level otherwise;
+    - nus: (nu_2(x_tau), nu_2(x_2tau)) (`_tau_nus`), None without tau;
+    - end: the last index of the even pass for any hi <= _CUT_SPAN, None when
+      it runs to hi: `_size_cut` for real roots, or 30 // level when both
+      classes have nu_2 = 1;
+    - split: 30 // level when a class has nu_2 = 1, None when none has;
+    - kept: past split the pass steps only n = kept mod 2 tau (tau for the
+      odd m, 0 for the even), None when both classes have nu_2 = 1;
+    - stride: (V_tau, Q^tau) (`_stride`), None without tau.
+    """
+
+    tau: int | None
+    unit_last: int
+    nus: tuple[int, int] | None
+    end: int | None
+    split: int | None
+    kept: int | None
+    stride: tuple[int, int] | None
+
+
+@lru_cache(maxsize=1024)
+def _plan(p: LucasParams, kind: SeqKind) -> _Plan:
+    """The plan of a validated pair and a kind, derived once per process.
+    Keyed by the LucasParams the caller validated, so a search never
+    validates its pair again."""
+    tau = parity_period(p, kind)
+    pd = _N_PD // kind.level
+    unit_last = 2 if p.roots_real else pd
+    if not tau:
+        return _Plan(None, unit_last, None, None, None, None, None)
+    r, s = p.r, p.s
+    nus = _tau_nus(r, s, kind, tau)
+    end = _size_cut(r, s, kind, tau, _CUT_SPAN) if p.roots_real else None
+    split = kept = None
+    if 1 in nus:
+        split = pd
+        if nus == (1, 1):
+            end = pd if end is None else min(end, pd)
+        else:
+            kept = tau if nus[0] > 1 else 0
+    return _Plan(tau, unit_last, nus, end, split, kept, _stride(p, tau))
+
+
 def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
-    """Hits and reject counts of [lo, hi], in two passes.
+    """Hits and reject counts of [lo, hi], in two passes, by the plan of
+    (p, kind) (`_plan`, 40 plans for the 1 552 calls of a perfbench `search`
+    repetition, `BENCH_34.json`): the call itself only cuts [lo, hi] to the
+    plan's ends, seeds and steps, and when it steps no even term it builds no
+    run list and reads no stride or window.
 
     - Residue pass, over the indices up to 2 when the roots are real and up
       to 30 // level otherwise (below): x_n mod 2P, seeded by `term_pair_mod`
@@ -285,13 +346,14 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
     for V (`_tau_nus`): V's even class is always skipped, U's never.
     """
     r, s = p.r, p.s
-    tau = parity_period(p, kind)
+    plan = _plan(p, kind)
+    tau = plan.tau
     hits = []
     rejects = dict.fromkeys(REJECT_REASONS, 0)
     if tau != 1:
         m = _M
         top = m - 1
-        last = min(hi, 2 if p.roots_real else _N_PD // kind.level)  # |x_n| >= 2 past it
+        last = min(hi, plan.unit_last)  # |x_n| >= 2 past it
         if lo <= last:
             a, b = term_pair_mod(p, kind, lo, m)
         for n in range(lo, last + 1):
@@ -303,25 +365,22 @@ def _search_run(p: LucasParams, kind: SeqKind, lo: int, hi: int):
         rejects["odd"] = hi - lo + 1 - evens - len(hits)
     if tau:
         e = lo + -lo % tau  # the first multiple of tau at or above lo
-        last = hi
-        if p.roots_real:  # every term past the cut is `size`
-            last = min(hi, _size_cut(r, s, kind, tau, max(hi, _CUT_SPAN)))
         rejects["size"] = len(range(e, hi + 1, tau))  # less every term built exactly
-        # (first, stop, stride): every multiple of tau up to 30 // level, then
-        # only the class of n = tau m, m odd or m even, whose nu_2 exceeds 1
-        runs = []
-        if e <= last:
-            runs.append((e, last, tau))
-            cut = _N_PD // kind.level
-            if cut < last:
-                nu_odd, nu_even = _tau_nus(r, s, kind, tau)
-                if nu_odd == 1 or nu_even == 1:
-                    runs[0] = (e, cut, tau)
-                    if nu_odd > 1 or nu_even > 1:
-                        first = max(e, cut + 1)
-                        first += ((tau if nu_odd > 1 else 0) - first) % (2 * tau)
-                        runs.append((first, last, 2 * tau))
-        v, q = _stride(p, tau)
+        last = hi if plan.end is None else min(hi, plan.end)
+        if hi > _CUT_SPAN and p.roots_real:  # a wider span has its own cut
+            last = min(hi, _size_cut(r, s, kind, tau, hi))
+    if tau and e <= last:
+        # (first, stop, stride): every multiple of tau up to split, then only
+        # the class of n = tau m, m odd or m even, whose nu_2 exceeds 1
+        runs = [(e, last, tau)]
+        split = plan.split
+        if split is not None and split < last:
+            runs[0] = (e, split, tau)
+            if plan.kept is not None:
+                first = max(e, split + 1)
+                first += (plan.kept - first) % (2 * tau)
+                runs.append((first, last, 2 * tau))
+        v, q = plan.stride
         w = _W0
         mask = (1 << w) - 1
         k, f, c, floor, ceil = _windows(w)

@@ -73,6 +73,15 @@ search() (
   echo "$out"
   test "$(echo "$out" | awk '$2 == "U" {print $1}' | paste -sd' ')" = "1 2 3 5 6"
   test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=178139 size=89038 rough=29"
+  # the same range as two windows, the second seeded past the primitive-
+  # divisor index in the kept class only: the hits and counts add up to the
+  # pin above
+  out=$(python -m lucaspf.cli search --r 1 --s -3 --min-n 1 --max-n 133606 --reject-log 2>"$RUNNER_TEMP/reject.log")
+  test "$(echo "$out" | awk '$2 == "U" {print $1}' | paste -sd' ')" = "1 2 3 5 6"
+  test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=89068 size=44503 rough=29"
+  out=$(python -m lucaspf.cli search --r 1 --s -3 --min-n 133607 --max-n 267212 --reject-log 2>"$RUNNER_TEMP/reject.log")
+  echo "$out" | grep -Fx "0 hit(s)"
+  test "$(cat "$RUNNER_TEMP/reject.log")" = "fast-reject: odd=89071 size=44535 rough=0"
   # (2,-3) U has tau = 2: half of the terms go through the even pass, and
   # past n = 30 only the multiples of 4, as U_2 = 2 has nu_2 = 1
   out=$(python -m lucaspf.cli search --r 2 --s -3 --max-n 267212 --reject-log 2>"$RUNNER_TEMP/reject.log")

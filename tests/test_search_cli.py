@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from lucaspf.cli import _build_parser, cli_dispatch
-from lucaspf.errors import DomainError, LucasPFError, NotCoprime, Undecidable
+from lucaspf.errors import Degenerate, DomainError, LucasPFError, NotCoprime, Undecidable
 from lucaspf.factorials import pf_fast_reject, pf_member
 from lucaspf.lucas import SeqKind, validate_params
 from lucaspf import factorials, lucas, search
@@ -199,6 +199,24 @@ def test_search_config_validation():
         SearchConfig(1, 1, SeqKind.U, 10, 5)
     with pytest.raises(NotCoprime):
         SearchConfig(2, 4, SeqKind.U, 1, 10)
+
+
+def test_search_config_caches_valid_pairs_by_type_and_no_error():
+    # a valid pair is checked once per process and its parameters shared; a
+    # degenerate, a non-coprime and a root-of-unity pair raise on every call
+    assert SearchConfig(1, 1).params is SearchConfig(1, 1).params
+    for r, s, error in ((0, 5, Degenerate), (2, 4, NotCoprime), (1, -1, Degenerate)):
+        for _ in range(2):
+            with pytest.raises(error):
+                SearchConfig(r, s)
+    # (True, 1) and (1.0, 1) equal (1, 1) as keys, but each is checked as
+    # given: True is kept, a float raises
+    flag = SearchConfig(True, 1, n_max=150)
+    assert flag.params.r is True and type(SearchConfig(1, 1).params.r) is int
+    assert search_pf_terms(flag) == search_pf_terms(SearchConfig(1, 1, n_max=150))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            SearchConfig(1.0, 1)
 
 
 def test_search_config_stores_the_kind_it_is_given_as_a_string():

@@ -155,6 +155,44 @@ def test_sieve_matches_plain_stepping():
     assert cases == 1632
 
 
+def test_windows_equal_one_call():
+    # the plan carries nothing from one call to the next: [1, FAR] cut into
+    # windows finds the hits of one call, in order, and its reject counts
+    # add up. Twice, so that the plans are cold in the first round and warm
+    # in the second
+    search._plan.cache_clear()
+    for _ in range(2):
+        for p, kind in COMBOS:
+            hits, rejects = search._search_run(p, kind, 1, FAR)
+            for width in (128, 97):
+                joined, counts = [], dict.fromkeys(rejects, 0)
+                for lo in range(1, FAR + 1, width):
+                    got, reasons = search._search_run(p, kind, lo, min(FAR, lo + width - 1))
+                    joined += got
+                    for reason, k in reasons.items():
+                        counts[reason] += k
+                assert (joined, counts) == (hits, rejects), (p.r, p.s, kind, width)
+    assert search._plan.cache_info().misses == len(COMBOS)
+
+
+@pytest.mark.parametrize("r, s, kind, plan", [
+    # real roots: the residue pass ends at 2 and the even pass at the cut;
+    # U_3 = 2 has nu_2 = 1, so past 30 only the even m are kept
+    (1, 1, SeqKind.U, (3, 2, (1, 3), 768, 30, 0, (4, -1))),
+    (3, -1, SeqKind.U, (3, 2, (3, 4), 1536, None, None, (18, 1))),
+    (1, -3, SeqKind.U, (3, 30, (1, 4), None, 30, 0, (-8, 27))),
+    # V's even class has nu_2 = 1, so past 15 only the odd m are kept
+    (1, -3, SeqKind.V, (3, 15, (3, 1), None, 15, 3, (-8, 27))),
+    # both classes have nu_2 = 1: the even pass ends at 15
+    (2, -3, SeqKind.V, (1, 15, (1, 1), 15, 15, None, (2, 3))),
+    (1, -2, SeqKind.U, (None, 30, None, None, None, None, None)),  # every term odd
+])
+def test_plan_of_a_pair(r, s, kind, plan):
+    p = validate_params(r, s)
+    assert search._plan(p, kind) == search._Plan(*plan)
+    assert search._plan(p, kind) is search._plan(validate_params(r, s), kind)  # derived once
+
+
 @pytest.mark.parametrize("r, s, kind, lo, hi", [
     (1, 1, SeqKind.U, 1, 20_000),  # nu_2(U_384) = 9: cap 514 >= 512; real roots stop at U_768
     (1, -3, SeqKind.U, 6_667, 20_000),  # a mid-range start widens at U_6720 (nu_2 = 9)
@@ -393,6 +431,28 @@ def test_the_even_pass_of_real_roots_stops_at_the_cut(lo, seeds):
     assert [c.args[1] for c in exact.call_args_list] == [768] * seeds
     evens = hi // 3 - (lo - 1) // 3
     assert hits == [] and rejects == {"odd": hi - lo + 1 - evens, "size": evens - seeds, "rough": seeds}
+
+
+def test_a_span_wider_than_the_plans_steps_to_its_own_cut():
+    # the plan's real-root cut serves every hi up to _CUT_SPAN. (1, s) with
+    # U_3 = 1 + s = 3 * 2^12000 has huge nu_2, so over twice that span its
+    # cut lies later, and a search there must step to it: the term at that
+    # cut is the one it builds exactly (here the build raises instead)
+    s = 3 * 2**12000 - 1
+    p = validate_params(1, s)
+    hi = 2 * search._CUT_SPAN
+    cut = search._size_cut(1, s, SeqKind.U, 3, hi)
+    assert cut > search._CUT_SPAN > search._plan(p, SeqKind.U).end
+
+    class Built(Exception):
+        pass
+
+    def build(p, kind, n):
+        raise Built(n)
+
+    with mock.patch.object(search, "term_pair", build), pytest.raises(Built) as built:
+        search._search_run(p, SeqKind.U, cut, hi)
+    assert built.value.args == (cut,)
 
 
 def test_every_nu_2_of_1_term_past_the_primitive_divisor_index_is_size():
