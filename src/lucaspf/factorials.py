@@ -2,13 +2,23 @@
 
 An integer N != 0 belongs to the target set when |N| = m_1! m_2! ... m_k!
 with 1 < m_1 <= ... <= m_k (k = 0, the empty product, certifies |N| = 1).
+
+Every node of the membership recursion reads its candidate factorials off
+`_FACTORIALS`, one constant tuple of (m, m!) for 2 <= m <= 170 (every m! below
+2^1024; about 27 KB with its tuples), built once at import. It is not a cache:
+it holds a fixed set of values, never grows, and depends on no input. Only an
+N >= 170! makes a call build factorials, and then only in a copy it does not
+keep.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .errors import DomainError, ZeroInput
 
@@ -39,15 +49,31 @@ class PFWitness:
         return out
 
 
-def _factorials_upto(n: int) -> list[tuple[int, int]]:
-    """(m, m!) pairs with 2 <= m and m! <= n."""
-    out = []
-    f, m = 2, 2
+# m! for 2 <= m <= 170 (each one product from the last), and the (m, m!) pairs
+_FACTORIAL_VALUES: tuple[int, ...] = tuple(accumulate(range(2, 171), mul))
+_FACTORIALS: tuple[tuple[int, int], ...] = tuple(zip(range(2, 171), _FACTORIAL_VALUES))
+
+
+def _factorials_upto(n: int) -> tuple[tuple[int, int], ...]:
+    """(m, m!) pairs with 2 <= m and m! <= n, in increasing m.
+
+    Below 170! this is a prefix of `_FACTORIALS`, found by bisection: its
+    pairs are the table's own, and no factorial is built. From 170! on, the
+    product loop extends the whole table in a new tuple, which the call
+    returns and nothing stores.
+    """
+    k = bisect_right(_FACTORIAL_VALUES, n)
+    if k < len(_FACTORIALS):
+        return _FACTORIALS[:k]
+    extra = []
+    m, f = _FACTORIALS[-1]
+    m += 1
+    f *= m
     while f <= n:
-        out.append((m, f))
+        extra.append((m, f))
         m += 1
         f *= m
-    return out
+    return _FACTORIALS + tuple(extra)
 
 
 def _is_member(n: int) -> bool:

@@ -60,7 +60,7 @@ certifies all of [151, 210].
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bounds import (MnBoundVariant, exact_row_margins, margin_estimate, phi_estimate, row_margin,
@@ -611,6 +611,13 @@ def run_unit_case(p, kind: SeqKind = SeqKind.U) -> CascadeResult:
     return _finish("unit", kind, {}, sweep_report, worst, 150)
 
 
+# the fields of BoundStageReport in order, phi_estimate as phiBound; all are
+# scalars, so a report reads them directly (asdict would deep-copy each one)
+_STAGE_KEYS = tuple(
+    (f.name, "phiBound" if f.name == "phi_estimate" else f.name) for f in fields(BoundStageReport)
+)
+
+
 def emit_report(result: CascadeResult) -> dict:
     """JSON-ready summary with stable keys."""
     if not result.stages:
@@ -621,7 +628,5 @@ def emit_report(result: CascadeResult) -> dict:
         "finalBound": result.final_bound,
         "paperFinal": result.paper_final,
         "decisive": result.decisive,
-        # the fields of BoundStageReport in order, phi_estimate as phiBound
-        "stages": [{"phiBound" if k == "phi_estimate" else k: v for k, v in asdict(s).items()}
-                   for s in result.stages],
+        "stages": [{key: getattr(s, name) for name, key in _STAGE_KEYS} for s in result.stages],
     }

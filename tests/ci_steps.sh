@@ -152,6 +152,10 @@ search() (
   python -m lucaspf.cli pf 103424 | grep -Fx "fast reject: rough"
   # 26! * 53: the fast reject decides it before the membership search starts
   timeout 10 python -m lucaspf.cli pf 21374447439710098685952000000 | grep -Fx "fast reject: rough"
+  # 26!: the largest single factorial the membership recursion answers
+  # within a few seconds; its one witness is itself
+  test "$(timeout 10 python -m lucaspf.cli pf 403291461126605635584000000 --decompose)" \
+    = $'403291461126605635584000000: member\n  26!  args=[26]'
   # --limit below 1 exits 2 before the membership line is printed
   test "$(python -m lucaspf.cli pf 24 --decompose --limit 0; echo "exit $?")" = "exit 2"
   python -m lucaspf.cli cyclotomic --r 1 --s 1 --n 12 | grep -F "Phi_12(alpha, beta) = 6"

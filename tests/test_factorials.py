@@ -57,6 +57,67 @@ def test_member_memo_is_bounded(monkeypatch):
     clear_member_cache()
 
 
+def _plain_factorials_upto(n):
+    # the product loop the table replaced
+    out, f, m = [], 2, 2
+    while f <= n:
+        out.append((m, f))
+        m += 1
+        f *= m
+    return out
+
+
+def test_factorial_table_prefix_equals_the_product_loop():
+    table = factorials._FACTORIALS
+    assert isinstance(table, tuple) and len(table) == 169
+    assert table[-1] == (170, math.factorial(170))
+    assert math.factorial(170) < 2**1024 < math.factorial(171)
+    edges = [0, 1, 2**5000]  # 634! <= 2^5000 < 635!, far past the table's top
+    for m in range(2, 173):
+        f = math.factorial(m)
+        edges += [f - 1, f, f + 1]
+    for n in edges:
+        assert list(factorials._factorials_upto(n)) == _plain_factorials_upto(n), n
+    # a call past 170! extends a copy; the table itself stays as it was
+    assert factorials._FACTORIALS is table and len(table) == 169
+
+
+def test_factorials_below_the_top_are_the_tables_own():
+    table = factorials._FACTORIALS
+    for m in range(2, 171):
+        for n in (math.factorial(m), math.factorial(m + 1) - 1):
+            pairs = factorials._factorials_upto(n)
+            assert len(pairs) == m - 1
+            assert all(p is q for p, q in zip(pairs, table)), n
+
+
+def _brute_force_witnesses(limit):
+    # every nondecreasing tuple of arguments >= 2 whose factorial product is <= limit
+    facts = dict(_plain_factorials_upto(limit))
+    found = {}
+
+    def extend(prod, args):
+        found.setdefault(prod, []).append(tuple(args))
+        m = args[-1] if args else 2
+        while m in facts and prod * facts[m] <= limit:
+            extend(prod * facts[m], args + [m])
+            m += 1
+
+    extend(1, [])
+    return {n: sorted(ws) for n, ws in found.items()}
+
+
+def test_witness_lists_equal_brute_force():
+    limit = 200_000
+    oracle = _brute_force_witnesses(limit)
+    clear_member_cache()
+    for n in range(2, limit + 1):
+        assert [w.args for w in pf_decompose(n, limit=10**6)] == oracle.get(n, []), n
+    members = [n for n in oracle if n > 1]
+    assert len(members) == 118
+    assert max(len(oracle[n]) for n in members) == 5
+
+
 def test_members_above_one_are_even():
     for n in range(2, 50_000):
         if n % 2 and pf_member(n):
